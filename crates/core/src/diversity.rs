@@ -18,7 +18,6 @@ use crate::common::{gmm_coreset, to_point_ids};
 use crate::gmm::gmm;
 use crate::kbmis::k_bounded_mis;
 use crate::ladder::{BoundaryMode, LadderSearch, RungEval};
-use crate::memo::MemoizedSpace;
 use crate::params::Params;
 use crate::telemetry::{PhaseTimes, Telemetry};
 
@@ -103,7 +102,7 @@ fn new_cluster(params: &Params) -> Cluster {
 /// still finds `k` independent points (they then have pairwise distance
 /// > τ_i).
 struct DiversityRungs<'a, M: MetricSpace + ?Sized> {
-    memo: &'a MemoizedSpace<'a, M>,
+    metric: &'a M,
     local_sets: &'a [Vec<u32>],
     r: f64,
     k: usize,
@@ -123,7 +122,7 @@ impl<M: MetricSpace + ?Sized> RungEval for DiversityRungs<'_, M> {
     fn eval(&mut self, cluster: &mut Cluster, i: usize) -> Vec<u32> {
         k_bounded_mis(
             cluster,
-            self.memo,
+            self.metric,
             self.local_sets,
             self.tau(i),
             self.k,
@@ -136,11 +135,6 @@ impl<M: MetricSpace + ?Sized> RungEval for DiversityRungs<'_, M> {
 
     fn accept(&self, _i: usize, rung: &Vec<u32>) -> bool {
         rung.len() == self.k
-    }
-
-    fn prewarm(&mut self, reachable: &[usize]) {
-        let taus: Vec<f64> = reachable.iter().map(|&i| self.tau(i)).collect();
-        self.memo.prewarm_taus(&taus);
     }
 }
 
@@ -215,15 +209,13 @@ pub fn mpc_diversity_on<M: MetricSpace + ?Sized>(
     // |M_t| < k is guaranteed: an independent set of k points in G_{τ_t}
     // would have diversity > τ_t > div_k(V), a contradiction — and our MIS
     // routine only reports size k for genuine independent sets.
-    // Every rung re-queries the same (vertex, candidate-set) pairs with
-    // only τ changing, so the pre-warmed distance memo serves the whole
-    // search from one distance pass per pair (ledger-invisible — see
-    // [`crate::memo`]).
+    // Rungs run straight on the metric's threshold kernels: each rung's
+    // MIS draws fresh degree samples (the cluster RNG is keyed by round),
+    // so a distance memo would almost never hit (see [`crate::memo`]).
     let ladder_started = Instant::now();
     let t = params.ladder_len(4.0, 1);
-    let memo = MemoizedSpace::new(metric);
     let mut rungs = DiversityRungs {
-        memo: &memo,
+        metric,
         local_sets: &local_sets,
         r,
         k,

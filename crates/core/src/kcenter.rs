@@ -17,7 +17,6 @@ use mpc_sim::Cluster;
 use crate::common::{covering_radius, gmm_coreset, to_point_ids};
 use crate::kbmis::k_bounded_mis;
 use crate::ladder::{BoundaryMode, LadderSearch, RungEval};
-use crate::memo::MemoizedSpace;
 use crate::params::Params;
 use crate::telemetry::{PhaseTimes, Telemetry};
 
@@ -47,7 +46,7 @@ fn new_cluster(params: &Params) -> Cluster {
 /// MIS of the threshold graph at `τ_i = r/(1+ε)^i`, acceptable while it
 /// has ≤ k vertices (it is then maximal, hence a radius-`τ_i` solution).
 struct KCenterRungs<'a, M: MetricSpace + ?Sized> {
-    memo: &'a MemoizedSpace<'a, M>,
+    metric: &'a M,
     local_sets: &'a [Vec<u32>],
     r: f64,
     k: usize,
@@ -67,7 +66,7 @@ impl<M: MetricSpace + ?Sized> RungEval for KCenterRungs<'_, M> {
     fn eval(&mut self, cluster: &mut Cluster, i: usize) -> Vec<u32> {
         k_bounded_mis(
             cluster,
-            self.memo,
+            self.metric,
             self.local_sets,
             self.tau(i),
             self.k + 1,
@@ -80,11 +79,6 @@ impl<M: MetricSpace + ?Sized> RungEval for KCenterRungs<'_, M> {
 
     fn accept(&self, _i: usize, rung: &Vec<u32>) -> bool {
         rung.len() <= self.k
-    }
-
-    fn prewarm(&mut self, reachable: &[usize]) {
-        let taus: Vec<f64> = reachable.iter().map(|&i| self.tau(i)).collect();
-        self.memo.prewarm_taus(&taus);
     }
 }
 
@@ -166,16 +160,13 @@ pub fn mpc_kcenter_on<M: MetricSpace + ?Sized>(
     // |M_t| = k+1 is guaranteed: a maximal IS of size ≤ k in G_{τ_t} would
     // be a k-center solution of radius τ_t < r* — impossible — and our MIS
     // routine's sub-(k+1) outputs are genuinely maximal.
-    // Every rung queries the same (vertex, candidate-set) pairs with only
-    // τ changing, so one τ-independent distance memo (pre-warmed with the
-    // rung schedule so re-probes are `partition_point` prefixes) serves
-    // the whole search. Local compute only — the ledger is unaffected
-    // (see [`crate::memo`]).
+    // Rungs run straight on the metric's threshold kernels: each rung's
+    // MIS draws fresh degree samples (the cluster RNG is keyed by round),
+    // so a distance memo would almost never hit (see [`crate::memo`]).
     let ladder_started = Instant::now();
     let t = params.ladder_len(4.0, 1);
-    let memo = MemoizedSpace::new(metric);
     let mut rungs = KCenterRungs {
-        memo: &memo,
+        metric,
         local_sets: &local_sets,
         r,
         k,
@@ -205,7 +196,6 @@ pub fn mpc_kcenter_on<M: MetricSpace + ?Sized>(
     };
     telemetry.ladder_evals = search.evals() as u64;
     telemetry.ladder_probes = search.probes() as u64;
-    telemetry.memo = Some(memo.stats());
     telemetry.kernels = metric.kernel_stats();
     telemetry.wire = cluster.wire_summary();
     KCenterResult {

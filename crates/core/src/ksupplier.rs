@@ -21,7 +21,6 @@ use mpc_sim::Cluster;
 use crate::common::{covering_radius, gmm_coreset, nearest_in_distributed_set, to_point_ids};
 use crate::kbmis::k_bounded_mis;
 use crate::ladder::{BoundaryMode, LadderSearch, RungEval};
-use crate::memo::MemoizedSpace;
 use crate::params::Params;
 use crate::telemetry::{PhaseTimes, Telemetry};
 
@@ -72,7 +71,6 @@ fn split_ids(ids: &[u32], params: &Params, salt: u64) -> Vec<Vec<u32>> {
 /// `FirstAccept` schedules never probe it, and the caller backfills the
 /// assignment if the search settles there.
 struct KSupplierRungs<'a, M: MetricSpace + ?Sized> {
-    memo: &'a MemoizedSpace<'a, M>,
     metric: &'a M,
     local_c: &'a [Vec<u32>],
     local_s: &'a [Vec<u32>],
@@ -96,7 +94,7 @@ impl<M: MetricSpace + ?Sized> RungEval for KSupplierRungs<'_, M> {
     fn eval(&mut self, cluster: &mut Cluster, i: usize) -> SupplierRung {
         let set = k_bounded_mis(
             cluster,
-            self.memo,
+            self.metric,
             self.local_c,
             2.0 * self.tau(i),
             self.k + 1,
@@ -118,11 +116,6 @@ impl<M: MetricSpace + ?Sized> RungEval for KSupplierRungs<'_, M> {
             }
             None => false, // |M_i| > k: the rung can't qualify
         }
-    }
-
-    fn prewarm(&mut self, reachable: &[usize]) {
-        let taus: Vec<f64> = reachable.iter().map(|&i| 2.0 * self.tau(i)).collect();
-        self.memo.prewarm_taus(&taus);
     }
 }
 
@@ -201,14 +194,12 @@ pub fn mpc_ksupplier_on<M: MetricSpace + ?Sized>(
     // r(M_j, S) ≤ τ_j. Index t always qualifies: |Q| ≤ k and
     // r(Q, S) = r_qs ≤ r ≤ τ_t — it is seeded as the backstop and never
     // probed by the FirstAccept schedules.
-    // Every rung re-queries the same (vertex, candidate-set) pairs with
-    // only the threshold 2τ_i changing, so the pre-warmed distance memo
-    // serves the whole search (ledger-invisible — see [`crate::memo`]).
+    // Rungs run straight on the metric's threshold kernels: each rung's
+    // MIS draws fresh degree samples (the cluster RNG is keyed by round),
+    // so a distance memo would almost never hit (see [`crate::memo`]).
     let ladder_started = Instant::now();
     let t = params.ladder_len(9.0, 0);
-    let memo = MemoizedSpace::new(metric);
     let mut rungs = KSupplierRungs {
-        memo: &memo,
         metric,
         local_c: &local_c,
         local_s: &local_s,

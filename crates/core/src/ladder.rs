@@ -1,6 +1,6 @@
 //! The shared τ-ladder boundary-search driver.
 //!
-//! Algorithms 2 (k-center), 5 (k-supplier) and 6 (diversity) all reduce to
+//! Algorithms 2 (diversity), 5 (k-center) and 6 (k-supplier) all reduce to
 //! the same one-dimensional search: a geometric threshold ladder
 //! `τ_0, …, τ_t`, a monotone accept predicate over rungs (monotone because
 //! every underlying `within(τ)` answer is), and a boundary rung to locate
@@ -9,7 +9,7 @@
 //! carried their own copy of the cache-vector + eval-closure + probe-loop
 //! driver; [`LadderSearch`] is that driver extracted once, so rung
 //! caching, probe accounting, and the memo pre-warm hook
-//! ([`RungEval::prewarm`]) are shared.
+//! ([`RungEval::prewarm`], used by serving's memoized ladders) are shared.
 //!
 //! The probe schedules are bit-compatible with the loops they replaced:
 //! for a given mode, strategy, and accept sequence, the same rungs are
@@ -62,10 +62,11 @@ pub trait RungEval {
 
     /// Called once, before the first probe, with every rung index the
     /// schedule could still evaluate (at least two, else the hook is
-    /// skipped). Implementations use it to register the rung thresholds
-    /// with [`crate::memo::MemoizedSpace::prewarm_taus`] so sorted
-    /// companion rows are built from each distance vector's first touch.
-    /// Purely a local-compute hint; must not touch the cluster.
+    /// skipped). Ladders over a [`crate::memo::MemoizedSpace`] use it to
+    /// register the rung thresholds with
+    /// [`crate::memo::MemoizedSpace::prewarm_taus`] so sorted companion
+    /// rows are retrofitted onto already-cached rows. Purely a
+    /// local-compute hint; must not touch the cluster.
     fn prewarm(&mut self, _reachable: &[usize]) {}
 }
 

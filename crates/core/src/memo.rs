@@ -1,14 +1,27 @@
-//! τ-independent distance memo for the threshold ladders (Algorithms 2,
-//! 5, 6).
+//! τ-independent distance memo for threshold ladders that repeat their
+//! queries.
 //!
-//! The boundary searches driven by [`crate::ladder`] re-run
-//! [`crate::kbmis::k_bounded_mis`] at `O(log 1/ε)` rungs `τ_i` over the
-//! *same* point set with the *same* per-machine RNG streams, so successive
-//! rungs issue bulk threshold queries for identical `(vertex, candidate
-//! set)` pairs — only the threshold changes. [`MemoizedSpace`] caches the
-//! **distance vector** of each such pair once and answers every later
-//! `count_within` / `neighbors_within` for any `τ` from the cached
-//! distances, turning `O(log 1/ε)` full distance passes into one.
+//! A ladder re-runs [`crate::kbmis::k_bounded_mis`] at `O(log 1/ε)` rungs
+//! `τ_i`. When successive rungs issue bulk threshold queries for identical
+//! `(vertex, candidate set)` pairs — only the threshold changing —
+//! [`MemoizedSpace`] caches the **distance vector** of each pair once and
+//! answers every later `count_within` / `neighbors_within` for any `τ`
+//! from the cached distances, turning `O(log 1/ε)` full distance passes
+//! into one.
+//!
+//! That premise holds for `mpc-serving`, the memo's one pipeline consumer:
+//! every query on a snapshot runs its ladder over the same frozen coreset
+//! union on a 1-machine cluster, and its 512-point rows hit 58% of the
+//! time. It does *not* hold for the batch drivers (Algorithms 2, 5, 6):
+//! their rungs share one [`mpc_sim::Cluster`], whose RNG is keyed by the
+//! ledger's round count, so each rung's MIS draws fresh degree samples and
+//! the candidate-set fingerprints almost never repeat. Measured in front
+//! of those ladders, the memo hit 0.02% of queries on the
+//! `kcenter-allpairs-d32` benchmark workload and 0.66% on
+//! `diversity-loopback-d16`, while every miss paid a `sqrt` per pair and
+//! a locked insert. Those drivers therefore run their rungs on the
+//! caller's metric and its squared-threshold / tiled kernels directly
+//! (DESIGN.md §6.3).
 //!
 //! Two further layers make the re-probes cheap (DESIGN.md §6.3):
 //!
@@ -20,9 +33,9 @@
 //!   permutation. Every later `count_within(τ)` is then a
 //!   `partition_point` prefix — O(log c) instead of the O(c) re-scan —
 //!   and `neighbors_within(τ)` maps the prefix positions back through the
-//!   candidate list in candidate order. The ladder probes ~4–7 rungs
-//!   through identical pairs, so this deletes the dominant repeated DRAM
-//!   traffic. Demonstrated reuse is deliberately the *only* trigger: an
+//!   candidate list in candidate order. A repeating ladder probes ~4–7
+//!   rungs through identical pairs, so this deletes the dominant repeated
+//!   DRAM traffic. Demonstrated reuse is deliberately the *only* trigger: an
 //!   eager variant (sort on first store once a rung schedule was
 //!   registered) slowed the full n=8000 k-center pipeline ~8× — most rows
 //!   the inner MIS loops fill are never queried again, and sorting a
@@ -34,8 +47,9 @@
 //! The memo is a *local compute* optimization and lives entirely outside
 //! MPC accounting: it forwards [`MetricSpace::point_weight`] untouched and
 //! never talks to the [`mpc_sim::Cluster`], so round and word counts are
-//! bit-for-bit those of the unmemoized run (asserted by the tests below
-//! and the neutrality suite).
+//! bit-for-bit those of the unmemoized run (asserted by the tests below,
+//! the neutrality suite, and the root `tests/memo_neutrality.rs` for the
+//! full Algorithm 2/5/6 pipelines).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -463,17 +477,19 @@ impl<'a, M: MetricSpace + ?Sized> MemoizedSpace<'a, M> {
         let fp = fingerprint(candidates);
         let mut rows: Vec<Option<Row>> = vec![None; vs.len()];
         // missing[i] = (vertex, every position) of a distinct missing
-        // vertex, in first-occurrence order.
+        // vertex, in first-occurrence order; `slot` indexes it by vertex.
         let mut missing: Vec<(u32, Vec<usize>)> = Vec::new();
+        let mut slot: HashMap<u32, usize> = HashMap::new();
         let mut hits = 0u64;
         for (i, &v) in vs.iter().enumerate() {
             if let Some(r) = self.lookup((v, fp)) {
                 hits += 1;
                 rows[i] = Some(r);
-            } else if let Some(entry) = missing.iter_mut().find(|(u, _)| *u == v) {
+            } else if let Some(&j) = slot.get(&v) {
                 hits += 1;
-                entry.1.push(i);
+                missing[j].1.push(i);
             } else {
+                slot.insert(v, missing.len());
                 missing.push((v, vec![i]));
             }
         }

@@ -3,8 +3,6 @@
 use mpc_metric::KernelStats;
 use mpc_sim::{Ledger, WireSummary};
 
-use crate::memo::MemoStats;
-
 /// Coarse wall-clock phase breakdown of one end-to-end run, in seconds:
 /// the coarse estimate (GMM coresets + covering radius), the τ-ladder
 /// boundary search, and the finalization step (realized radius /
@@ -54,15 +52,11 @@ pub struct Telemetry {
     /// Accept-predicate probes issued by the boundary search, including
     /// rung-cache hits; 0 for runs without a ladder.
     pub ladder_probes: u64,
-    /// Distance-memo cache snapshot taken when the ladder finished; `None`
-    /// for runs without a ladder. Local-compute observability only — the
-    /// memo never touches the ledger.
-    pub memo: Option<MemoStats>,
     /// Metric-space fast-path kernel tallies snapshotted when the run
     /// finished; `None` when the space keeps none (exact tier, or a
     /// non-SIMD space). Cumulative per space, so a run's own hits are the
     /// delta against a snapshot taken at its start. Local-compute
-    /// observability only, like `memo`.
+    /// observability only: the kernels never touch the ledger.
     pub kernels: Option<KernelStats>,
     /// Transport wire measurements: per-run byte totals plus
     /// encode/decode/transit wall-clock, stamped by drivers from
@@ -86,7 +80,6 @@ impl Telemetry {
             phases: PhaseTimes::default(),
             ladder_evals: 0,
             ladder_probes: 0,
-            memo: None,
             kernels: None,
             wire: None,
         }
@@ -104,7 +97,6 @@ impl Telemetry {
             phases: PhaseTimes::default(),
             ladder_evals: 0,
             ladder_probes: 0,
-            memo: None,
             kernels: None,
             wire: None,
         }

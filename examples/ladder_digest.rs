@@ -82,22 +82,6 @@ fn main() {
                 res.telemetry.phases.ladder_s,
                 res.telemetry.phases.finalize_s
             );
-            // Memo cache behavior per speed tier, also stderr-only: the
-            // counts are deterministic, but keeping stdout fixed to the
-            // ladder outputs is what lets CI diff digests across tiers.
-            if let Some(ms) = &res.telemetry.memo {
-                eprintln!(
-                    "  memo(t={threads} tier={}): hits={} misses={} flushes={} \
-                     sorted_rows={}/{} stored_bytes={}",
-                    space.speed_tier().name(),
-                    ms.hits,
-                    ms.misses,
-                    ms.flushes,
-                    ms.sorted_rows,
-                    ms.entries,
-                    ms.bytes()
-                );
-            }
             // Fast-path kernel tallies, stderr-only for the same reason:
             // which kernel answered is tier-dependent by design; *what* it
             // answered (stdout above) must not be.
