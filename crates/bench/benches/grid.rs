@@ -4,9 +4,10 @@
 //! Both arms answer the *same* ladder question — a (k+1)-bounded MIS of
 //! `G_τ` at one τ — over the same points, partition, and machine count:
 //!
-//! * `grid/rung-allpairs/…` — Algorithm 4 (`k_bounded_mis`) at the
-//!   fastest all-pairs tier (`soa+sketch`), whose degree-approximation
-//!   rounds scan `Θ(n²/m)` pairs;
+//! * `grid/rung-allpairs/…` — Algorithm 4 (`k_bounded_mis`) on the
+//!   all-pairs kernels, whose degree-approximation rounds scan `Θ(n²/m)`
+//!   pairs (at d = 4, below the f32 fast path's 16-dimension floor, every
+//!   speed tier runs the same plain diff loop);
 //! * `grid/rung-grid/…` — the grid engine (`grid_k_bounded_mis`), whose
 //!   stencil scans touch `O(n·3^d)` pairs.
 //!
@@ -22,7 +23,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use mpc_core::grid::grid_k_bounded_mis;
 use mpc_core::kbmis::k_bounded_mis;
 use mpc_core::Params;
-use mpc_metric::{datasets, EuclideanSpace, GridIndex, KernelStats, SpeedTier};
+use mpc_metric::{datasets, EuclideanSpace, GridIndex, KernelStats};
 use mpc_sim::Cluster;
 
 const DIM: usize = 4;
@@ -32,7 +33,6 @@ const SEED: u64 = 31;
 
 fn space_of(n: usize) -> EuclideanSpace {
     EuclideanSpace::new(datasets::user_embeddings(n, DIM, K, 0.02, 1e-4, SEED))
-        .with_speed_tier(SpeedTier::SoaSketch)
 }
 
 /// Round-robin machine partition (id % m), the same shape

@@ -154,7 +154,8 @@ proptest! {
     ) {
         let n = 64u32;
         // dim 3 exercises the tiled diff path, dim 18 (≥ GRAM_MIN_DIM) the
-        // norm-cached Gram path; both must be thread-count invariant.
+        // f32 SoA path of the default tier; both must be thread-count
+        // invariant.
         for dim in [3usize, 18] {
             let space = EuclideanSpace::new(datasets::uniform_cube(n as usize, dim, seed));
             let vs = big_candidates(n, 96);

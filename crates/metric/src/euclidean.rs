@@ -6,7 +6,6 @@ use std::sync::OnceLock;
 
 use crate::point::{PointId, PointSet};
 use crate::simd;
-use crate::sketch::Sketch;
 use crate::soa::{f32_band_scale, SoaStorage, SpeedTier};
 use crate::space::{self, KernelStats, MetricSpace};
 
@@ -21,36 +20,32 @@ const TILE_BYTES: usize = 16 * 1024;
 /// drown in loop overhead. A function of the dimension and storage width
 /// only — never of thread count or batch size — so tiling can't perturb
 /// determinism (per-pair arithmetic is independent of tile boundaries
-/// anyway). The f32 SoA tiers pass 4, doubling the rows per tile: the tile
+/// anyway). The `soa` tier passes 4, doubling the rows per tile: the tile
 /// streams f32 rows, so the same L1 budget covers twice as many
 /// candidates, halving query-row restreaming.
 fn tile_len(dim: usize, bytes_per_coord: usize) -> usize {
     (TILE_BYTES / (bytes_per_coord * dim.max(1))).clamp(16, 4096)
 }
 
-/// Minimum dimension for the Gram-estimate pair decision in the tiled
-/// kernels. The estimate costs a fixed ~10 extra ops per pair (norm adds,
-/// band, two compares) on top of the dot product; that amortizes over the
-/// `dim` multiply-adds it saves only for wide rows. Below this, the tiled
-/// scan keeps the plain diff evaluation — measured at d=4 the diff loop is
-/// already ≈3× faster per pair than Gram + band (see DESIGN.md §6.2).
+/// Minimum dimension for the f32 Gram-estimate pair decision. The estimate
+/// costs a fixed ~10 extra ops per pair (norm adds, band, two compares) on
+/// top of the dot product; that amortizes over the `dim` multiply-adds it
+/// saves only for wide rows. Below this, every kernel keeps the plain diff
+/// evaluation — measured at d=4 the diff loop is already ≈3× faster per
+/// pair than Gram + band (see DESIGN.md §6.2).
 const GRAM_MIN_DIM: usize = 16;
 
 /// The Euclidean metric `d(x, y) = ||x - y||_2` over a [`PointSet`].
 #[derive(Debug, Clone)]
 pub struct EuclideanSpace {
     points: PointSet,
-    /// `sq_norms[i] = ||x_i||²`, cached at construction for the Gram-trick
-    /// multi-query kernels (`||u − v||² = ||u||² + ||v||² − 2⟨u, v⟩`).
-    sq_norms: Vec<f64>,
-    /// Which estimate layers the bulk threshold kernels may use (see
-    /// [`SpeedTier`]); verdicts are bit-identical at every tier.
+    /// Whether the bulk threshold kernels use the f32 estimate or the
+    /// plain f64 oracle (see [`SpeedTier`]); verdicts are bit-identical
+    /// at both tiers.
     tier: SpeedTier,
-    /// Lazily built f32 mirror ([`SpeedTier::Soa`]+). Derived purely from
+    /// Lazily built f32 mirror ([`SpeedTier::Soa`]). Derived purely from
     /// `points`, so cloning the cache with the space is sound.
     soa: OnceLock<SoaStorage>,
-    /// Lazily built Hamming prefilter sketch ([`SpeedTier::SoaSketch`]).
-    sketch: OnceLock<Sketch>,
     /// Cumulative fast-path kernel hit counters ([`KernelStats`]).
     counters: KernelCounters,
 }
@@ -65,7 +60,6 @@ struct KernelCounters {
     indexed_pairs: AtomicU64,
     taus_run_pairs: AtomicU64,
     taus_indexed_pairs: AtomicU64,
-    sketch_rejects: AtomicU64,
     exact_fallbacks: AtomicU64,
 }
 
@@ -80,7 +74,6 @@ impl Clone for KernelCounters {
         c.taus_run_pairs.store(s.taus_run_pairs, Ordering::Relaxed);
         c.taus_indexed_pairs
             .store(s.taus_indexed_pairs, Ordering::Relaxed);
-        c.sketch_rejects.store(s.sketch_rejects, Ordering::Relaxed);
         c.exact_fallbacks
             .store(s.exact_fallbacks, Ordering::Relaxed);
         c
@@ -94,24 +87,19 @@ impl KernelCounters {
             indexed_pairs: self.indexed_pairs.load(Ordering::Relaxed),
             taus_run_pairs: self.taus_run_pairs.load(Ordering::Relaxed),
             taus_indexed_pairs: self.taus_indexed_pairs.load(Ordering::Relaxed),
-            sketch_rejects: self.sketch_rejects.load(Ordering::Relaxed),
             exact_fallbacks: self.exact_fallbacks.load(Ordering::Relaxed),
             ..KernelStats::default()
         }
     }
 
     /// Folds one single-τ tile classification into the tally.
-    fn record_single(&self, contiguous: bool, pairs: usize, sketch_rejects: usize, exact: usize) {
+    fn record_single(&self, contiguous: bool, pairs: usize, exact: usize) {
         let ctr = if contiguous {
             &self.run_pairs
         } else {
             &self.indexed_pairs
         };
         ctr.fetch_add(pairs as u64, Ordering::Relaxed);
-        if sketch_rejects > 0 {
-            self.sketch_rejects
-                .fetch_add(sketch_rejects as u64, Ordering::Relaxed);
-        }
         if exact > 0 {
             self.exact_fallbacks
                 .fetch_add(exact as u64, Ordering::Relaxed);
@@ -119,17 +107,13 @@ impl KernelCounters {
     }
 
     /// Folds one multi-τ chunk scan into the tally.
-    fn record_taus(&self, run: usize, indexed: usize, sketch_rejects: usize, exact: usize) {
+    fn record_taus(&self, run: usize, indexed: usize, exact: usize) {
         if run > 0 {
             self.taus_run_pairs.fetch_add(run as u64, Ordering::Relaxed);
         }
         if indexed > 0 {
             self.taus_indexed_pairs
                 .fetch_add(indexed as u64, Ordering::Relaxed);
-        }
-        if sketch_rejects > 0 {
-            self.sketch_rejects
-                .fetch_add(sketch_rejects as u64, Ordering::Relaxed);
         }
         if exact > 0 {
             self.exact_fallbacks
@@ -138,33 +122,30 @@ impl KernelCounters {
     }
 }
 
-/// Per-kernel-call fast-path context: the f32 mirror, the optional sketch,
-/// the f32 error-band scale, and the space's kernel tallies, resolved once
-/// so the per-pair loop only branches on data.
+/// Per-kernel-call fast-path context: the f32 mirror, the f32 error-band
+/// scale, and the space's kernel tallies, resolved once so the per-pair
+/// loop only branches on data.
 struct Fast<'a> {
     soa: &'a SoaStorage,
-    sketch: Option<&'a Sketch>,
     band_scale: f64,
     counters: &'a KernelCounters,
 }
 
 /// One query's slice of the fast path: its exact f64 row (for band
-/// fallbacks), its f32 mirror row and norm, and its sketch limbs.
+/// fallbacks) and its f32 mirror row and norm.
 struct FastQuery<'a> {
     a64: &'a [f64],
     a32: &'a [f32],
     na32: f64,
-    qsk: Option<&'a [u64]>,
 }
 
 impl Fast<'_> {
-    /// Binds query `q`'s rows/norm/limbs for repeated candidate tests.
+    /// Binds query `q`'s rows/norm for repeated candidate tests.
     fn query<'a>(&'a self, q: usize, data: &'a [f64], dim: usize) -> FastQuery<'a> {
         FastQuery {
             a64: &data[q * dim..(q + 1) * dim],
             a32: self.soa.row(q),
             na32: self.soa.norm(q) as f64,
-            qsk: self.sketch.map(|s| s.limbs(q)),
         }
     }
 
@@ -185,26 +166,21 @@ impl Fast<'_> {
         }
     }
 
-    /// One batched call per (query, tile): optional certified sketch
-    /// rejects, then SIMD dot + banded classification over the survivors.
-    /// Returns the survivor ids, their tile positions (when sketched), and
-    /// fills `classes`.
-    fn classify_tile<'a>(
+    /// One batched SIMD dot + banded classification call per (query,
+    /// tile), filling `classes` with one `CLASS_*` byte per candidate.
+    fn classify_tile(
         &self,
         fq: &FastQuery<'_>,
-        sieve: &'a mut SketchSieve,
         classes: &mut Vec<u8>,
-        tile: &'a [u32],
+        tile: &[u32],
         t2: f64,
         dim: usize,
-    ) -> (&'a [u32], Option<&'a [u32]>) {
-        let (surv, pos) = sieve.prefilter(self, fq, tile, t2);
-        classes.resize(surv.len(), 0);
-        let contiguous = is_contiguous_run(surv);
+    ) {
+        classes.resize(tile.len(), 0);
+        let contiguous = is_contiguous_run(tile);
         if contiguous {
-            // Contiguous candidates (the whole-set scan, and sketched
-            // tiles where nothing was rejected): the dimension-major run
-            // kernel — no gathers, no horizontal sums.
+            // Contiguous candidates (the whole-set scan): the
+            // dimension-major run kernel — no gathers, no horizontal sums.
             simd::classify_f32_run(
                 fq.a32,
                 self.soa.cols(),
@@ -212,7 +188,7 @@ impl Fast<'_> {
                 self.soa.raw(),
                 self.soa.norms(),
                 dim,
-                surv[0] as usize,
+                tile[0] as usize,
                 fq.na32,
                 t2,
                 self.band_scale,
@@ -224,7 +200,7 @@ impl Fast<'_> {
                 self.soa.raw(),
                 self.soa.norms(),
                 dim,
-                surv,
+                tile,
                 fq.na32,
                 t2,
                 self.band_scale,
@@ -233,14 +209,12 @@ impl Fast<'_> {
         }
         self.counters.record_single(
             contiguous,
-            surv.len(),
-            tile.len() - surv.len(),
+            tile.len(),
             classes
                 .iter()
                 .filter(|&&cl| cl == simd::CLASS_EXACT)
                 .count(),
         );
-        (surv, pos)
     }
 }
 
@@ -252,170 +226,16 @@ fn is_contiguous_run(ids: &[u32]) -> bool {
     ids.len() >= 8 && ids.windows(2).all(|w| w[1] == w[0] + 1)
 }
 
-/// Once a sieve has judged this many pairs, its cumulative certified-
-/// reject rate decides whether the sketch keeps running for the rest of
-/// the scan (see [`SketchSieve::prefilter`]).
-const SIEVE_SAMPLE: usize = 2048;
-/// Keep the sketch only while it certifies at least 1-in-`SIEVE_MIN_RATE`
-/// rejects over the sample — below that its popcounts cost more than the
-/// dot products they skip.
-const SIEVE_MIN_RATE: usize = 16;
-
-/// Reusable sketch-prefilter scratch — allocated once per bulk kernel
-/// call, resized per tile, so the batched tile kernels in [`crate::simd`]
-/// run one call frame per tile with no per-pair allocation. Also carries
-/// the scan's adaptive on/off state (see [`SketchSieve::prefilter`]).
-#[derive(Default)]
-struct SketchSieve {
-    /// Batched sketch lower bounds over the tile.
-    lb2: Vec<f64>,
-    /// Candidate ids the sketch could not reject, in tile order.
-    ids: Vec<u32>,
-    /// Their positions within the tile (parallel to `ids`).
-    pos: Vec<u32>,
-    /// Multi-τ survivors' certified entry-index floors (parallel to `ids`
-    /// in [`SketchSieve::prefilter_taus`]): rung `mins[k] − 1` and below
-    /// are sketch-certified rejects for `ids[k]`.
-    mins: Vec<u8>,
-    /// Pairs this scan has sketch-judged so far.
-    tested: usize,
-    /// How many of them the sketch certified as rejects.
-    rejected: usize,
-}
-
-impl SketchSieve {
-    /// Rewinds the adaptive on/off state for a fresh scan. Hoisted sieves
-    /// (see `TauScratch`) call this per kernel chunk so reuse across calls
-    /// cannot change where the sketch switches off — the adaptivity stays
-    /// a function of the scan alone, exactly as a freshly-allocated sieve.
-    fn reset(&mut self) {
-        self.tested = 0;
-        self.rejected = 0;
-    }
-
-    /// Sketch-prefilters `tile`: batch-computes lower bounds and keeps the
-    /// candidates the sketch cannot certify as rejected at squared
-    /// threshold `t2` (callers with several rungs pass the largest).
-    /// Returns `(survivor_ids, Some(their_tile_positions))`, or the whole
-    /// tile with `None` when the sketch was skipped. Certified rejects are
-    /// exactly the pairs [`Sketch::certified_reject`] rejects, so dropping
-    /// them here cannot change any verdict — only skip their dot products.
-    ///
-    /// The sieve is **adaptive**: a certified reject is never wrong, but
-    /// at a τ near or above the data's typical distances it is also never
-    /// *available*, and then the popcounts are pure overhead. So the sieve
-    /// tracks its cumulative reject rate and switches itself off for the
-    /// remainder of the scan once a [`SIEVE_SAMPLE`]-pair sample shows the
-    /// rate under 1/[`SIEVE_MIN_RATE`]. Skipped pairs flow to the banded
-    /// estimate + exact fallback, which decides every pair correctly on
-    /// its own — the adaptivity moves cycles, never verdicts. It depends
-    /// only on data and tile order, not thread count or timing.
-    fn prefilter<'a>(
-        &'a mut self,
-        fast: &Fast<'_>,
-        fq: &FastQuery<'_>,
-        tile: &'a [u32],
-        t2: f64,
-    ) -> (&'a [u32], Option<&'a [u32]>) {
-        let (Some(sk), Some(qa)) = (fast.sketch, fq.qsk) else {
-            return (tile, None);
-        };
-        if self.tested >= SIEVE_SAMPLE && self.rejected * SIEVE_MIN_RATE < self.tested {
-            return (tile, None);
-        }
-        self.lb2.resize(tile.len(), 0.0);
-        sk.lower_bounds_sq_indexed(qa, tile, &mut self.lb2);
-        let margin = sk.margin();
-        // Same predicate as `Sketch::certified_reject`; `!reject` keeps
-        // NaN thresholds on the survivor (exact-evaluation) side.
-        let rejects = self.lb2.iter().filter(|&&lb2| lb2 * margin > t2).count();
-        self.tested += tile.len();
-        self.rejected += rejects;
-        // A near-empty reject set is not worth compacting: handing the
-        // whole tile to the contiguous-run kernel beats gathering the
-        // survivor list, and the few rejects re-decide cheaply there.
-        if rejects * 8 < tile.len() {
-            return (tile, None);
-        }
-        self.ids.clear();
-        self.pos.clear();
-        for (p, (&c, &lb2)) in tile.iter().zip(&self.lb2).enumerate() {
-            let reject = lb2 * margin > t2;
-            if !reject {
-                self.ids.push(c);
-                self.pos.push(p as u32);
-            }
-        }
-        (&self.ids, Some(&self.pos))
-    }
-
-    /// Multi-τ twin of [`SketchSieve::prefilter`]: one batched
-    /// lower-bound pass yields a certified **entry-index floor** per
-    /// survivor instead of a single keep/drop bit. A certified rejection
-    /// at rung `j` (`lb2 · margin > t2s[j]`) proves `d² > t2s[j]`, so the
-    /// pair's entry index is at least `j + 1`; since the predicate is
-    /// monotone over the ascending `t2s`, the floor is a partition point.
-    /// Candidates floored past the last rung are dropped outright —
-    /// exactly the pairs the single-τ sieve would reject at the top rung,
-    /// which is also what the adaptivity counters keep tracking (partial
-    /// floors ride along for free; only full rejects pay for popcounts).
-    /// Returns `(survivor_ids, Some(their_floors))`, or the whole tile
-    /// with `None` when the sketch was skipped.
-    fn prefilter_taus<'a>(
-        &'a mut self,
-        fast: &Fast<'_>,
-        fq: &FastQuery<'_>,
-        tile: &'a [u32],
-        t2s: &[f64],
-    ) -> (&'a [u32], Option<&'a [u8]>) {
-        let (Some(sk), Some(qa)) = (fast.sketch, fq.qsk) else {
-            return (tile, None);
-        };
-        if self.tested >= SIEVE_SAMPLE && self.rejected * SIEVE_MIN_RATE < self.tested {
-            return (tile, None);
-        }
-        let top = *t2s.last().expect("prefilter_taus requires rungs");
-        self.lb2.resize(tile.len(), 0.0);
-        sk.lower_bounds_sq_indexed(qa, tile, &mut self.lb2);
-        let margin = sk.margin();
-        let rejects = self.lb2.iter().filter(|&&lb2| lb2 * margin > top).count();
-        self.tested += tile.len();
-        self.rejected += rejects;
-        // Same compaction threshold as the single-τ sieve: a near-empty
-        // full-reject set is not worth breaking the contiguous run over.
-        if rejects * 8 < tile.len() {
-            return (tile, None);
-        }
-        self.ids.clear();
-        self.mins.clear();
-        for (&c, &lb2) in tile.iter().zip(&self.lb2) {
-            // First rung the sketch cannot certify-reject; NaN bounds
-            // compare false everywhere and land at floor 0 (survivor).
-            let floor = t2s.partition_point(|&t2| lb2 * margin > t2);
-            if floor < t2s.len() {
-                self.ids.push(c);
-                self.mins.push(floor as u8);
-            }
-        }
-        (&self.ids, Some(&self.mins))
-    }
-}
-
 /// Reusable multi-τ kernel scratch, one per worker thread: the squared
-/// rungs, the sketch sieve, and the per-tile class/dot buffers the
-/// `scan_rungs` paths fill. Hoisting these out of the per-call (and
-/// per-chunk) hot paths removes every allocation from the τ-sweep except
-/// the output vectors themselves.
+/// rungs and the per-tile class buffer the `scan_rungs` fast path fills.
+/// Hoisting these out of the per-call (and per-chunk) hot paths removes
+/// every allocation from the τ-sweep except the output vectors themselves.
 #[derive(Default)]
 struct TauScratch {
     /// Squared non-negative rungs (`EuclideanSpace::with_t2s`).
     t2s: Vec<f64>,
-    /// Sketch sieve state + buffers (reset per chunk scan).
-    sieve: SketchSieve,
     /// Per-tile rung-entry bytes from the `*_taus` kernels.
     classes: Vec<u8>,
-    /// Per-tile f64 dots for the Gram (non-SoA) path.
-    dots64: Vec<f64>,
 }
 
 thread_local! {
@@ -427,22 +247,13 @@ thread_local! {
 }
 
 impl EuclideanSpace {
-    /// Wraps a point set with the L2 metric, caching per-point squared
-    /// norms (one pass over the coordinates). The speed tier defaults to
+    /// Wraps a point set with the L2 metric. The speed tier defaults to
     /// the process-wide `KCENTER_SPEED` setting ([`SpeedTier::from_env`]).
     pub fn new(points: PointSet) -> Self {
-        let dim = points.dim();
-        let sq_norms = points
-            .raw()
-            .chunks(dim.max(1))
-            .map(|row| row.iter().map(|x| x * x).sum())
-            .collect();
         Self {
             points,
-            sq_norms,
             tier: SpeedTier::from_env(),
             soa: OnceLock::new(),
-            sketch: OnceLock::new(),
             counters: KernelCounters::default(),
         }
     }
@@ -466,51 +277,34 @@ impl EuclideanSpace {
     }
 
     /// Appends one point to the space in place, returning its id — the
-    /// serving-index insert path (`mpc-serving`). All derived state is
-    /// maintained incrementally, never rebuilt from scratch:
-    ///
-    /// * the f64 squared norm is folded in the same order as
-    ///   [`EuclideanSpace::new`]'s batch pass;
-    /// * a built f32 SoA mirror is **extended** via [`SoaStorage::push`]
-    ///   (amortized O(dim) — geometric lane re-striding), yielding values
-    ///   bit-identical to a from-scratch build over the extended set;
-    /// * a built Hamming sketch is invalidated and lazily rebuilt on the
-    ///   next sketch-tier kernel call: its thermometer quantization step
-    ///   is calibrated from the whole population, so per-point extension
-    ///   would drift from the deterministic batch construction that the
-    ///   certified-reject proof (and cross-tier digest CI) relies on.
-    ///
-    /// Verdicts after an insert remain bit-identical across speed tiers,
-    /// exactly as for batch-constructed spaces.
+    /// serving-index insert path (`mpc-serving`). A built f32 SoA mirror
+    /// is **extended** via [`SoaStorage::push`] (amortized O(dim) —
+    /// geometric lane re-striding), yielding values bit-identical to a
+    /// from-scratch build over the extended set, so verdicts after an
+    /// insert remain bit-identical across speed tiers, exactly as for
+    /// batch-constructed spaces.
     pub fn push_point(&mut self, coords: &[f64]) -> PointId {
         let id = self.points.push(coords);
-        self.sq_norms.push(coords.iter().map(|x| x * x).sum());
         if let Some(soa) = self.soa.get_mut() {
             soa.push(coords);
         }
-        self.sketch.take();
         id
     }
 
     /// Resolves the fast-path context for a bulk kernel call, building the
-    /// f32 mirror / sketch on first use. `None` when the tier is exact or
-    /// the rows are too narrow to benefit (below [`GRAM_MIN_DIM`] the
-    /// plain diff loop already wins — same gate as the f64 Gram path).
-    /// Kernels call this **before** any parallel fan-out so the lazy
-    /// builds run once, on the calling thread.
+    /// f32 mirror on first use. `None` — the plain diff loop — when the
+    /// tier is the exact oracle or the rows are too narrow to benefit
+    /// (below [`GRAM_MIN_DIM`] the diff loop already wins). Kernels call
+    /// this **before** any parallel fan-out so the lazy build runs once,
+    /// on the calling thread.
     fn fast(&self) -> Option<Fast<'_>> {
         let dim = self.points.dim();
-        if dim < GRAM_MIN_DIM || !self.tier.uses_soa() {
+        if dim < GRAM_MIN_DIM || self.tier == SpeedTier::Exact {
             return None;
         }
         let soa = self.soa.get_or_init(|| SoaStorage::build(&self.points));
-        let sketch = self
-            .tier
-            .uses_sketch()
-            .then(|| self.sketch.get_or_init(|| Sketch::build(&self.points)));
         Some(Fast {
             soa,
-            sketch,
             band_scale: f32_band_scale(dim),
             counters: &self.counters,
         })
@@ -532,8 +326,9 @@ impl EuclideanSpace {
     }
 
     /// Exact squared distance between two raw rows — the same
-    /// floating-point evaluation as [`EuclideanSpace::dist_sq`], used by
-    /// the tiled kernels to resolve pairs the Gram estimate can't classify.
+    /// floating-point evaluation as [`EuclideanSpace::dist_sq`]: the whole
+    /// exact oracle, and the re-decide for pairs the f32 estimate can't
+    /// classify.
     #[inline]
     fn row_dist_sq(a: &[f64], b: &[f64]) -> f64 {
         let mut acc = 0.0;
@@ -551,16 +346,14 @@ impl EuclideanSpace {
     /// queries (the whole point — the one-query kernels are memory-bound
     /// at d=32, see DESIGN.md §6.2).
     ///
-    /// Per pair, the Gram identity `||u−v||² = ||u||² + ||v||² − 2⟨u,v⟩`
-    /// gives an estimate `g` of the squared distance from cached norms and
-    /// a dot product. `g` rounds differently than the diff-based
-    /// `dist_sq`, so it is only trusted outside a conservative error band
-    /// around `t2`; pairs inside the band are re-decided with the exact
-    /// [`EuclideanSpace::row_dist_sq`]. Decisions therefore match the
-    /// scalar kernel bit-for-bit — including at exact-boundary thresholds
-    /// — while the band (≈ ulp-scale, so re-computes are vanishingly rare
-    /// on real data) keeps the fast path hot. Non-finite inputs fall into
-    /// the band's "unclassified" branch and get the exact answer too.
+    /// On the fast path each pair's f32 Gram estimate is trusted only
+    /// outside a conservative error band around `t2`; pairs inside the
+    /// band are re-decided with the exact [`EuclideanSpace::row_dist_sq`].
+    /// Decisions therefore match the plain diff loop (the exact oracle and
+    /// the narrow-row path) bit-for-bit — including at exact-boundary
+    /// thresholds — while the band keeps re-computes rare on real data.
+    /// Non-finite inputs fall into the band's "unclassified" branch and
+    /// get the exact answer too.
     ///
     /// `emit` receives one call per (query, tile) with the tile's
     /// candidate ids and their verdicts as parallel slices — per-tile
@@ -576,95 +369,37 @@ impl EuclideanSpace {
     ) -> Vec<R> {
         let dim = self.points.dim();
         let data = self.points.raw();
-        let norms = &self.sq_norms;
-        // |g − dist_sq| for same-pair inputs is bounded by the usual
-        // γ-style accumulation-error analysis at ≈ (4d + 32)·ε·(‖u‖² +
-        // ‖v‖² + τ²); anything closer to t2 than that is re-computed
-        // exactly, so overshooting the constant only costs speed.
-        let band_scale = (4.0 * dim as f64 + 32.0) * f64::EPSILON;
-        let gram = dim >= GRAM_MIN_DIM;
         let fast = self.fast();
         let mut rows: Vec<R> = std::iter::repeat_with(R::default).take(qs.len()).collect();
-        // Per-call scratch for the batched tile kernels (fast/Gram paths).
-        let mut sieve = SketchSieve::default();
         let mut classes: Vec<u8> = Vec::new();
-        let mut dots64: Vec<f64> = Vec::new();
         let mut verdicts: Vec<bool> = Vec::new();
         for tile in candidates.chunks(tile_len(dim, if fast.is_some() { 4 } else { 8 })) {
             for (row, &q) in rows.iter_mut().zip(qs) {
+                verdicts.clear();
                 if let Some(fast) = &fast {
-                    // SoA tiers: optional batched certified sketch rejects,
-                    // then one batched SIMD dot + banded classification
-                    // over the survivors — bit-identical verdicts.
+                    // Bulk keep/reject translation (vectorizable byte
+                    // compare), then exact fallbacks only if the tile had
+                    // any band hit (`contains` is a SIMD scan).
                     let fq = fast.query(q as usize, data, dim);
-                    let (surv, pos) =
-                        fast.classify_tile(&fq, &mut sieve, &mut classes, tile, t2, dim);
-                    match pos {
-                        // No sketch: survivors are the whole tile. Bulk
-                        // keep/reject translation (vectorizable byte
-                        // compare), then exact fallbacks only if the tile
-                        // had any band hit (`contains` is a SIMD scan).
-                        None => {
-                            verdicts.clear();
-                            verdicts.extend(classes.iter().map(|&cl| cl == simd::CLASS_KEEP));
-                            if classes.contains(&simd::CLASS_EXACT) {
-                                for ((v, &cl), &c) in verdicts.iter_mut().zip(&classes).zip(surv) {
-                                    if cl == simd::CLASS_EXACT {
-                                        *v = Fast::resolve(&fq, c as usize, cl, t2, data, dim);
-                                    }
-                                }
+                    fast.classify_tile(&fq, &mut classes, tile, t2, dim);
+                    verdicts.extend(classes.iter().map(|&cl| cl == simd::CLASS_KEEP));
+                    if classes.contains(&simd::CLASS_EXACT) {
+                        for ((v, &cl), &c) in verdicts.iter_mut().zip(&classes).zip(tile) {
+                            if cl == simd::CLASS_EXACT {
+                                *v = Fast::resolve(&fq, c as usize, cl, t2, data, dim);
                             }
-                            emit(row, surv, &verdicts);
-                        }
-                        // Sketched: scatter survivor verdicts over the
-                        // tile (rejects stay `false`), then emit in order.
-                        Some(pos) => {
-                            verdicts.clear();
-                            verdicts.resize(tile.len(), false);
-                            for (k, (&c, &cl)) in surv.iter().zip(&classes).enumerate() {
-                                verdicts[pos[k] as usize] =
-                                    Fast::resolve(&fq, c as usize, cl, t2, data, dim);
-                            }
-                            emit(row, tile, &verdicts);
                         }
                     }
-                    continue;
-                }
-                let a = &data[q as usize * dim..q as usize * dim + dim];
-                let na = norms[q as usize];
-                if gram {
-                    // One batched f64-dot call per (query, tile): the
-                    // per-pair dispatch cannot inline the SIMD kernel, and
-                    // its call + horizontal-sum overhead rivals the dot
-                    // itself at d≈32.
-                    dots64.resize(tile.len(), 0.0);
-                    simd::dots_f64_indexed(a, data, dim, tile, &mut dots64);
-                    verdicts.clear();
-                    verdicts.extend(tile.iter().zip(&dots64).map(|(&c, &dot)| {
-                        let nb = norms[c as usize];
-                        let g = na + nb - 2.0 * dot;
-                        let band = band_scale * (na + nb + t2);
-                        if g <= t2 - band {
-                            true
-                        } else if g > t2 + band {
-                            false
-                        } else {
-                            let b = &data[c as usize * dim..c as usize * dim + dim];
-                            Self::row_dist_sq(a, b) <= t2
-                        }
-                    }));
-                    emit(row, tile, &verdicts);
                 } else {
-                    // Narrow rows: the diff evaluation is as cheap as
-                    // the dot product and needs no band — the tiles
+                    // The plain diff evaluation needs no band — the tiles
                     // still deliver the cache reuse.
-                    verdicts.clear();
+                    let a = &data[q as usize * dim..q as usize * dim + dim];
                     verdicts.extend(tile.iter().map(|&c| {
                         let b = &data[c as usize * dim..c as usize * dim + dim];
                         Self::row_dist_sq(a, b) <= t2
                     }));
-                    emit(row, tile, &verdicts);
                 }
+                emit(row, tile, &verdicts);
             }
         }
         rows
@@ -674,15 +409,15 @@ impl EuclideanSpace {
     /// into its entry rung against the ascending squared thresholds `t2s`
     /// and emits `(candidate, entry)` for candidates some rung admits.
     ///
-    /// Per pair the Gram estimate and norms are computed **once** and
-    /// judged against each rung's own error band — vectorized across both
-    /// pairs and rungs on the SoA tiers ([`simd::classify_f32_run_taus`] /
-    /// [`simd::classify_f32_indexed_taus`]), a scalar rung walk on the f64
-    /// Gram path — with the exact [`EuclideanSpace::row_dist_sq`] deciding
-    /// any pair whose ladder had a band hit. Each rung's verdict is
-    /// therefore exactly `dist_sq <= t2s[j]` — the scalar kernel's — and
-    /// since `t2s` is non-decreasing the verdict sequence is monotone, so
-    /// the first admitting rung fully describes all of them.
+    /// On the fast path each pair's f32 Gram estimate is computed **once**
+    /// and judged against each rung's own error band, vectorized across
+    /// both pairs and rungs ([`simd::classify_f32_run_taus`] /
+    /// [`simd::classify_f32_indexed_taus`]), with the exact
+    /// [`EuclideanSpace::row_dist_sq`] deciding any pair whose ladder had a
+    /// band hit. Each rung's verdict is therefore exactly `dist_sq <=
+    /// t2s[j]` — the plain loop's — and since `t2s` is non-decreasing the
+    /// verdict sequence is monotone, so the first admitting rung fully
+    /// describes all of them.
     fn scan_rungs(
         &self,
         fast: Option<&Fast<'_>>,
@@ -693,138 +428,88 @@ impl EuclideanSpace {
     ) {
         let dim = self.points.dim();
         let data = self.points.raw();
-        let norms = &self.sq_norms;
         let a = &data[v as usize * dim..(v as usize + 1) * dim];
-        let na = norms[v as usize];
-        let band_scale = (4.0 * dim as f64 + 32.0) * f64::EPSILON;
-        let gram = dim >= GRAM_MIN_DIM;
-        // Ladders longer than the u8 entry encoding fall back to the Gram
-        // path below — verdict-identical, and far beyond any real sweep.
+        let top = *t2s.last().expect("scan_rungs requires rungs");
+        // Ladders longer than the u8 entry encoding fall back to the plain
+        // loop below — verdict-identical, and far beyond any real sweep.
         let fast = fast.filter(|_| t2s.len() <= simd::MAX_RUNGS);
-        if let Some(fast) = fast {
-            // SoA tiers: one batched rung-entry classification per tile —
-            // each f32 dot is computed once (contiguous tiles through the
-            // dimension-major run kernel, gathered tiles through the
-            // 4-blocked indexed kernel) and bucketed against every rung's
-            // own f32 band in vector code. Certain entries are emitted
-            // as-is (they provably equal the exact sweep's first admitting
-            // rung); band hits re-derive the entry from the exact f64
-            // distance. The sketch contributes per-pair entry floors:
-            // a certified lb² rejection at rung `j` skips rungs `≤ j`,
-            // and pairs floored past the top rung are dropped outright.
-            let fq = fast.query(v as usize, data, dim);
-            let top = *t2s.last().expect("scan_rungs requires rungs");
-            let soa = fast.soa;
-            let (mut run, mut indexed, mut sketched, mut exact_hits) =
-                (0usize, 0usize, 0usize, 0usize);
-            TAU_SCRATCH.with(|cell| {
-                let scratch = &mut *cell.borrow_mut();
-                let TauScratch { sieve, classes, .. } = scratch;
-                sieve.reset();
-                for tile in chunk.chunks(tile_len(dim, 4)) {
-                    let (surv, mins) = sieve.prefilter_taus(fast, &fq, tile, t2s);
-                    classes.resize(surv.len(), 0);
-                    if mins.is_none() && is_contiguous_run(surv) {
-                        simd::classify_f32_run_taus(
-                            fq.a32,
-                            soa.cols(),
-                            soa.col_stride(),
-                            soa.raw(),
-                            soa.norms(),
-                            dim,
-                            surv[0] as usize,
-                            fq.na32,
-                            t2s,
-                            fast.band_scale,
-                            classes,
-                        );
-                        run += surv.len();
-                    } else {
-                        simd::classify_f32_indexed_taus(
-                            fq.a32,
-                            soa.raw(),
-                            soa.norms(),
-                            dim,
-                            surv,
-                            fq.na32,
-                            t2s,
-                            fast.band_scale,
-                            mins,
-                            classes,
-                        );
-                        indexed += surv.len();
-                    }
-                    sketched += tile.len() - surv.len();
-                    for (&c, &cl) in surv.iter().zip(&*classes) {
-                        match cl {
-                            simd::RUNG_NONE => {}
-                            simd::RUNG_EXACT => {
-                                // Some rung's verdict sat inside its band:
-                                // re-derive the entry from the exact
-                                // distance. `!(ds <= top)` also sheds NaN
-                                // distances, which no rung admits.
-                                exact_hits += 1;
-                                let b = &data[c as usize * dim..c as usize * dim + dim];
-                                let ds = Self::row_dist_sq(a, b);
-                                if ds <= top {
-                                    emit(c, t2s.partition_point(|&t2| t2 < ds));
-                                }
-                            }
-                            entry => emit(c, entry as usize),
-                        }
-                    }
+        let Some(fast) = fast else {
+            for &c in chunk {
+                let b = &data[c as usize * dim..c as usize * dim + dim];
+                let ds = Self::row_dist_sq(a, b);
+                // First rung with t2 >= ds, i.e. ds <= t2 — the scalar
+                // verdict. `!(ds <= top)` also sheds NaN distances, which
+                // no rung admits.
+                if ds <= top {
+                    emit(c, t2s.partition_point(|&t2| t2 < ds));
                 }
-            });
-            fast.counters
-                .record_taus(run, indexed, sketched, exact_hits);
-            return;
-        }
-        if gram {
-            TAU_SCRATCH.with(|cell| {
-                let scratch = &mut *cell.borrow_mut();
-                let dots64 = &mut scratch.dots64;
-                for tile in chunk.chunks(tile_len(dim, 8)) {
-                    dots64.resize(tile.len(), 0.0);
-                    simd::dots_f64_indexed(a, data, dim, tile, dots64);
-                    for (&c, &dot) in tile.iter().zip(&*dots64) {
-                        let nb = norms[c as usize];
-                        let g = na + nb - 2.0 * dot;
-                        let mut exact = f64::NAN;
-                        let mut have_exact = false;
-                        for (j, &t2) in t2s.iter().enumerate() {
-                            let band = band_scale * (na + nb + t2);
-                            let keep = if g <= t2 - band {
-                                true
-                            } else if g > t2 + band {
-                                false
-                            } else {
-                                if !have_exact {
-                                    let b = &data[c as usize * dim..c as usize * dim + dim];
-                                    exact = Self::row_dist_sq(a, b);
-                                    have_exact = true;
-                                }
-                                exact <= t2
-                            };
-                            if keep {
-                                emit(c, j);
-                                break;
-                            }
-                        }
-                    }
-                }
-            });
-            return;
-        }
-        for &c in chunk {
-            let b = &data[c as usize * dim..c as usize * dim + dim];
-            let ds = Self::row_dist_sq(a, b);
-            // First rung with t2 >= ds, i.e. ds <= t2 — the scalar
-            // verdict. `!(ds <= last)` also sheds NaN distances, which
-            // no rung admits.
-            if t2s.last().is_some_and(|&last| ds <= last) {
-                emit(c, t2s.partition_point(|&t2| t2 < ds));
             }
-        }
+            return;
+        };
+        // One batched rung-entry classification per tile — each f32 dot is
+        // computed once (contiguous tiles through the dimension-major run
+        // kernel, gathered tiles through the 4-blocked indexed kernel) and
+        // bucketed against every rung's own f32 band in vector code.
+        // Certain entries are emitted as-is (they provably equal the plain
+        // loop's first admitting rung); band hits re-derive the entry from
+        // the exact f64 distance.
+        let fq = fast.query(v as usize, data, dim);
+        let soa = fast.soa;
+        let (mut run, mut indexed, mut exact_hits) = (0usize, 0usize, 0usize);
+        TAU_SCRATCH.with(|cell| {
+            let classes = &mut cell.borrow_mut().classes;
+            for tile in chunk.chunks(tile_len(dim, 4)) {
+                classes.resize(tile.len(), 0);
+                if is_contiguous_run(tile) {
+                    simd::classify_f32_run_taus(
+                        fq.a32,
+                        soa.cols(),
+                        soa.col_stride(),
+                        soa.raw(),
+                        soa.norms(),
+                        dim,
+                        tile[0] as usize,
+                        fq.na32,
+                        t2s,
+                        fast.band_scale,
+                        classes,
+                    );
+                    run += tile.len();
+                } else {
+                    simd::classify_f32_indexed_taus(
+                        fq.a32,
+                        soa.raw(),
+                        soa.norms(),
+                        dim,
+                        tile,
+                        fq.na32,
+                        t2s,
+                        fast.band_scale,
+                        classes,
+                    );
+                    indexed += tile.len();
+                }
+                for (&c, &cl) in tile.iter().zip(&*classes) {
+                    match cl {
+                        simd::RUNG_NONE => {}
+                        simd::RUNG_EXACT => {
+                            // Some rung's verdict sat inside its band:
+                            // re-derive the entry from the exact distance.
+                            // `!(ds <= top)` also sheds NaN distances,
+                            // which no rung admits.
+                            exact_hits += 1;
+                            let b = &data[c as usize * dim..c as usize * dim + dim];
+                            let ds = Self::row_dist_sq(a, b);
+                            if ds <= top {
+                                emit(c, t2s.partition_point(|&t2| t2 < ds));
+                            }
+                        }
+                        entry => emit(c, entry as usize),
+                    }
+                }
+            }
+        });
+        fast.counters.record_taus(run, indexed, exact_hits);
     }
 
     /// Splits the non-decreasing `taus` into the negative prefix (always
@@ -890,17 +575,15 @@ impl MetricSpace for EuclideanSpace {
         let scan = |chunk: &[u32]| {
             if let Some(fast) = &fast {
                 let fq = fast.query(v.idx(), data, dim);
-                let mut sieve = SketchSieve::default();
                 let mut classes: Vec<u8> = Vec::new();
                 let mut count = 0usize;
                 for tile in chunk.chunks(tile_len(dim, 4)) {
-                    let (surv, _) =
-                        fast.classify_tile(&fq, &mut sieve, &mut classes, tile, t2, dim);
+                    fast.classify_tile(&fq, &mut classes, tile, t2, dim);
                     // Bulk keep count (vectorized byte compare); band hits
                     // are resolved exactly only when the tile has any.
                     count += classes.iter().filter(|&&cl| cl == simd::CLASS_KEEP).count();
                     if classes.contains(&simd::CLASS_EXACT) {
-                        count += surv
+                        count += tile
                             .iter()
                             .zip(&classes)
                             .filter(|&(&c, &cl)| {
@@ -944,13 +627,11 @@ impl MetricSpace for EuclideanSpace {
         let filter_chunk = |chunk: &[u32]| -> Vec<u32> {
             if let Some(fast) = &fast {
                 let fq = fast.query(v.idx(), data, dim);
-                let mut sieve = SketchSieve::default();
                 let mut classes: Vec<u8> = Vec::new();
                 let mut out = Vec::new();
                 for tile in chunk.chunks(tile_len(dim, 4)) {
-                    let (surv, _) =
-                        fast.classify_tile(&fq, &mut sieve, &mut classes, tile, t2, dim);
-                    out.extend(surv.iter().zip(&classes).filter_map(|(&c, &cl)| {
+                    fast.classify_tile(&fq, &mut classes, tile, t2, dim);
+                    out.extend(tile.iter().zip(&classes).filter_map(|(&c, &cl)| {
                         Fast::resolve(&fq, c as usize, cl, t2, data, dim).then_some(c)
                     }));
                 }
@@ -972,7 +653,7 @@ impl MetricSpace for EuclideanSpace {
         }
     }
 
-    /// Tiled Gram-block kernel (see `EuclideanSpace::scan_tiles`). Large
+    /// Tiled multi-query kernel (see `EuclideanSpace::scan_tiles`). Large
     /// query batches split into fixed query chunks across the worker pool;
     /// whole queries never straddle a chunk and rows concatenate in query
     /// order, so the output matches the sequential tile walk — which in
@@ -1189,8 +870,8 @@ impl MetricSpace for EuclideanSpace {
     }
 
     /// Snapshot of the cumulative fast-path kernel tallies (pairs routed
-    /// through each SIMD classifier, sketch-certified rejects, exact band
-    /// fallbacks) since this space was created.
+    /// through each SIMD classifier, exact band fallbacks) since this space
+    /// was created.
     fn kernel_stats(&self) -> Option<KernelStats> {
         Some(self.counters.snapshot())
     }
@@ -1236,12 +917,6 @@ mod tests {
     #[test]
     fn point_weight_is_dimension() {
         assert_eq!(space().point_weight(), 2);
-    }
-
-    #[test]
-    fn cached_norms_match_rows() {
-        let m = space();
-        assert_eq!(m.sq_norms, vec![0.0, 25.0, 25.0]);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use crate::space::{self, KernelStats, MetricSpace};
 
 /// Pair tallies for [`MatrixSpace`]'s batched kernels, mirroring the
 /// Euclidean counters so `MatrixSpace` runs report [`KernelStats`] too.
-/// Row scans have no run/indexed or sketch split, so the mapping is by
+/// Row scans have no run/indexed split, so the mapping is by
 /// kernel shape: single-query scans count as `run_pairs`, multi-query
 /// scans as `indexed_pairs`, multi-τ scans as `taus_run_pairs`. Relaxed
 /// atomics — tallies, not synchronization.

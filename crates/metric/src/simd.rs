@@ -1,9 +1,8 @@
-//! Runtime-dispatched SIMD dot products for the Euclidean kernels.
+//! Runtime-dispatched SIMD kernels for the Euclidean threshold tests.
 //!
 //! This module is the **only** unsafe surface in the crate. Everything in
-//! it computes a plain dot product — the building block of both the f64
-//! Gram estimate (PR 4) and the f32 SoA estimate (the `soa` speed tier) —
-//! under one discipline:
+//! it computes f32 dot products and classifies the resulting Gram estimate
+//! of the `soa` speed tier against an error band, under one discipline:
 //!
 //! * **Runtime detection, cached once.** The widest lane the host supports
 //!   is probed with `is_x86_feature_detected!` on first use and cached in a
@@ -19,20 +18,15 @@
 //!   checks the lane result against a widened serial fold, to the γ-style
 //!   accumulation bound. A failure means a broken kernel, not rounding.
 //!
-//! Lanes: AVX-512F (16×f32, behind the `avx512` cargo feature), AVX2+FMA
-//! (8×f32 / 4×f64), and a multi-accumulator baseline that rustc
-//! auto-vectorizes to SSE2 on the default `x86-64` target (plain scalar on
-//! other architectures). f64 uses the AVX2 path even on AVX-512 hosts: the
-//! f64 dot only feeds the Gram estimate for wide rows, where it is
-//! memory-bound, so the extra lanes buy nothing.
+//! Lanes: AVX2+FMA (8×f32 dots, 4×f64 classification) and a
+//! multi-accumulator baseline that rustc auto-vectorizes to SSE2 on the
+//! default `x86-64` target (plain scalar on other architectures).
 
 use std::sync::OnceLock;
 
 /// Which SIMD implementation the dispatcher selected for this process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lane {
-    /// 512-bit f32 FMA lanes (`avx512` cargo feature + runtime AVX-512F).
-    Avx512,
     /// 256-bit FMA lanes (runtime AVX2 + FMA).
     Avx2Fma,
     /// Multi-accumulator loops; auto-vectorized SSE2 on x86-64, scalar
@@ -40,27 +34,9 @@ pub enum Lane {
     Baseline,
 }
 
-impl Lane {
-    /// Human-readable lane name for logs and bench annotations.
-    pub fn name(self) -> &'static str {
-        match self {
-            Lane::Avx512 => "avx512f",
-            Lane::Avx2Fma => "avx2+fma",
-            Lane::Baseline => "baseline",
-        }
-    }
-}
-
 fn detect() -> Lane {
     #[cfg(target_arch = "x86_64")]
     {
-        #[cfg(feature = "avx512")]
-        if std::arch::is_x86_feature_detected!("avx512f")
-            && std::arch::is_x86_feature_detected!("avx2")
-            && std::arch::is_x86_feature_detected!("fma")
-        {
-            return Lane::Avx512;
-        }
         if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
         {
             return Lane::Avx2Fma;
@@ -76,108 +52,18 @@ pub fn lane() -> Lane {
     *LANE.get_or_init(detect)
 }
 
-/// One-time POPCNT probe (cached). Separate from [`lane`]: every AVX2 part
-/// shipped also has POPCNT, but the baseline x86-64 target does *not*
-/// include it, so `u64::count_ones` compiles to a ~20-op bit-twiddling
-/// fallback unless the call site is compiled with the feature enabled —
-/// which is exactly what [`sketch_lb2_indexed`] dispatches on.
-#[inline]
-fn has_popcnt() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        static POPCNT: OnceLock<bool> = OnceLock::new();
-        *POPCNT.get_or_init(|| std::arch::is_x86_feature_detected!("popcnt"))
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    false
-}
-
-/// f64 dot product on the widest available lane. Feeds the Gram
-/// **estimate** only — see the module docs for why reordering is safe.
-#[inline]
-pub fn dot_f64(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    let dot = match lane() {
-        #[cfg(target_arch = "x86_64")]
-        Lane::Avx512 | Lane::Avx2Fma => {
-            // SAFETY: `lane()` only returns these after runtime detection
-            // of AVX2 + FMA on this host.
-            unsafe { x86::dot_f64_avx2_fma(a, b) }
-        }
-        _ => dot_f64_baseline(a, b),
-    };
-    #[cfg(debug_assertions)]
-    assert_close_f64(dot, a, b);
-    dot
-}
-
-/// f32 dot product on the widest available lane. Feeds the SoA f32
-/// **estimate** only — verdicts inside the f32 error band are re-decided
-/// with the exact f64 evaluation by the caller.
-#[inline]
-pub fn dot_f32(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    let dot = match lane() {
-        #[cfg(all(target_arch = "x86_64", feature = "avx512"))]
-        Lane::Avx512 => {
-            // SAFETY: `lane()` only returns `Avx512` after runtime
-            // detection of AVX-512F on this host.
-            unsafe { x86::dot_f32_avx512(a, b) }
-        }
-        #[cfg(target_arch = "x86_64")]
-        Lane::Avx2Fma => {
-            // SAFETY: `lane()` only returns `Avx2Fma` after runtime
-            // detection of AVX2 + FMA on this host.
-            unsafe { x86::dot_f32_avx2_fma(a, b) }
-        }
-        _ => dot_f32_baseline(a, b),
-    };
-    #[cfg(debug_assertions)]
-    assert_close_f32(dot, a, b);
-    dot
-}
-
-/// Batched indexed f64 dot products: `out[i] = ⟨q, rows[idx[i]]⟩` where
-/// `rows` is a row-major slab of `dim`-wide rows. One dispatch and one
-/// call-frame per **tile** instead of per pair — `#[target_feature]`
-/// functions cannot be inlined into generic callers, so the per-pair
-/// variant pays call + horizontal-sum overhead that dominates at d≈32.
-/// Same estimate-only contract as [`dot_f64`].
-#[inline]
-pub fn dots_f64_indexed(q: &[f64], rows: &[f64], dim: usize, idx: &[u32], out: &mut [f64]) {
-    debug_assert_eq!(idx.len(), out.len());
-    match lane() {
-        #[cfg(target_arch = "x86_64")]
-        Lane::Avx512 | Lane::Avx2Fma => {
-            // SAFETY: `lane()` only returns these after runtime detection
-            // of AVX2 + FMA on this host.
-            unsafe { x86::dots_f64_indexed_avx2_fma(q, rows, dim, idx, out) }
-        }
-        _ => {
-            for (o, &c) in out.iter_mut().zip(idx) {
-                let r = &rows[c as usize * dim..c as usize * dim + dim];
-                *o = dot_f64_baseline(q, r);
-            }
-        }
-    }
-    #[cfg(debug_assertions)]
-    for (o, &c) in out.iter().zip(idx) {
-        assert_close_f64(*o, q, &rows[c as usize * dim..c as usize * dim + dim]);
-    }
-}
-
-/// Batched indexed f32 dot products — the f32 twin of
-/// [`dots_f64_indexed`], and the SoA tiers' hot loop. The AVX2 path blocks
-/// four candidates per iteration so each query-register load is reused
-/// fourfold and the four independent FMA chains hide the FMA latency.
-/// Same estimate-only contract as [`dot_f32`].
+/// Batched indexed f32 dot products: `out[i] = ⟨q, rows[idx[i]]⟩` where
+/// `rows` is a row-major slab of `dim`-wide rows. The debug-build
+/// reference for the indexed classifiers: the AVX2 path blocks four
+/// candidates per iteration exactly as they do, so it reproduces their
+/// dots bit-for-bit. Estimate-only, like every dot in this module.
 #[inline]
 pub fn dots_f32_indexed(q: &[f32], rows: &[f32], dim: usize, idx: &[u32], out: &mut [f32]) {
     debug_assert_eq!(idx.len(), out.len());
     match lane() {
         #[cfg(target_arch = "x86_64")]
-        Lane::Avx512 | Lane::Avx2Fma => {
-            // SAFETY: `lane()` only returns these after runtime detection
+        Lane::Avx2Fma => {
+            // SAFETY: `lane()` only returns `Avx2Fma` after runtime detection
             // of AVX2 + FMA on this host.
             unsafe { x86::dots_f32_indexed_avx2_fma(q, rows, dim, idx, out) }
         }
@@ -229,8 +115,8 @@ pub fn classify_f32_indexed(
     debug_assert_eq!(idx.len(), out.len());
     match lane() {
         #[cfg(target_arch = "x86_64")]
-        Lane::Avx512 | Lane::Avx2Fma => {
-            // SAFETY: `lane()` only returns these after runtime detection
+        Lane::Avx2Fma => {
+            // SAFETY: `lane()` only returns `Avx2Fma` after runtime detection
             // of AVX2 + FMA on this host.
             unsafe {
                 x86::classify_f32_indexed_avx2_fma(
@@ -300,8 +186,8 @@ pub fn classify_f32_run(
     debug_assert!(first + out.len() <= n);
     match lane() {
         #[cfg(target_arch = "x86_64")]
-        Lane::Avx512 | Lane::Avx2Fma => {
-            // SAFETY: `lane()` only returns these after runtime detection
+        Lane::Avx2Fma => {
+            // SAFETY: `lane()` only returns `Avx2Fma` after runtime detection
             // of AVX2 + FMA on this host.
             unsafe {
                 x86::classify_f32_run_avx2_fma(
@@ -318,7 +204,7 @@ pub fn classify_f32_run(
         }
     }
     #[cfg(debug_assertions)]
-    if matches!(lane(), Lane::Avx512 | Lane::Avx2Fma) {
+    if lane() == Lane::Avx2Fma {
         // Every lane of the run kernel — wide blocks and scalar tail alike
         // — is a single fused-multiply-add chain over ascending d, so a
         // scalar `mul_add` fold reproduces its dots (and hence classes)
@@ -384,32 +270,9 @@ pub fn classify_f32_run_taus(
     debug_assert!(first + out.len() <= n);
     debug_assert!(!t2s.is_empty() && t2s.len() <= MAX_RUNGS);
     match lane() {
-        #[cfg(all(target_arch = "x86_64", feature = "avx512"))]
-        Lane::Avx512 => {
-            // SAFETY: `lane()` only returns `Avx512` after runtime
-            // detection of AVX-512F + AVX2 + FMA on this host.
-            unsafe {
-                x86::classify_f32_run_taus_avx512(
-                    q, cols, n, rows, norms, dim, first, na, t2s, band_scale, out,
-                )
-            }
-        }
-        // Without the `avx512` feature `lane()` never returns `Avx512`,
-        // so folding it in here (as the feature-independent kernels do)
-        // keeps the arm reachable in both feature configurations.
-        #[cfg(all(target_arch = "x86_64", feature = "avx512"))]
+        #[cfg(target_arch = "x86_64")]
         Lane::Avx2Fma => {
-            // SAFETY: `lane()` only returns this after runtime detection
-            // of AVX2 + FMA on this host.
-            unsafe {
-                x86::classify_f32_run_taus_avx2_fma(
-                    q, cols, n, rows, norms, dim, first, na, t2s, band_scale, out,
-                )
-            }
-        }
-        #[cfg(all(target_arch = "x86_64", not(feature = "avx512")))]
-        Lane::Avx512 | Lane::Avx2Fma => {
-            // SAFETY: `lane()` only returns these after runtime detection
+            // SAFETY: `lane()` only returns `Avx2Fma` after runtime detection
             // of AVX2 + FMA on this host.
             unsafe {
                 x86::classify_f32_run_taus_avx2_fma(
@@ -421,12 +284,12 @@ pub fn classify_f32_run_taus(
             for (i, o) in out.iter_mut().enumerate() {
                 let c = first + i;
                 let r = &rows[c * dim..c * dim + dim];
-                *o = classify_taus_one(dot_f32_baseline(q, r), norms[c], na, t2s, band_scale, 0);
+                *o = classify_taus_one(dot_f32_baseline(q, r), norms[c], na, t2s, band_scale);
             }
         }
     }
     #[cfg(debug_assertions)]
-    if matches!(lane(), Lane::Avx512 | Lane::Avx2Fma) {
+    if lane() == Lane::Avx2Fma {
         // As in `classify_f32_run`: every lane of the run kernel is a
         // single FMA chain over ascending d, so a scalar `mul_add` fold
         // reproduces its dots — and hence its entry indices — bit-for-bit.
@@ -437,7 +300,7 @@ pub fn classify_f32_run_taus(
                 .iter()
                 .zip(q)
                 .fold(0.0f32, |acc, (&x, &y)| x.mul_add(y, acc));
-            let want = classify_taus_one(dot, norms[c], na, t2s, band_scale, 0);
+            let want = classify_taus_one(dot, norms[c], na, t2s, band_scale);
             assert_eq!(
                 o, want,
                 "classify_f32_run_taus diverged from scalar judgment (candidate {c})"
@@ -448,10 +311,7 @@ pub fn classify_f32_run_taus(
 
 /// Batched multi-τ classification for an **indexed** candidate list — the
 /// rung-ladder twin of [`classify_f32_indexed`], blocking four candidates
-/// per iteration exactly like [`dots_f32_indexed`]. `min_entries[i]`, when
-/// present, is a certified per-pair lower bound on the entry index (from a
-/// sketch rejection at rung `min_entries[i] − 1`): rungs below it count as
-/// certified rejects without consulting the estimate. Writes the same
+/// per iteration exactly like [`dots_f32_indexed`]. Writes the same
 /// entry / [`RUNG_NONE`] / [`RUNG_EXACT`] encoding as
 /// [`classify_f32_run_taus`].
 #[allow(clippy::too_many_arguments)]
@@ -465,43 +325,30 @@ pub fn classify_f32_indexed_taus(
     na: f64,
     t2s: &[f64],
     band_scale: f64,
-    min_entries: Option<&[u8]>,
     out: &mut [u8],
 ) {
     debug_assert_eq!(idx.len(), out.len());
     debug_assert!(!t2s.is_empty() && t2s.len() <= MAX_RUNGS);
-    debug_assert!(min_entries.is_none_or(|m| m.len() == idx.len()));
     match lane() {
         #[cfg(target_arch = "x86_64")]
-        Lane::Avx512 | Lane::Avx2Fma => {
-            // SAFETY: `lane()` only returns these after runtime detection
+        Lane::Avx2Fma => {
+            // SAFETY: `lane()` only returns `Avx2Fma` after runtime detection
             // of AVX2 + FMA on this host.
             unsafe {
                 x86::classify_f32_indexed_taus_avx2_fma(
-                    q,
-                    rows,
-                    norms,
-                    dim,
-                    idx,
-                    na,
-                    t2s,
-                    band_scale,
-                    min_entries,
-                    out,
+                    q, rows, norms, dim, idx, na, t2s, band_scale, out,
                 )
             }
         }
         _ => {
-            for (i, (o, &c)) in out.iter_mut().zip(idx).enumerate() {
+            for (o, &c) in out.iter_mut().zip(idx) {
                 let r = &rows[c as usize * dim..c as usize * dim + dim];
-                let me = min_entries.map_or(0, |m| m[i]);
                 *o = classify_taus_one(
                     dot_f32_baseline(q, r),
                     norms[c as usize],
                     na,
                     t2s,
                     band_scale,
-                    me,
                 );
             }
         }
@@ -513,9 +360,8 @@ pub fn classify_f32_indexed_taus(
         // same blocking by position).
         let mut dots = vec![0.0f32; idx.len()];
         dots_f32_indexed(q, rows, dim, idx, &mut dots);
-        for (i, ((&o, &d), &c)) in out.iter().zip(&dots).zip(idx).enumerate() {
-            let me = min_entries.map_or(0, |m| m[i]);
-            let want = classify_taus_one(d, norms[c as usize], na, t2s, band_scale, me);
+        for ((&o, &d), &c) in out.iter().zip(&dots).zip(idx) {
+            let want = classify_taus_one(d, norms[c as usize], na, t2s, band_scale);
             assert_eq!(
                 o, want,
                 "classify_f32_indexed_taus diverged from scalar judgment (candidate {c})"
@@ -527,32 +373,23 @@ pub fn classify_f32_indexed_taus(
 /// The scalar multi-τ judgment shared by the `*_taus` kernels' baseline
 /// paths and debug assertions; must mirror the vector paths' f64 operation
 /// sequence exactly. Counts certified rejects `cr` and certified keeps
-/// `ck` across the ladder: a rung `j` certifies reject when `j <
-/// min_entry` (sketch) or `est > t2 + band`, certifies keep when not
-/// sketch-rejected and `est ≤ t2 − band`. Because each certification is
+/// `ck` across the ladder: a rung certifies reject when `est > t2 + band`
+/// and keep when `est ≤ t2 − band`. Because each certification is
 /// sound and the exact reject set over ascending `t2s` is a prefix, `cr +
 /// ck == len` forces the certified labels to equal the exact labels, so
 /// the entry index is `cr`; `cr == len` means no rung admits; anything
 /// else (including NaN estimates, which certify nothing) defers to the
 /// exact path.
 #[inline(always)]
-fn classify_taus_one(
-    dot: f32,
-    nb32: f32,
-    na: f64,
-    t2s: &[f64],
-    band_scale: f64,
-    min_entry: u8,
-) -> u8 {
+fn classify_taus_one(dot: f32, nb32: f32, na: f64, t2s: &[f64], band_scale: f64) -> u8 {
     let nsum = na + nb32 as f64;
     let est = nsum - 2.0 * dot as f64;
     let mut cr = 0usize;
     let mut ck = 0usize;
-    for (j, &t2) in t2s.iter().enumerate() {
+    for &t2 in t2s {
         let band = band_scale * (nsum + t2);
-        let low = j < min_entry as usize;
-        cr += (low || est > t2 + band) as usize;
-        ck += (!low && est <= t2 - band) as usize;
+        cr += (est > t2 + band) as usize;
+        ck += (est <= t2 - band) as usize;
     }
     if cr == t2s.len() {
         RUNG_NONE
@@ -580,88 +417,11 @@ fn classify_one(dot: f32, nb32: f32, na: f64, t2: f64, band_scale: f64) -> u8 {
     }
 }
 
-/// Batched sketch lower bounds: `out[i] = Σ_j (max(H_j − pad_j, 0))² ·
-/// w_lo_sq_j` over the `m` per-direction limbs, where `H_j` is the Hamming
-/// distance between query limb `q[j]` and candidate limb `j` of point
-/// `idx[i]`. This is [`crate::sketch::Sketch::lower_bound_sq`] batched per
-/// tile and dispatched onto a POPCNT-enabled body when the host has it —
-/// the scalar `count_ones` fallback alone costs more than the dot product
-/// the sketch is trying to save.
-#[inline]
-pub fn sketch_lb2_indexed(
-    q: &[u64],
-    limbs: &[u64],
-    m: usize,
-    idx: &[u32],
-    pad: &[u32],
-    w_lo_sq: &[f64],
-    out: &mut [f64],
-) {
-    debug_assert_eq!(idx.len(), out.len());
-    debug_assert_eq!(q.len(), m);
-    if has_popcnt() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: POPCNT was runtime-detected on this host.
-        unsafe {
-            x86::sketch_lb2_indexed_popcnt(q, limbs, m, idx, pad, w_lo_sq, out)
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        sketch_lb2_indexed_body(q, limbs, m, idx, pad, w_lo_sq, out)
-    } else {
-        sketch_lb2_indexed_body(q, limbs, m, idx, pad, w_lo_sq, out)
-    }
-}
-
-/// The one shared body behind [`sketch_lb2_indexed`]: compiled once at the
-/// crate's baseline features and once inlined into the POPCNT-enabled
-/// wrapper (`#[inline(always)]` lets the wrapper's `#[target_feature]`
-/// apply to this loop, turning `count_ones` into a single instruction).
-#[inline(always)]
-fn sketch_lb2_indexed_body(
-    q: &[u64],
-    limbs: &[u64],
-    m: usize,
-    idx: &[u32],
-    pad: &[u32],
-    w_lo_sq: &[f64],
-    out: &mut [f64],
-) {
-    for (o, &c) in out.iter_mut().zip(idx) {
-        let row = &limbs[c as usize * m..c as usize * m + m];
-        let mut lb2 = 0.0;
-        for j in 0..m {
-            let h = (q[j] ^ row[j]).count_ones();
-            let g = h.saturating_sub(pad[j]);
-            lb2 += (g * g) as f64 * w_lo_sq[j];
-        }
-        *o = lb2;
-    }
-}
-
-/// Dot product with four independent f64 accumulators. A single-accumulator
-/// loop is a serial FP add chain the compiler must not reorder (adds aren't
-/// associative), capping it at one add per cycle; splitting the chain four
-/// ways lets it vectorize on the SSE2 baseline. The order is a fixed
-/// function of the slice, so determinism is untouched.
-#[inline]
-fn dot_f64_baseline(a: &[f64], b: &[f64]) -> f64 {
-    let split = a.len() & !3;
-    let mut acc = [0.0f64; 4];
-    for (ca, cb) in a[..split].chunks_exact(4).zip(b[..split].chunks_exact(4)) {
-        acc[0] += ca[0] * cb[0];
-        acc[1] += ca[1] * cb[1];
-        acc[2] += ca[2] * cb[2];
-        acc[3] += ca[3] * cb[3];
-    }
-    let mut dot = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-    for (x, y) in a[split..].iter().zip(&b[split..]) {
-        dot += x * y;
-    }
-    dot
-}
-
-/// Eight-accumulator f32 twin of [`dot_f64_baseline`] (two SSE2 registers'
-/// worth of f32 lanes).
+/// Dot product with eight independent f32 accumulators (two SSE2
+/// registers' worth of lanes). A single-accumulator loop is a serial FP
+/// add chain the compiler must not reorder (adds aren't associative);
+/// splitting it lets it vectorize on the SSE2 baseline. The order is a
+/// fixed function of the slice, so determinism is untouched.
 #[inline]
 fn dot_f32_baseline(a: &[f32], b: &[f32]) -> f32 {
     let split = a.len() & !7;
@@ -678,30 +438,10 @@ fn dot_f32_baseline(a: &[f32], b: &[f32]) -> f32 {
     dot
 }
 
-/// Debug-only scalar-equivalence check: the lane result must match a serial
-/// f64 fold to within the γ-style accumulation bound `(n + 8)·2ε·Σ|aᵢbᵢ|`.
-/// Anything worse is a broken kernel, not rounding.
-#[cfg(debug_assertions)]
-fn assert_close_f64(dot: f64, a: &[f64], b: &[f64]) {
-    let mut serial = 0.0f64;
-    let mut mag = 0.0f64;
-    for (x, y) in a.iter().zip(b) {
-        let p = x * y;
-        serial += p;
-        mag += p.abs();
-    }
-    if !serial.is_finite() || !mag.is_finite() {
-        return; // non-finite inputs: callers re-decide exactly anyway
-    }
-    let tol = (a.len() as f64 + 8.0) * 2.0 * f64::EPSILON * mag + f64::MIN_POSITIVE;
-    assert!(
-        (dot - serial).abs() <= tol,
-        "SIMD f64 dot diverged from scalar: {dot} vs {serial} (tol {tol})"
-    );
-}
-
-/// f32 twin of [`assert_close_f64`]; the serial reference accumulates in
-/// f64 so the bound only has to cover the lane's own f32 rounding.
+/// Debug-only scalar-equivalence check: the lane result must match a
+/// serial fold (accumulated in f64, so the bound only has to cover the
+/// lane's own f32 rounding) to within the γ-style accumulation bound
+/// `(n + 8)·2ε·Σ|aᵢbᵢ|`. Anything worse is a broken kernel, not rounding.
 #[cfg(debug_assertions)]
 fn assert_close_f32(dot: f32, a: &[f32], b: &[f32]) {
     let mut serial = 0.0f64;
@@ -723,45 +463,6 @@ fn assert_close_f32(dot: f32, a: &[f32], b: &[f32]) {
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    /// # Safety
-    /// Caller must ensure the host supports AVX2 and FMA (see
-    /// [`super::lane`]).
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn dot_f64_avx2_fma(a: &[f64], b: &[f64]) -> f64 {
-        use std::arch::x86_64::*;
-        let n = a.len();
-        debug_assert_eq!(n, b.len());
-        let mut acc0 = _mm256_setzero_pd();
-        let mut acc1 = _mm256_setzero_pd();
-        let mut i = 0;
-        while i + 8 <= n {
-            let a0 = _mm256_loadu_pd(a.as_ptr().add(i));
-            let b0 = _mm256_loadu_pd(b.as_ptr().add(i));
-            acc0 = _mm256_fmadd_pd(a0, b0, acc0);
-            let a1 = _mm256_loadu_pd(a.as_ptr().add(i + 4));
-            let b1 = _mm256_loadu_pd(b.as_ptr().add(i + 4));
-            acc1 = _mm256_fmadd_pd(a1, b1, acc1);
-            i += 8;
-        }
-        if i + 4 <= n {
-            let a0 = _mm256_loadu_pd(a.as_ptr().add(i));
-            let b0 = _mm256_loadu_pd(b.as_ptr().add(i));
-            acc0 = _mm256_fmadd_pd(a0, b0, acc0);
-            i += 4;
-        }
-        let acc = _mm256_add_pd(acc0, acc1);
-        let lo = _mm256_castpd256_pd128(acc);
-        let hi = _mm256_extractf128_pd(acc, 1);
-        let pair = _mm_add_pd(lo, hi);
-        let one = _mm_add_sd(pair, _mm_unpackhi_pd(pair, pair));
-        let mut dot = _mm_cvtsd_f64(one);
-        while i < n {
-            dot += a.get_unchecked(i) * b.get_unchecked(i);
-            i += 1;
-        }
-        dot
-    }
-
     /// # Safety
     /// Caller must ensure the host supports AVX2 and FMA (see
     /// [`super::lane`]).
@@ -801,25 +502,6 @@ mod x86 {
             i += 1;
         }
         dot
-    }
-
-    /// # Safety
-    /// Caller must ensure the host supports AVX2 and FMA (see
-    /// [`super::lane`]).
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn dots_f64_indexed_avx2_fma(
-        q: &[f64],
-        rows: &[f64],
-        dim: usize,
-        idx: &[u32],
-        out: &mut [f64],
-    ) {
-        // `dot_f64_avx2_fma` inlines here (same target features), so the
-        // whole tile runs in one call frame.
-        for (o, &c) in out.iter_mut().zip(idx) {
-            let r = &rows[c as usize * dim..c as usize * dim + dim];
-            *o = dot_f64_avx2_fma(q, r);
-        }
     }
 
     /// # Safety
@@ -1166,7 +848,7 @@ mod x86 {
             for d in 0..dim {
                 dot = r[d].mul_add(q[d], dot);
             }
-            out[i] = super::classify_taus_one(dot, norms[c], na, t2s, band_scale, 0);
+            out[i] = super::classify_taus_one(dot, norms[c], na, t2s, band_scale);
             i += 1;
         }
     }
@@ -1190,7 +872,6 @@ mod x86 {
         na: f64,
         t2s: &[f64],
         band_scale: f64,
-        mins: Option<&[u8]>,
         out: &mut [u8],
     ) {
         use std::arch::x86_64::*;
@@ -1226,35 +907,24 @@ mod x86 {
                 let dots_pd = _mm256_cvtps_pd(dots);
                 let nsum = _mm256_add_pd(na_v, _mm256_cvtps_pd(nb));
                 let est = _mm256_sub_pd(nsum, _mm256_mul_pd(two, dots_pd));
-                let me = match mins {
-                    Some(m) => _mm256_set_pd(
-                        m[i + 3] as f64,
-                        m[i + 2] as f64,
-                        m[i + 1] as f64,
-                        m[i] as f64,
-                    ),
-                    None => _mm256_setzero_pd(),
-                };
-                rung_entries4(est, nsum, me, t2s, scale_v, out.as_mut_ptr().add(i));
+                rung_entries4(est, nsum, t2s, scale_v, out.as_mut_ptr().add(i));
                 i += 4;
             }
         }
         while i < idx.len() {
             let c = idx[i] as usize;
             let dot = dot_f32_avx2_fma(q, &rows[c * dim..c * dim + dim]);
-            let me = mins.map_or(0, |m| m[i]);
-            out[i] = super::classify_taus_one(dot, norms[c], na, t2s, band_scale, me);
+            out[i] = super::classify_taus_one(dot, norms[c], na, t2s, band_scale);
             i += 1;
         }
     }
 
-    /// One vectorized ladder pass over four f64 Gram estimates: per rung
-    /// `j`, runs `super::classify_taus_one`'s exact operation sequence in
-    /// vectors (`band = scale · (nsum + t2)`; reject iff sketch-floored or
-    /// `est > t2 + band`; keep iff not floored and `est ≤ t2 − band`),
-    /// counting certified rejects/keeps per lane by subtracting the
-    /// all-ones compare masks, then resolves each lane to an entry index
-    /// or sentinel. `me` holds the per-lane sketch entry floors as f64.
+    /// One vectorized ladder pass over four f64 Gram estimates: per rung,
+    /// runs `super::classify_taus_one`'s exact operation sequence in
+    /// vectors (`band = scale · (nsum + t2)`; reject iff `est > t2 + band`;
+    /// keep iff `est ≤ t2 − band`), counting certified rejects/keeps per
+    /// lane by subtracting the all-ones compare masks, then resolves each
+    /// lane to an entry index or sentinel.
     ///
     /// # Safety
     /// Caller must ensure the host supports AVX2 and FMA, and that `out`
@@ -1263,7 +933,6 @@ mod x86 {
     unsafe fn rung_entries4(
         est: std::arch::x86_64::__m256d,
         nsum: std::arch::x86_64::__m256d,
-        me: std::arch::x86_64::__m256d,
         t2s: &[f64],
         scale_v: std::arch::x86_64::__m256d,
         out: *mut u8,
@@ -1271,18 +940,11 @@ mod x86 {
         use std::arch::x86_64::*;
         let mut cr = _mm256_setzero_si256();
         let mut ck = _mm256_setzero_si256();
-        for (j, &t2) in t2s.iter().enumerate() {
+        for &t2 in t2s {
             let t2_v = _mm256_set1_pd(t2);
             let band = _mm256_mul_pd(scale_v, _mm256_add_pd(nsum, t2_v));
-            let low = _mm256_cmp_pd::<_CMP_LT_OQ>(_mm256_set1_pd(j as f64), me);
-            let rej = _mm256_or_pd(
-                low,
-                _mm256_cmp_pd::<_CMP_GT_OQ>(est, _mm256_add_pd(t2_v, band)),
-            );
-            let keep = _mm256_andnot_pd(
-                low,
-                _mm256_cmp_pd::<_CMP_LE_OQ>(est, _mm256_sub_pd(t2_v, band)),
-            );
+            let rej = _mm256_cmp_pd::<_CMP_GT_OQ>(est, _mm256_add_pd(t2_v, band));
+            let keep = _mm256_cmp_pd::<_CMP_LE_OQ>(est, _mm256_sub_pd(t2_v, band));
             cr = _mm256_sub_epi64(cr, _mm256_castpd_si256(rej));
             ck = _mm256_sub_epi64(ck, _mm256_castpd_si256(keep));
         }
@@ -1303,8 +965,7 @@ mod x86 {
     }
 
     /// Ladder classification of eight vertically-accumulated f32 dots:
-    /// widens each 4-lane half to f64 and delegates to [`rung_entries4`]
-    /// with a zero sketch floor (the run path never carries one).
+    /// widens each 4-lane half to f64 and delegates to [`rung_entries4`].
     ///
     /// # Safety
     /// Caller must ensure the host supports AVX2 and FMA, `nb` points at
@@ -1335,94 +996,7 @@ mod x86 {
             };
             let nsum = _mm256_add_pd(na_v, nbp);
             let est = _mm256_sub_pd(nsum, _mm256_mul_pd(two, dp));
-            rung_entries4(
-                est,
-                nsum,
-                _mm256_setzero_pd(),
-                t2s,
-                scale_v,
-                out.add(4 * h as usize),
-            );
-        }
-    }
-
-    /// AVX-512 variant of [`classify_f32_run_taus_avx2_fma`]: the dot
-    /// blocks run 32 consecutive candidates as two 16-lane FMA chains per
-    /// query coordinate (halving the broadcast traffic), then the ladder
-    /// classification reuses the 8-wide AVX2 pass on each extracted
-    /// quarter. Each candidate's dot is still a single FMA chain over
-    /// ascending `d`, so the scalar `mul_add` debug reference reproduces
-    /// it bit-for-bit; the sub-32 remainder delegates to the AVX2 body.
-    ///
-    /// # Safety
-    /// Caller must ensure the host supports AVX-512F, AVX2, and FMA (see
-    /// [`super::lane`]), and that `first + out.len() <= n` with `cols` a
-    /// `dim × n` dimension-major slab.
-    #[cfg(feature = "avx512")]
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
-    pub unsafe fn classify_f32_run_taus_avx512(
-        q: &[f32],
-        cols: &[f32],
-        n: usize,
-        rows: &[f32],
-        norms: &[f32],
-        dim: usize,
-        first: usize,
-        na: f64,
-        t2s: &[f64],
-        band_scale: f64,
-        out: &mut [u8],
-    ) {
-        use std::arch::x86_64::*;
-        let len = out.len();
-        let na_v = _mm256_set1_pd(na);
-        let scale_v = _mm256_set1_pd(band_scale);
-        // Low/high 256-bit halves of a 512-bit f32 accumulator. Plain
-        // AVX-512F has no f32×8 extract (that is AVX-512DQ), so the high
-        // half goes through the f64×4 extract and a bitcast.
-        #[target_feature(enable = "avx512f")]
-        unsafe fn halves(acc: __m512) -> (__m256, __m256) {
-            (
-                _mm512_castps512_ps256(acc),
-                _mm256_castpd_ps(_mm512_extractf64x4_pd(_mm512_castps_pd(acc), 1)),
-            )
-        }
-        let mut i = 0;
-        while i + 32 <= len {
-            let base = first + i;
-            let mut a0 = _mm512_setzero_ps();
-            let mut a1 = _mm512_setzero_ps();
-            for d in 0..dim {
-                let qd = _mm512_set1_ps(*q.get_unchecked(d));
-                let col = cols.as_ptr().add(d * n + base);
-                a0 = _mm512_fmadd_ps(_mm512_loadu_ps(col), qd, a0);
-                a1 = _mm512_fmadd_ps(_mm512_loadu_ps(col.add(16)), qd, a1);
-            }
-            let outp = out.as_mut_ptr().add(i);
-            let np = norms.as_ptr().add(base);
-            let (l0, h0) = halves(a0);
-            let (l1, h1) = halves(a1);
-            classify8_taus(l0, np, outp, na_v, t2s, scale_v);
-            classify8_taus(h0, np.add(8), outp.add(8), na_v, t2s, scale_v);
-            classify8_taus(l1, np.add(16), outp.add(16), na_v, t2s, scale_v);
-            classify8_taus(h1, np.add(24), outp.add(24), na_v, t2s, scale_v);
-            i += 32;
-        }
-        if i < len {
-            classify_f32_run_taus_avx2_fma(
-                q,
-                cols,
-                n,
-                rows,
-                norms,
-                dim,
-                first + i,
-                na,
-                t2s,
-                band_scale,
-                &mut out[i..],
-            );
+            rung_entries4(est, nsum, t2s, scale_v, out.add(4 * h as usize));
         }
     }
 
@@ -1438,56 +1012,6 @@ mod x86 {
         let quad = _mm_add_ps(lo, hi);
         let pair = _mm_add_ps(quad, _mm_movehl_ps(quad, quad));
         _mm_cvtss_f32(_mm_add_ss(pair, _mm_shuffle_ps(pair, pair, 0b01)))
-    }
-
-    /// # Safety
-    /// Caller must ensure the host supports POPCNT (see
-    /// [`super::sketch_lb2_indexed`]).
-    #[target_feature(enable = "popcnt")]
-    pub unsafe fn sketch_lb2_indexed_popcnt(
-        q: &[u64],
-        limbs: &[u64],
-        m: usize,
-        idx: &[u32],
-        pad: &[u32],
-        w_lo_sq: &[f64],
-        out: &mut [f64],
-    ) {
-        super::sketch_lb2_indexed_body(q, limbs, m, idx, pad, w_lo_sq, out);
-    }
-
-    /// # Safety
-    /// Caller must ensure the host supports AVX-512F (see [`super::lane`]).
-    #[cfg(feature = "avx512")]
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn dot_f32_avx512(a: &[f32], b: &[f32]) -> f32 {
-        use std::arch::x86_64::*;
-        let n = a.len();
-        debug_assert_eq!(n, b.len());
-        let mut acc0 = _mm512_setzero_ps();
-        let mut acc1 = _mm512_setzero_ps();
-        let mut i = 0;
-        while i + 32 <= n {
-            let a0 = _mm512_loadu_ps(a.as_ptr().add(i));
-            let b0 = _mm512_loadu_ps(b.as_ptr().add(i));
-            acc0 = _mm512_fmadd_ps(a0, b0, acc0);
-            let a1 = _mm512_loadu_ps(a.as_ptr().add(i + 16));
-            let b1 = _mm512_loadu_ps(b.as_ptr().add(i + 16));
-            acc1 = _mm512_fmadd_ps(a1, b1, acc1);
-            i += 32;
-        }
-        if i + 16 <= n {
-            let a0 = _mm512_loadu_ps(a.as_ptr().add(i));
-            let b0 = _mm512_loadu_ps(b.as_ptr().add(i));
-            acc0 = _mm512_fmadd_ps(a0, b0, acc0);
-            i += 16;
-        }
-        let mut dot = _mm512_reduce_add_ps(_mm512_add_ps(acc0, acc1));
-        while i < n {
-            dot += a.get_unchecked(i) * b.get_unchecked(i);
-            i += 1;
-        }
-        dot
     }
 }
 
@@ -1509,23 +1033,13 @@ mod tests {
     #[test]
     fn lane_is_stable() {
         assert_eq!(lane(), lane());
-        assert!(!lane().name().is_empty());
     }
 
+    /// The batched f32 dots (the indexed classifiers' debug reference)
+    /// match a widened serial fold on every lane, including the sub-8
+    /// and sub-4-candidate remainders.
     #[test]
-    fn dot_f64_matches_serial_fold() {
-        for n in [0, 1, 3, 4, 7, 8, 15, 16, 33, 64, 100] {
-            let (a, b) = rows(n);
-            let serial: f64 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
-            let got = dot_f64(&a, &b);
-            let mag: f64 = a.iter().zip(&b).map(|(x, y)| (x * y).abs()).sum();
-            let tol = (n as f64 + 8.0) * 2.0 * f64::EPSILON * mag;
-            assert!((got - serial).abs() <= tol, "n={n}: {got} vs {serial}");
-        }
-    }
-
-    #[test]
-    fn dot_f32_matches_widened_serial_fold() {
+    fn dots_f32_indexed_match_widened_serial_fold() {
         for n in [0, 1, 7, 8, 9, 16, 17, 31, 32, 33, 64, 100] {
             let (a64, b64) = rows(n);
             let a: Vec<f32> = a64.iter().map(|&x| x as f32).collect();
@@ -1540,17 +1054,22 @@ mod tests {
                 .zip(&b)
                 .map(|(x, y)| ((*x as f64) * (*y as f64)).abs())
                 .sum();
-            let got = dot_f32(&a, &b) as f64;
+            let idx = [0u32; 5];
+            let mut got = [0.0f32; 5];
+            dots_f32_indexed(&a, &b, n, &idx, &mut got);
             let tol = (n as f64 + 8.0) * 2.0 * f32::EPSILON as f64 * mag + f32::MIN_POSITIVE as f64;
-            assert!((got - serial).abs() <= tol, "n={n}: {got} vs {serial}");
+            for g in got {
+                assert!((g as f64 - serial).abs() <= tol, "n={n}: {g} vs {serial}");
+            }
         }
     }
 
     #[test]
     fn empty_and_unit_dots() {
-        assert_eq!(dot_f64(&[], &[]), 0.0);
-        assert_eq!(dot_f32(&[], &[]), 0.0);
-        assert_eq!(dot_f64(&[2.0], &[3.5]), 7.0);
-        assert_eq!(dot_f32(&[2.0], &[3.5]), 7.0);
+        let mut out = [1.0f32];
+        dots_f32_indexed(&[], &[], 0, &[0], &mut out);
+        assert_eq!(out, [0.0]);
+        dots_f32_indexed(&[2.0], &[3.5], 1, &[0], &mut out);
+        assert_eq!(out, [7.0]);
     }
 }

@@ -1,18 +1,19 @@
 //! Speed tiers and the f32 SoA mirror for [`crate::EuclideanSpace`].
 //!
-//! The paper's Alg 3–5 cost model counts distance *evaluations*; PR 2–5
-//! attacked the number of exact evaluations (batching, Gram tiles, the
-//! τ-sweep ladder). This module attacks the cost of each remaining
-//! evaluation: an opt-in f32 copy of the points whose 8–16-lane FMA dot is
-//! 2–4× cheaper than the f64 one and whose rows move half the memory.
+//! The paper's Alg 3–5 cost model counts distance *evaluations*; batching
+//! and the τ-sweep ladder cut their number. This module cuts the cost of
+//! each remaining one: an f32 copy of the points whose 8-lane FMA dot is
+//! 2–4× cheaper than the f64 diff loop and whose rows move half the
+//! memory. It backs the default [`SpeedTier::Soa`]; [`SpeedTier::Exact`]
+//! keeps the plain f64 loop as the reference oracle.
 //!
-//! Exactness discipline (same as the PR-4 Gram band): the f32 estimate of a
-//! squared distance decides a `dist² ≤ τ²` verdict **only when it clears a
-//! conservative error band** around τ²; every pair inside the band is
-//! re-decided with the exact f64 evaluation. Threshold verdicts — and hence
-//! centers, radii, rounds, and ledgers — stay bit-identical to the exact
-//! tier on every host. Distance-*returning* paths (`dist`, `dists_into`,
-//! memo fills, GMM radii) never consult the mirror.
+//! Exactness discipline: the f32 estimate of a squared distance decides a
+//! `dist² ≤ τ²` verdict **only when it clears a conservative error band**
+//! around τ²; every pair inside the band is re-decided with the exact f64
+//! evaluation. Threshold verdicts — and hence centers, radii, rounds, and
+//! ledgers — stay bit-identical to the exact oracle on every host.
+//! Distance-*returning* paths (`dist`, `dists_into`, memo fills, GMM
+//! radii) never consult the mirror.
 //!
 //! ## f32 error band
 //!
@@ -26,9 +27,8 @@
 //!   mul-then-add): ≤ (d + 8)·ε·(‖a‖² + ‖b‖²)/2 via |aᵢbᵢ| ≤ (aᵢ²+bᵢ²)/2.
 //!
 //! Their sum is below `(2d + 16)·ε·(‖a‖² + ‖b‖²)`; the band used is
-//! `(4d + 32)·ε·(na + nb + τ²)` — the PR-4 constant with f32's ε — leaving
-//! ≥2× slack. Overshooting the band only costs speed (more exact
-//! fallbacks), never correctness. Overflow to `±inf` or NaN anywhere makes
+//! `(4d + 32)·ε·(na + nb + τ²)`, leaving ≥2× slack. Overshooting the band
+//! only costs speed (more exact fallbacks), never correctness. Overflow to `±inf` or NaN anywhere makes
 //! the band infinite or the comparisons false, so non-finite inputs always
 //! take the exact branch.
 //!
@@ -37,10 +37,9 @@
 //! The mirror keeps **both** orientations of the f32 coordinates:
 //!
 //! * **row-major** (`rows`) for arbitrary candidate lists — round-robin
-//!   partitions and sketch survivors hand the kernels scattered id sets,
-//!   where dimension-major storage would gather every candidate across
-//!   `dim` cache lines;
-//! * **dimension-major** (`cols`, the transpose the issue sketched) for
+//!   partitions hand the kernels scattered id sets, where dimension-major
+//!   storage would gather every candidate across `dim` cache lines;
+//! * **dimension-major** (`cols`, the transpose of `rows`) for
 //!   *contiguous* candidate runs — the common case when a kernel scans all
 //!   of `0..n`. There the run kernel broadcasts one query coordinate and
 //!   FMA-accumulates eight consecutive candidates per register with **no
@@ -55,19 +54,18 @@ use std::sync::OnceLock;
 
 use crate::point::PointSet;
 
-/// How much estimation machinery the Euclidean bulk kernels may use.
-/// Verdicts are bit-identical at every tier; tiers only trade where the
-/// cycles go. Parsed from `KCENTER_SPEED` (default [`SpeedTier::Exact`]).
+/// How the Euclidean bulk threshold kernels decide `d² ≤ τ²` at
+/// `d ≥ 16`. Verdicts are bit-identical at both tiers; the tier only moves
+/// cycles. Parsed from `KCENTER_SPEED` (default [`SpeedTier::Soa`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SpeedTier {
-    /// f64 arithmetic only (the PR-4/PR-5 kernels, unchanged).
-    #[default]
+    /// The reference oracle: the plain f64 diff loop at every dimension.
+    /// Tests and CI diff the default tier against it.
     Exact,
-    /// f32 SoA mirror + banded f32 estimates in the bulk threshold kernels.
+    /// f32 SoA mirror + banded f32 estimates in the bulk threshold
+    /// kernels, with an exact f64 re-decide inside the band.
+    #[default]
     Soa,
-    /// [`SpeedTier::Soa`] plus the Hamming sketch prefilter
-    /// ([`crate::sketch`]) in front of the estimate.
-    SoaSketch,
 }
 
 impl SpeedTier {
@@ -76,22 +74,23 @@ impl SpeedTier {
         match s.trim() {
             "exact" => Some(SpeedTier::Exact),
             "soa" => Some(SpeedTier::Soa),
-            "soa+sketch" | "sketch" => Some(SpeedTier::SoaSketch),
             _ => None,
         }
     }
 
-    /// The process-default tier: `KCENTER_SPEED` if set and valid, else
-    /// [`SpeedTier::Exact`]. Read once and cached (mirrors
-    /// `KCENTER_THREADS` in the rayon shim); invalid values fall back to
-    /// `Exact`, matching the shim's lenient env handling.
+    /// The process-default tier: `KCENTER_SPEED` if set, else
+    /// [`SpeedTier::Soa`]. Read once and cached.
+    ///
+    /// # Panics
+    /// On a `KCENTER_SPEED` value other than `exact` or `soa`, so a typo
+    /// (or a retired tier name) fails loudly instead of silently running
+    /// the default.
     pub fn from_env() -> SpeedTier {
         static TIER: OnceLock<SpeedTier> = OnceLock::new();
-        *TIER.get_or_init(|| {
-            std::env::var("KCENTER_SPEED")
-                .ok()
-                .and_then(|s| SpeedTier::parse(&s))
-                .unwrap_or_default()
+        *TIER.get_or_init(|| match std::env::var("KCENTER_SPEED") {
+            Ok(s) => SpeedTier::parse(&s)
+                .unwrap_or_else(|| panic!("unknown KCENTER_SPEED {s:?} (expected exact|soa)")),
+            Err(_) => SpeedTier::default(),
         })
     }
 
@@ -100,20 +99,7 @@ impl SpeedTier {
         match self {
             SpeedTier::Exact => "exact",
             SpeedTier::Soa => "soa",
-            SpeedTier::SoaSketch => "soa+sketch",
         }
-    }
-
-    /// Whether this tier consults the f32 SoA mirror.
-    #[inline]
-    pub fn uses_soa(self) -> bool {
-        !matches!(self, SpeedTier::Exact)
-    }
-
-    /// Whether this tier consults the Hamming sketch prefilter.
-    #[inline]
-    pub fn uses_sketch(self) -> bool {
-        matches!(self, SpeedTier::SoaSketch)
     }
 }
 
@@ -127,8 +113,8 @@ pub fn f32_band_scale(dim: usize) -> f64 {
 /// The f32 mirror: row-major f32 copies of the points plus f32 squared
 /// norms, both derived deterministically from the f64 truth (round-to-
 /// nearest conversion, fixed-order norm fold — no thread-count or call-
-/// order dependence). Built lazily on first bulk kernel call at a tier
-/// that uses it.
+/// order dependence). Built lazily on the first bulk kernel call at the
+/// `soa` tier.
 #[derive(Debug, Clone)]
 pub struct SoaStorage {
     rows: Vec<f32>,
@@ -270,19 +256,12 @@ mod tests {
 
     #[test]
     fn parse_round_trips_names() {
-        for tier in [SpeedTier::Exact, SpeedTier::Soa, SpeedTier::SoaSketch] {
+        for tier in [SpeedTier::Exact, SpeedTier::Soa] {
             assert_eq!(SpeedTier::parse(tier.name()), Some(tier));
         }
         assert_eq!(SpeedTier::parse(" soa "), Some(SpeedTier::Soa));
         assert_eq!(SpeedTier::parse("warp9"), None);
-        assert_eq!(SpeedTier::default(), SpeedTier::Exact);
-    }
-
-    #[test]
-    fn tier_layer_gates() {
-        assert!(!SpeedTier::Exact.uses_soa() && !SpeedTier::Exact.uses_sketch());
-        assert!(SpeedTier::Soa.uses_soa() && !SpeedTier::Soa.uses_sketch());
-        assert!(SpeedTier::SoaSketch.uses_soa() && SpeedTier::SoaSketch.uses_sketch());
+        assert_eq!(SpeedTier::default(), SpeedTier::Soa);
     }
 
     #[test]

@@ -361,9 +361,8 @@ pub trait MetricSpace: Sync {
 }
 
 /// Cumulative fast-path kernel hit counts for one metric space — which
-/// SIMD classifier each pair went through, how many pairs the sketch
-/// certified away, and how often the banded estimate had to fall back to
-/// the exact evaluation. Pure observability: tallies never influence any
+/// SIMD classifier each pair went through, and how often the banded
+/// estimate had to fall back to the exact evaluation. Pure observability: tallies never influence any
 /// verdict. All counts are in pairs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelStats {
@@ -379,7 +378,9 @@ pub struct KernelStats {
     /// Pairs classified by the multi-τ indexed kernel
     /// (`classify_f32_indexed_taus`).
     pub taus_indexed_pairs: u64,
-    /// Pairs the sketch sieve certified as rejects (no dot computed).
+    /// Always 0. The Hamming-sketch prefilter that counted certified
+    /// rejects here is gone; the field stays so struct literals that name
+    /// it keep compiling.
     pub sketch_rejects: u64,
     /// Pairs re-decided by the exact f64 evaluation after a band hit.
     pub exact_fallbacks: u64,
@@ -394,8 +395,7 @@ pub struct KernelStats {
 }
 
 impl KernelStats {
-    /// Total pairs the fast-path classifiers judged (excluding
-    /// sketch-rejected pairs, which never reach a classifier).
+    /// Total pairs the fast-path classifiers judged.
     pub fn classified_pairs(&self) -> u64 {
         self.run_pairs + self.indexed_pairs + self.taus_run_pairs + self.taus_indexed_pairs
     }
@@ -407,7 +407,6 @@ impl KernelStats {
         self.indexed_pairs += other.indexed_pairs;
         self.taus_run_pairs += other.taus_run_pairs;
         self.taus_indexed_pairs += other.taus_indexed_pairs;
-        self.sketch_rejects += other.sketch_rejects;
         self.exact_fallbacks += other.exact_fallbacks;
         self.grid_cells += other.grid_cells;
         self.grid_stencil_cells += other.grid_stencil_cells;

@@ -232,9 +232,9 @@ proptest! {
 
     #[test]
     fn euclidean_gram_kernels_match_scalar(rows in arb_rows(20, 18)) {
-        // dim ≥ GRAM_MIN_DIM: the many-kernels take the norm-cached
-        // Gram-estimate path (with the banded exact fallback) instead of
-        // the tiled diff loop — both must match the scalar oracle exactly.
+        // dim ≥ GRAM_MIN_DIM: at the default `soa` tier the kernels take
+        // the f32 Gram-estimate path (with the banded exact fallback)
+        // instead of the diff loop — both must match the scalar oracle.
         check_kernels(&EuclideanSpace::new(PointSet::from_rows(&rows)))?;
     }
 

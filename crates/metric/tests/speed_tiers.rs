@@ -1,6 +1,6 @@
-//! Property-based pinning of the speed tiers: for every [`SpeedTier`] the
+//! Property-based pinning of the speed tiers: the default `soa` tier's
 //! `EuclideanSpace` bulk threshold kernels must return **bit-identical**
-//! answers to the exact-f64 tier — on thresholds deliberately placed at and
+//! answers to the `exact` oracle — on thresholds deliberately placed at and
 //! around exact pairwise distances, where a naive f32 path would flip
 //! verdicts — and the answers must not depend on the worker thread count.
 //!
@@ -42,7 +42,9 @@ fn probe_taus(m: &EuclideanSpace) -> Vec<f64> {
     taus
 }
 
-const TIERS: [SpeedTier; 3] = [SpeedTier::Exact, SpeedTier::Soa, SpeedTier::SoaSketch];
+/// The oracle first: `spaces(..)[0]` is the reference every other tier is
+/// diffed against.
+const TIERS: [SpeedTier; 2] = [SpeedTier::Exact, SpeedTier::Soa];
 
 /// One full kernel transcript — everything the six bulk kernels return for
 /// a fixed dataset, over every probe τ and candidate-set shape. Two spaces
@@ -122,8 +124,8 @@ fn spaces(rows: &[Vec<f64>]) -> Vec<(SpeedTier, EuclideanSpace)> {
         .collect()
 }
 
-/// Wide rows (dim ≥ 16 = `GRAM_MIN_DIM`) so the SoA/sketch paths actually
-/// engage; narrow rows would make the tier comparison vacuous.
+/// Wide rows (dim ≥ 16 = `GRAM_MIN_DIM`) so the SoA path actually
+/// engages; narrow rows would make the tier comparison vacuous.
 fn arb_wide_rows(max_n: usize, dim: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
     prop::collection::vec(prop::collection::vec(-50.0f64..50.0, dim..=dim), 4..max_n)
 }
@@ -148,8 +150,8 @@ proptest! {
     }
 
     /// Same check at dim=32 — the width the benchmarks target, and a
-    /// multiple of both the AVX2 f32 lane width (8) and the sketch's
-    /// direction count, so every SIMD remainder path is the empty one.
+    /// multiple of the AVX2 f32 lane width (8), so every SIMD remainder
+    /// path is the empty one.
     #[test]
     fn tiers_match_exact_oracle_d32(rows in arb_wide_rows(12, 32)) {
         let spaces = spaces(&rows);
@@ -165,8 +167,7 @@ proptest! {
     }
 
     /// Clustered duplicates and near-duplicates: many identical rows give
-    /// zero distances (degenerate sketch ranges) and maximal tie pressure
-    /// at τ = 0.
+    /// zero distances and maximal tie pressure at τ = 0.
     #[test]
     fn tiers_match_on_duplicates(base in prop::collection::vec(-5.0f64..5.0, 20), copies in 3usize..8) {
         let mut rows: Vec<Vec<f64>> = (0..copies).map(|_| base.clone()).collect();
@@ -209,7 +210,7 @@ proptest! {
 }
 
 /// Non-finite coordinates must not break tier equivalence: the f32 band
-/// goes infinite (forcing the exact branch) and the sketch deadens itself.
+/// goes infinite, forcing the exact branch.
 /// Deterministic, so a plain test rather than a proptest.
 #[test]
 fn tiers_match_with_non_finite_rows() {
@@ -239,17 +240,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The serving-index insert path: growing a space with `push_point`
-    /// after its lazy SoA mirror / sketch already exist (so the mirror is
-    /// *extended* in place, padded-stride lanes and all, and the sketch is
-    /// invalidated + lazily rebuilt) must leave every tier bit-identical
-    /// to the exact tier over a from-scratch build of the full data.
+    /// after its lazy SoA mirror already exists (so the mirror is
+    /// *extended* in place, padded-stride lanes and all) must leave every
+    /// tier bit-identical to the exact oracle over a from-scratch build of
+    /// the full data.
     #[test]
     fn tiers_match_after_incremental_growth(
         rows in arb_wide_rows(16, 18),
         split in 4usize..12,
     ) {
         let split = split.min(rows.len() - 1).max(1);
-        let oracle_space = EuclideanSpace::new(PointSet::from_rows(&rows));
+        let oracle_space =
+            EuclideanSpace::new(PointSet::from_rows(&rows)).with_speed_tier(SpeedTier::Exact);
         let oracle_taus = probe_taus(&oracle_space);
         let oracle = transcript(&oracle_space, &oracle_taus);
         for tier in TIERS {
@@ -277,7 +279,7 @@ proptest! {
     fn grown_space_thread_count_deterministic(rows in arb_wide_rows(12, 18)) {
         let split = rows.len() / 2;
         let mut space = EuclideanSpace::new(PointSet::from_rows(&rows[..split.max(1)]))
-            .with_speed_tier(SpeedTier::SoaSketch);
+            .with_speed_tier(SpeedTier::Soa);
         let warm: Vec<u32> = (0..space.n() as u32).collect();
         let _ = space.count_within(PointId(0), &warm, 1.0);
         for row in &rows[split.max(1)..] {
@@ -377,8 +379,8 @@ proptest! {
 }
 
 /// Ladders longer than [`simd::MAX_RUNGS`] exceed what a `u8` rung-entry
-/// index can encode; the fast path must bow out and the gram fallback must
-/// stay verdict-identical to the scalar oracle on every tier.
+/// index can encode; the fast path must bow out and the plain-loop fallback
+/// must stay verdict-identical to the scalar oracle on every tier.
 #[test]
 fn multi_tau_overlong_ladder_falls_back() {
     let rows: Vec<Vec<f64>> = (0..24)

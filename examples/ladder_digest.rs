@@ -35,7 +35,7 @@ impl Fnv {
 
 fn main() {
     // The dim=32 config matters for the speed tiers: wide rows engage the
-    // SoA/sketch fast paths (dim ≥ 16), so diffing this output across
+    // SoA fast path (dim ≥ 16), so diffing this output across
     // `KCENTER_SPEED` values actually exercises them; the dim=3 configs
     // pin the narrow-row kernels.
     for (n, dim, m, k, seed) in [
@@ -88,13 +88,12 @@ fn main() {
             if let Some(ks) = &res.telemetry.kernels {
                 eprintln!(
                     "  kernels(t={threads} tier={}): single {}r/{}i multi-τ {}r/{}i \
-                     sketch_rejects={} exact_fallbacks={}",
+                     exact_fallbacks={}",
                     space.speed_tier().name(),
                     ks.run_pairs,
                     ks.indexed_pairs,
                     ks.taus_run_pairs,
                     ks.taus_indexed_pairs,
-                    ks.sketch_rejects,
                     ks.exact_fallbacks
                 );
             }
@@ -103,7 +102,7 @@ fn main() {
 
     // Grid-engine digest: the same bit-exactness contract for the spatial
     // hashing engine. The grid ladder touches only exact f64 distances
-    // (never the SoA/sketch fast paths), so these stdout lines must be
+    // (never the SoA fast path), so these stdout lines must be
     // identical across `KCENTER_SPEED` tiers too — CI diffs them together
     // with the all-pairs lines above.
     for (n, dim, m, k, seed) in [
@@ -186,12 +185,10 @@ fn main() {
     }
     if let Some(ks) = space.kernel_stats() {
         eprintln!(
-            "  taus-sweep kernels (tier={}): multi-τ {}r/{}i sketch_rejects={} \
-             exact_fallbacks={}",
+            "  taus-sweep kernels (tier={}): multi-τ {}r/{}i exact_fallbacks={}",
             space.speed_tier().name(),
             ks.taus_run_pairs,
             ks.taus_indexed_pairs,
-            ks.sketch_rejects,
             ks.exact_fallbacks
         );
     }

@@ -116,13 +116,8 @@ fn main() {
     match index.space().kernel_stats() {
         Some(k) => eprintln!(
             "kernel tallies: single {} run / {} indexed, multi-τ {} run / {} indexed, \
-             {} sketch rejects, {} exact fallbacks",
-            k.run_pairs,
-            k.indexed_pairs,
-            k.taus_run_pairs,
-            k.taus_indexed_pairs,
-            k.sketch_rejects,
-            k.exact_fallbacks
+             {} exact fallbacks",
+            k.run_pairs, k.indexed_pairs, k.taus_run_pairs, k.taus_indexed_pairs, k.exact_fallbacks
         ),
         None => eprintln!("kernel tallies: none (exact tier)"),
     }

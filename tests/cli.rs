@@ -112,6 +112,42 @@ fn bad_invocations_fail_cleanly() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("cannot read"));
 }
 
+/// A `KCENTER_SPEED` typo — or a retired tier name from an old script —
+/// must abort the run naming the accepted values, never quietly run the
+/// default tier.
+#[test]
+fn unknown_speed_tier_fails_loudly() {
+    let pts = tmp("speed-points.csv");
+    bin()
+        .args(["gen", "--n", "60", "--seed", "8", "--out"])
+        .arg(&pts)
+        .status()
+        .unwrap();
+    for bad in ["soa+sketch", "sketch", "fast"] {
+        let out = bin()
+            .args(["kcenter", "--k", "3", "--m", "2", "--input"])
+            .arg(&pts)
+            .env("KCENTER_SPEED", bad)
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "KCENTER_SPEED={bad} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("KCENTER_SPEED") && stderr.contains("exact|soa"),
+            "KCENTER_SPEED={bad}: {stderr}"
+        );
+    }
+    for good in ["exact", "soa"] {
+        let out = bin()
+            .args(["kcenter", "--k", "3", "--m", "2", "--input"])
+            .arg(&pts)
+            .env("KCENTER_SPEED", good)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "KCENTER_SPEED={good} must run");
+    }
+}
+
 #[test]
 fn help_prints_usage() {
     let out = bin().arg("--help").output().unwrap();

@@ -1,20 +1,22 @@
-//! Pipeline memo-neutrality contract: Algorithms 5, 2 and 6 return the
-//! same answer and the same MPC ledger whether they run on a raw
-//! `EuclideanSpace` or on a `MemoizedSpace` wrapping it.
+//! Pipeline memo- and tier-neutrality contract: Algorithms 5, 2 and 6
+//! return the same answer and the same MPC ledger whether they run on a
+//! raw `EuclideanSpace` at the default speed tier, on the same points at
+//! the `exact` oracle tier, or on a `MemoizedSpace` wrapping the default
+//! space.
 //!
 //! The drivers run their ladders on the caller's metric as given, so the
-//! two runs differ only in which kernels answer the threshold queries:
-//! the space's own squared-threshold / tiled kernels, or the memo's cached
-//! distance rows. Ids, objective bits and the ledger transcript (labels
-//! plus per-machine traffic, FNV-hashed) must all match, at dimensions 3
-//! and 32 and at 1, 2 and 8 worker threads.
+//! runs differ only in which kernels answer the threshold queries: the
+//! f32 SoA classifier with its exact re-decide, the plain f64 diff loop,
+//! or the memo's cached distance rows. Ids, objective bits and the ledger
+//! transcript (labels plus per-machine traffic, FNV-hashed) must all
+//! match, at dimensions 3 and 32 and at 1, 2 and 8 worker threads.
 
 use mpc_clustering::core::diversity::mpc_diversity_on;
 use mpc_clustering::core::kcenter::mpc_kcenter_on;
 use mpc_clustering::core::ksupplier::mpc_ksupplier_on;
 use mpc_clustering::core::memo::MemoizedSpace;
 use mpc_clustering::core::{Params, Telemetry};
-use mpc_clustering::metric::{datasets, EuclideanSpace, MetricSpace, PointId};
+use mpc_clustering::metric::{datasets, EuclideanSpace, MetricSpace, PointId, PointSet, SpeedTier};
 use mpc_clustering::sim::{Cluster, Ledger};
 use rayon::with_threads;
 
@@ -104,19 +106,34 @@ fn ksupplier<M: MetricSpace + ?Sized>(
     )
 }
 
-/// Runs `run` on the raw space and on a fresh memo over it at every
-/// thread count; all six digests must be equal.
+/// Builds the default-tier space and the exact-oracle space over the same
+/// points. Both tiers are pinned explicitly, so `KCENTER_SPEED` cannot
+/// collapse the comparison.
+fn spaces(points: PointSet) -> (EuclideanSpace, EuclideanSpace) {
+    let oracle = EuclideanSpace::new(points.clone()).with_speed_tier(SpeedTier::Exact);
+    let space = EuclideanSpace::new(points).with_speed_tier(SpeedTier::default());
+    (space, oracle)
+}
+
+/// Runs `run` on the exact oracle at one thread for the reference, then
+/// on the oracle, the default-tier space and a fresh memo over the
+/// default space at every thread count; all ten digests must be equal.
 fn assert_memo_neutral(
     what: &str,
-    space: &EuclideanSpace,
+    (space, oracle): &(EuclideanSpace, EuclideanSpace),
     run: impl Fn(&dyn MetricSpace) -> Digest,
 ) {
-    let reference = with_threads(1, || run(space));
+    let reference = with_threads(1, || run(oracle));
     assert!(reference.3 > 0, "{what}: the run should climb the ladder");
     for threads in THREADS {
+        let exact = with_threads(threads, || run(oracle));
         let raw = with_threads(threads, || run(space));
         let memo = with_threads(threads, || run(&MemoizedSpace::new(space)));
-        assert_eq!(raw, reference, "{what}: raw space at {threads} threads");
+        assert_eq!(
+            exact, reference,
+            "{what}: exact oracle at {threads} threads"
+        );
+        assert_eq!(raw, reference, "{what}: default tier at {threads} threads");
         assert_eq!(
             memo, reference,
             "{what}: memoized space at {threads} threads"
@@ -127,9 +144,9 @@ fn assert_memo_neutral(
 #[test]
 fn kcenter_is_memo_neutral() {
     for dim in DIMS {
-        let space = EuclideanSpace::new(datasets::gaussian_clusters(300, dim, 6, 0.05, 11));
+        let spaces = spaces(datasets::gaussian_clusters(300, dim, 6, 0.05, 11));
         let params = Params::practical(4, 0.1, 11);
-        assert_memo_neutral(&format!("k-center d={dim}"), &space, |m| {
+        assert_memo_neutral(&format!("k-center d={dim}"), &spaces, |m| {
             kcenter(m, 6, &params)
         });
     }
@@ -138,9 +155,9 @@ fn kcenter_is_memo_neutral() {
 #[test]
 fn diversity_is_memo_neutral() {
     for dim in DIMS {
-        let space = EuclideanSpace::new(datasets::gaussian_clusters(300, dim, 8, 0.05, 12));
+        let spaces = spaces(datasets::gaussian_clusters(300, dim, 8, 0.05, 12));
         let params = Params::practical(4, 0.1, 12);
-        assert_memo_neutral(&format!("diversity d={dim}"), &space, |m| {
+        assert_memo_neutral(&format!("diversity d={dim}"), &spaces, |m| {
             diversity(m, 8, &params)
         });
     }
@@ -150,11 +167,11 @@ fn diversity_is_memo_neutral() {
 fn ksupplier_is_memo_neutral() {
     for dim in DIMS {
         // The first 220 points are customers, the last 80 suppliers.
-        let space = EuclideanSpace::new(datasets::gaussian_clusters(300, dim, 6, 0.05, 13));
+        let spaces = spaces(datasets::gaussian_clusters(300, dim, 6, 0.05, 13));
         let customers: Vec<u32> = (0..220).collect();
         let suppliers: Vec<u32> = (220..300).collect();
         let params = Params::practical(4, 0.1, 13);
-        assert_memo_neutral(&format!("k-supplier d={dim}"), &space, |m| {
+        assert_memo_neutral(&format!("k-supplier d={dim}"), &spaces, |m| {
             ksupplier(m, &customers, &suppliers, 6, &params)
         });
     }
