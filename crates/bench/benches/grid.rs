@@ -14,13 +14,16 @@
 //! The `d4-n1e6` pair is the acceptance read-off (grid must be ≥ 5×
 //! faster); the `d4-n1e5` pair gives CI a fast regression signal on both
 //! engines, and `grid/build/…` isolates the per-rung `GridIndex`
-//! construction the grid arm pays. The workload is the drifting
-//! user-embedding stream shared with the serving benchmarks
-//! (`datasets::user_embeddings`). `bench_diff --threshold 75` gates this
-//! file in CI like the other groups.
+//! construction the grid arm pays. `grid/solve/d4-n1e5` runs the whole
+//! grid-engine Algorithm 5 (`mpc_kcenter_grid_on`): the shard gather, the
+//! coreset GMM and covering radius of the coarse phase, the ladder, and
+//! the finalize radius — the phases no rung-level id sees. The workload
+//! is the drifting user-embedding stream shared with the serving
+//! benchmarks (`datasets::user_embeddings`). `bench_diff --threshold 75`
+//! gates this file in CI like the other groups.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mpc_core::grid::grid_k_bounded_mis;
+use mpc_core::grid::{grid_k_bounded_mis, mpc_kcenter_grid_on};
 use mpc_core::kbmis::k_bounded_mis;
 use mpc_core::Params;
 use mpc_metric::{datasets, EuclideanSpace, GridIndex, KernelStats};
@@ -86,6 +89,15 @@ fn bench_grid(c: &mut Criterion) {
         group.bench_function(format!("build/d{DIM}-{label}").as_str(), |b| {
             b.iter(|| GridIndex::build(space.points(), &local_sets[0], tau))
         });
+
+        if n == 100_000 {
+            group.bench_function(format!("solve/d{DIM}-{label}").as_str(), |b| {
+                b.iter(|| {
+                    let mut cluster = Cluster::new(M, SEED);
+                    mpc_kcenter_grid_on(&mut cluster, &space, K, &params).radius
+                })
+            });
+        }
     }
     group.sample_size(10);
     c.final_summary();

@@ -21,8 +21,29 @@ pub fn gmm_coreset<M: MetricSpace + ?Sized>(
     local_sets: &[Vec<u32>],
     k: usize,
 ) -> (Vec<u32>, Vec<Vec<u32>>) {
+    coreset_with(cluster, metric, local_sets, k, |vi| {
+        gmm(metric, vi, k).selected
+    })
+}
+
+/// [`gmm_coreset`]'s collective skeleton over any per-machine input:
+/// `local(input)` must return that machine's `GMM(V_i, k)` as global ids.
+/// Engines that keep each machine's rows in storage of its own run the
+/// local GMM there and share the gather and the central GMM.
+pub(crate) fn coreset_with<M, T, F>(
+    cluster: &mut Cluster,
+    metric: &M,
+    machines: &[T],
+    k: usize,
+    local: F,
+) -> (Vec<u32>, Vec<Vec<u32>>)
+where
+    M: MetricSpace + ?Sized,
+    T: Sync,
+    F: Fn(&T) -> Vec<u32> + Sync,
+{
     let w = metric.point_weight();
-    let coresets: Vec<Vec<u32>> = cluster.map(local_sets, |_, vi| gmm(metric, vi, k).selected);
+    let coresets: Vec<Vec<u32>> = cluster.map(machines, |_, input| local(input));
     let tagged: Vec<Vec<u32>> = coresets.clone();
     let union = cluster.gather("coreset/gather", tagged, w);
     let q = gmm(metric, &union, k).selected;
@@ -42,14 +63,30 @@ pub fn covering_radius<M: MetricSpace + ?Sized>(
     local_sets: &[Vec<u32>],
     q: &[u32],
 ) -> f64 {
-    let w = metric.point_weight();
-    cluster.broadcast("radius/bcast", q.len(), w);
     let q_ids = to_point_ids(q);
-    let local_max: Vec<f64> = cluster.map(local_sets, |_, vi| {
+    covering_radius_with(cluster, metric.point_weight(), local_sets, q.len(), |vi| {
         vi.iter()
             .map(|&v| dist_point_to_set(metric, PointId(v), &q_ids))
             .fold(0.0f64, f64::max)
-    });
+    })
+}
+
+/// [`covering_radius`]'s collective skeleton over any per-machine input:
+/// broadcast `q_len` points of `weight` words, run `local_max(input) =
+/// max_{x ∈ V_i} d(x, Q)` on every machine, reduce the maxima.
+pub(crate) fn covering_radius_with<T, F>(
+    cluster: &mut Cluster,
+    weight: u64,
+    machines: &[T],
+    q_len: usize,
+    local_max: F,
+) -> f64
+where
+    T: Sync,
+    F: Fn(&T) -> f64 + Sync,
+{
+    cluster.broadcast("radius/bcast", q_len, weight);
+    let local_max: Vec<f64> = cluster.map(machines, |_, input| local_max(input));
     cluster.reduce("radius/reduce", local_max, 1, f64::max)
 }
 

@@ -49,10 +49,11 @@
 use std::sync::OnceLock;
 use std::time::Instant;
 
-use mpc_metric::{EuclideanSpace, GridIndex, KernelStats, MetricSpace, PointId};
+use mpc_metric::{EuclideanSpace, GridIndex, KernelStats, MetricSpace, PointId, PointSet};
 use mpc_sim::Cluster;
 
-use crate::common::{covering_radius, gmm_coreset, to_point_ids};
+use crate::common::{coreset_with, covering_radius_with, to_point_ids};
+use crate::gmm::gmm;
 use crate::kcenter::KCenterResult;
 use crate::ladder::{BoundaryMode, LadderSearch, RungEval};
 use crate::params::Params;
@@ -78,7 +79,11 @@ impl KCenterEngine {
     /// counts.
     pub const GRID_MAX_DIM: usize = 8;
 
-    /// Parses a `KCENTER_ENGINE` value. Unrecognized strings yield `None`.
+    /// Parses an engine name: `allpairs` (or `all-pairs`) or `grid`,
+    /// ignoring surrounding whitespace. Anything else yields `None` —
+    /// including `auto`, which `KCENTER_ENGINE` accepts but which is a
+    /// per-input selection rule rather than an engine (see
+    /// [`KCenterEngine::from_env`]).
     pub fn parse(s: &str) -> Option<KCenterEngine> {
         match s.trim() {
             "allpairs" | "all-pairs" => Some(KCenterEngine::AllPairs),
@@ -88,31 +93,24 @@ impl KCenterEngine {
     }
 
     /// The engine for a `dim`-dimensional Euclidean input: the
-    /// `KCENTER_ENGINE` choice if set and valid (`auto` selects by
-    /// dimension), else all-pairs. The env var is read once and cached,
-    /// mirroring `KCENTER_SPEED`. Any selection is clamped to all-pairs
-    /// above [`KCenterEngine::GRID_MAX_DIM`].
+    /// `KCENTER_ENGINE` choice if set (`auto` selects by dimension), else
+    /// all-pairs. The env var is read once and cached, mirroring
+    /// `KCENTER_SPEED`. Any selection is clamped to all-pairs above
+    /// [`KCenterEngine::GRID_MAX_DIM`].
+    ///
+    /// # Panics
+    /// On a `KCENTER_ENGINE` value other than `allpairs`, `grid` or
+    /// `auto`, so a typo fails loudly instead of silently running the
+    /// default engine.
     pub fn from_env(dim: usize) -> KCenterEngine {
-        #[derive(Clone, Copy)]
-        enum EnvChoice {
-            Fixed(KCenterEngine),
-            Auto,
-        }
-        static CHOICE: OnceLock<EnvChoice> = OnceLock::new();
+        static CHOICE: OnceLock<EngineChoice> = OnceLock::new();
         let choice = *CHOICE.get_or_init(|| {
-            match std::env::var("KCENTER_ENGINE")
-                .ok()
-                .as_deref()
-                .map(str::trim)
-            {
-                Some("auto") => EnvChoice::Auto,
-                Some(s) => EnvChoice::Fixed(KCenterEngine::parse(s).unwrap_or_default()),
-                None => EnvChoice::Fixed(KCenterEngine::AllPairs),
-            }
+            EngineChoice::parse_env(std::env::var("KCENTER_ENGINE").ok().as_deref())
+                .unwrap_or_else(|e| panic!("{e}"))
         });
         let picked = match choice {
-            EnvChoice::Fixed(e) => e,
-            EnvChoice::Auto => KCenterEngine::Grid,
+            EngineChoice::Fixed(e) => e,
+            EngineChoice::Auto => KCenterEngine::Grid,
         };
         if dim > Self::GRID_MAX_DIM {
             KCenterEngine::AllPairs
@@ -130,12 +128,120 @@ impl KCenterEngine {
     }
 }
 
-/// Per-machine state of one rung's grid protocol: the local τ-grid, the
-/// authoritative domination flags (within τ of an accepted center), and
-/// the per-iteration tentative marks (within τ of this iteration's own
-/// proposals), all indexed by grid slot.
-struct MachineGrid {
-    members: Vec<u32>,
+/// What a `KCENTER_ENGINE` setting asks for: one engine everywhere, or
+/// the per-dimension `auto` rule.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum EngineChoice {
+    Fixed(KCenterEngine),
+    Auto,
+}
+
+impl EngineChoice {
+    /// Parses the raw `KCENTER_ENGINE` value (`None` when unset, which
+    /// selects all-pairs). Surrounding whitespace is ignored; any other
+    /// value is an error naming the accepted spellings.
+    fn parse_env(raw: Option<&str>) -> Result<EngineChoice, String> {
+        match raw {
+            None => Ok(EngineChoice::Fixed(KCenterEngine::AllPairs)),
+            Some(s) if s.trim() == "auto" => Ok(EngineChoice::Auto),
+            Some(s) => KCenterEngine::parse(s)
+                .map(EngineChoice::Fixed)
+                .ok_or_else(|| {
+                    format!("unknown KCENTER_ENGINE {s:?} (expected allpairs|grid|auto)")
+                }),
+        }
+    }
+}
+
+/// One machine's input points in storage of its own, as the MPC model
+/// has them: local id `j` is the row of global point `members[j]`. Every
+/// machine-local step of the grid engine — the coreset GMM, the
+/// covering-radius scan, the rung grids — runs on these contiguous rows
+/// instead of reading the caller's global array by id, which under a
+/// round-robin partition scatters every pass over the machine's points
+/// across the whole input.
+struct Shard<'a> {
+    /// The machine's global ids (its `local_sets` entry).
+    members: &'a [u32],
+    rows: EuclideanSpace,
+    /// Local ids `0..len`, the member list of every computation on the
+    /// shard.
+    local: Vec<u32>,
+}
+
+impl Shard<'_> {
+    fn row(&self, j: u32) -> &[f64] {
+        self.rows.points().coords(PointId(j))
+    }
+
+    /// `GMM(members, k)` run on the shard and mapped back to global ids.
+    /// GMM seeds with the first member and breaks ties by member order,
+    /// and the shard keeps that order, so the selection equals
+    /// `gmm(space, members, k)`.
+    fn gmm(&self, k: usize) -> Vec<u32> {
+        gmm(&self.rows, &self.local, k)
+            .selected
+            .into_iter()
+            .map(|j| self.members[j as usize])
+            .collect()
+    }
+
+    /// `max_{x ∈ shard} d(x, Q)` for `Q` given as gathered center rows,
+    /// by the fold of [`crate::common::covering_radius`]: per point the
+    /// minimum squared distance and one `sqrt`, then the maximum.
+    fn covering_radius(&self, centers: &PointSet) -> f64 {
+        let dim = centers.dim();
+        self.rows
+            .points()
+            .raw()
+            .chunks_exact(dim)
+            .map(|x| EuclideanSpace::row_dist_to_rows(x, centers.raw().chunks_exact(dim)))
+            .fold(0.0f64, f64::max)
+    }
+}
+
+/// Gathers every machine's rows into its [`Shard`], across the worker
+/// pool. The rows are the machine's input, which `setup/shards` already
+/// charged, so the gather adds nothing to the ledger.
+fn gather_shards<'a>(
+    cluster: &Cluster,
+    space: &EuclideanSpace,
+    local_sets: &'a [Vec<u32>],
+) -> Vec<Shard<'a>> {
+    // Index `local_sets` rather than take the closure's argument, whose
+    // borrow ends with the call: the shard keeps `members` for `'a`.
+    cluster.map(local_sets, |i, _| {
+        let members = &local_sets[i];
+        Shard {
+            members,
+            rows: EuclideanSpace::new(space.points().gather(members)),
+            local: (0..members.len() as u32).collect(),
+        }
+    })
+}
+
+/// [`crate::common::covering_radius`] on machine shards: the same
+/// collectives, with each machine scanning its own rows against the
+/// broadcast `|q| × d` block of center rows.
+fn shard_covering_radius(
+    cluster: &mut Cluster,
+    space: &EuclideanSpace,
+    shards: &[Shard],
+    q: &[u32],
+) -> f64 {
+    let centers = space.points().gather(q);
+    covering_radius_with(cluster, space.point_weight(), shards, q.len(), |shard| {
+        shard.covering_radius(&centers)
+    })
+}
+
+/// Per-machine state of one rung's grid protocol: the local τ-grid over
+/// the machine's shard, the authoritative domination flags (within τ of
+/// an accepted center), and the per-iteration tentative marks (within τ
+/// of this iteration's own proposals), all indexed by grid slot.
+struct MachineGrid<'a> {
+    shard: &'a Shard<'a>,
+    /// Grid over the shard's local ids.
     grid: GridIndex,
     dominated: Vec<bool>,
     tentative: Vec<u32>,
@@ -144,12 +250,12 @@ struct MachineGrid {
     start: usize,
 }
 
-impl MachineGrid {
-    fn build(space: &EuclideanSpace, members: &[u32], tau: f64) -> Self {
-        let grid = GridIndex::build(space.points(), members, tau);
-        let n = members.len();
+impl<'a> MachineGrid<'a> {
+    fn build(shard: &'a Shard<'a>, tau: f64) -> Self {
+        let grid = GridIndex::build(shard.rows.points(), &shard.local, tau);
+        let n = shard.members.len();
         Self {
-            members: members.to_vec(),
+            shard,
             grid,
             dominated: vec![false; n],
             tentative: vec![0; n],
@@ -159,43 +265,37 @@ impl MachineGrid {
 
     /// Ledger words for the grid plus the two per-point flag arrays.
     fn memory_words(&self) -> u64 {
-        self.grid.memory_words() + (5 * self.members.len() as u64).div_ceil(8)
+        self.grid.memory_words() + (5 * self.shard.members.len() as u64).div_ceil(8)
     }
 
     /// Greedy independent proposals among undominated local points, at
     /// most `need`, folding stencil tallies into `stats`.
-    fn propose(
-        &mut self,
-        space: &EuclideanSpace,
-        tau: f64,
-        need: usize,
-        epoch: u32,
-        stats: &mut KernelStats,
-    ) -> Vec<u32> {
+    fn propose(&mut self, tau: f64, need: usize, epoch: u32, stats: &mut KernelStats) -> Vec<u32> {
         let mut out = Vec::new();
         if need == 0 {
             return out;
         }
-        while self.start < self.members.len() && self.dominated[self.grid.slot_of(self.start)] {
-            self.start += 1;
-        }
         let Self {
-            members,
+            shard,
             grid,
             dominated,
             tentative,
-            ..
+            start,
         } = self;
-        for (i, &id) in members.iter().enumerate().skip(self.start) {
+        while *start < shard.members.len() && dominated[grid.slot_of(*start)] {
+            *start += 1;
+        }
+        for (i, &id) in shard.members.iter().enumerate().skip(*start) {
             let slot = grid.slot_of(i);
             if dominated[slot] || tentative[slot] == epoch {
                 continue;
             }
             out.push(id);
+            let a = shard.row(i as u32);
             let mut pairs = 0u64;
-            let scan = grid.stencil(space.points().coords(PointId(id)), |s2, id2| {
+            let scan = grid.stencil(a, |s2, j2| {
                 pairs += 1;
-                if space.dist(PointId(id), PointId(id2)) <= tau {
+                if EuclideanSpace::row_dist(a, shard.row(j2)) <= tau {
                     tentative[s2] = epoch;
                 }
             });
@@ -208,17 +308,21 @@ impl MachineGrid {
         out
     }
 
-    /// Marks the τ-balls of newly accepted centers as dominated.
-    fn mark(&mut self, space: &EuclideanSpace, tau: f64, centers: &[u32], stats: &mut KernelStats) {
+    /// Marks the τ-balls of newly accepted centers, given as gathered
+    /// rows, as dominated.
+    fn mark(&mut self, tau: f64, centers: &PointSet, stats: &mut KernelStats) {
         let Self {
-            grid, dominated, ..
+            shard,
+            grid,
+            dominated,
+            ..
         } = self;
-        for &c in centers {
+        for c in centers.raw().chunks_exact(centers.dim()) {
             let mut pairs = 0u64;
-            let scan = grid.stencil(space.points().coords(PointId(c)), |s2, id2| {
+            let scan = grid.stencil(c, |s2, j2| {
                 if !dominated[s2] {
                     pairs += 1;
-                    if space.dist(PointId(c), PointId(id2)) <= tau {
+                    if EuclideanSpace::row_dist(c, shard.row(j2)) <= tau {
                         dominated[s2] = true;
                     }
                 }
@@ -235,6 +339,10 @@ impl MachineGrid {
 /// set sorted ascending; `|set| = bound` means the rung's independence
 /// certificate fired (the set may then not be maximal, exactly like
 /// Algorithm 4's truncated returns).
+///
+/// Gathers each machine's rows into a shard of its own first; a caller
+/// evaluating many rungs over one partition ([`mpc_kcenter_grid_on`])
+/// gathers once and reuses the shards.
 pub fn grid_k_bounded_mis(
     cluster: &mut Cluster,
     space: &EuclideanSpace,
@@ -243,13 +351,25 @@ pub fn grid_k_bounded_mis(
     bound: usize,
     stats: &mut KernelStats,
 ) -> Vec<u32> {
+    let shards = gather_shards(cluster, space, local_sets);
+    grid_rung(cluster, space, &shards, tau, bound, stats)
+}
+
+/// [`grid_k_bounded_mis`] on already gathered shards.
+fn grid_rung(
+    cluster: &mut Cluster,
+    space: &EuclideanSpace,
+    shards: &[Shard],
+    tau: f64,
+    bound: usize,
+    stats: &mut KernelStats,
+) -> Vec<u32> {
     assert!(bound >= 1);
     let point_words = space.point_weight() + 1; // coords + id
 
     // Machine-local grid builds (no communication; memory is noted).
-    let mut machines: Vec<MachineGrid> = cluster.map(local_sets, |_, members| {
-        MachineGrid::build(space, members, tau)
-    });
+    let mut machines: Vec<MachineGrid> =
+        cluster.map(shards, |i, _| MachineGrid::build(&shards[i], tau));
     let grid_words: Vec<u64> = machines.iter().map(|m| m.memory_words()).collect();
     cluster.note_memory_all(&grid_words);
     for m in &machines {
@@ -265,7 +385,7 @@ pub fn grid_k_bounded_mis(
         let proposals: Vec<Vec<u32>> = {
             let outs = cluster.map_mut(&mut machines, |_, st| {
                 let mut s = KernelStats::default();
-                let out = st.propose(space, tau, need, epoch, &mut s);
+                let out = st.propose(tau, need, epoch, &mut s);
                 (out, s)
             });
             outs.into_iter()
@@ -306,9 +426,10 @@ pub fn grid_k_bounded_mis(
         if centers.len() == bound {
             break;
         }
+        let fresh_rows = space.points().gather(&fresh);
         let mark_stats: Vec<KernelStats> = cluster.map_mut(&mut machines, |_, st| {
             let mut s = KernelStats::default();
-            st.mark(space, tau, &fresh, &mut s);
+            st.mark(tau, &fresh_rows, &mut s);
             s
         });
         for s in &mark_stats {
@@ -323,7 +444,7 @@ pub fn grid_k_bounded_mis(
 /// `KCenterRungs` of the all-pairs engine).
 struct GridRungs<'a> {
     space: &'a EuclideanSpace,
-    local_sets: &'a [Vec<u32>],
+    shards: &'a [Shard<'a>],
     r: f64,
     k: usize,
     params: &'a Params,
@@ -340,10 +461,10 @@ impl RungEval for GridRungs<'_> {
     type Rung = Vec<u32>;
 
     fn eval(&mut self, cluster: &mut Cluster, i: usize) -> Vec<u32> {
-        grid_k_bounded_mis(
+        grid_rung(
             cluster,
             self.space,
-            self.local_sets,
+            self.shards,
             self.tau(i),
             self.k + 1,
             &mut self.stats,
@@ -390,8 +511,9 @@ pub fn mpc_kcenter_grid_on(
     cluster.ship_shards("setup/shards", &local_sets, space.point_weight());
 
     let coarse_started = Instant::now();
-    let (q, _) = gmm_coreset(cluster, &space, &local_sets, k);
-    let r = covering_radius(cluster, space, &local_sets, &q);
+    let shards = gather_shards(cluster, space, &local_sets);
+    let (q, _) = coreset_with(cluster, space, &shards, k, |shard| shard.gmm(k));
+    let r = shard_covering_radius(cluster, space, &shards, &q);
     let coarse_s = coarse_started.elapsed().as_secs_f64();
 
     if q.len() < k || r <= 0.0 {
@@ -412,7 +534,7 @@ pub fn mpc_kcenter_grid_on(
     let t = params.ladder_len(4.0, 1);
     let mut rungs = GridRungs {
         space,
-        local_sets: &local_sets,
+        shards: &shards,
         r,
         k,
         params,
@@ -431,7 +553,7 @@ pub fn mpc_kcenter_grid_on(
     let finalize_started = Instant::now();
     let centers_raw = search.take(boundary).expect("boundary was evaluated");
     debug_assert!(centers_raw.len() <= k);
-    let radius = covering_radius(cluster, space, &local_sets, &centers_raw);
+    let radius = shard_covering_radius(cluster, space, &shards, &centers_raw);
     let mut telemetry = Telemetry::from_ledger(cluster.ledger());
     telemetry.phases = PhaseTimes {
         coarse_s,
@@ -556,7 +678,26 @@ mod tests {
             Some(KCenterEngine::AllPairs)
         );
         assert_eq!(KCenterEngine::parse("quantum"), None);
+        assert_eq!(KCenterEngine::parse("auto"), None, "a rule, not an engine");
         assert_eq!(KCenterEngine::default(), KCenterEngine::AllPairs);
         assert_eq!(KCenterEngine::Grid.name(), "grid");
+    }
+
+    #[test]
+    fn engine_env_values_parse_or_fail_loudly() {
+        use EngineChoice::{Auto, Fixed};
+        let ok = |raw| EngineChoice::parse_env(raw).unwrap();
+        assert_eq!(ok(None), Fixed(KCenterEngine::AllPairs));
+        assert_eq!(ok(Some("allpairs")), Fixed(KCenterEngine::AllPairs));
+        assert_eq!(ok(Some("all-pairs")), Fixed(KCenterEngine::AllPairs));
+        assert_eq!(ok(Some("grid")), Fixed(KCenterEngine::Grid));
+        assert_eq!(ok(Some("auto")), Auto);
+        assert_eq!(ok(Some("  grid\n")), Fixed(KCenterEngine::Grid));
+        assert_eq!(ok(Some("\tauto ")), Auto);
+        for bad in ["gird", "Grid", "", "  ", "all pairs", "grid,auto"] {
+            let err = EngineChoice::parse_env(Some(bad)).unwrap_err();
+            assert!(err.contains("allpairs|grid|auto"), "{bad:?}: {err}");
+            assert!(err.contains(&format!("{bad:?}")), "{bad:?}: {err}");
+        }
     }
 }

@@ -314,29 +314,41 @@ impl EuclideanSpace {
     /// comparisons are needed. (Note: squared L2 is *not* itself a metric.)
     #[inline]
     pub fn dist_sq(&self, i: PointId, j: PointId) -> f64 {
-        let a = self.points.coords(i);
-        let b = self.points.coords(j);
-        // Simple indexed loop: auto-vectorizes for the common small dims.
-        let mut acc = 0.0;
-        for d in 0..a.len() {
-            let t = a[d] - b[d];
-            acc += t * t;
-        }
-        acc
+        Self::row_dist_sq(self.points.coords(i), self.points.coords(j))
     }
 
-    /// Exact squared distance between two raw rows — the same
-    /// floating-point evaluation as [`EuclideanSpace::dist_sq`]: the whole
-    /// exact oracle, and the re-decide for pairs the f32 estimate can't
-    /// classify.
+    /// Exact squared distance between two raw rows — the one
+    /// floating-point evaluation behind [`EuclideanSpace::dist_sq`], the
+    /// whole exact oracle, and the re-decide for pairs the f32 estimate
+    /// can't classify.
     #[inline]
-    fn row_dist_sq(a: &[f64], b: &[f64]) -> f64 {
+    pub fn row_dist_sq(a: &[f64], b: &[f64]) -> f64 {
         let mut acc = 0.0;
         for (x, y) in a.iter().zip(b) {
             let t = x - y;
             acc += t * t;
         }
         acc
+    }
+
+    /// Exact distance between two raw rows: bit-for-bit what
+    /// [`MetricSpace::dist`] returns for two stored points with these
+    /// coordinates, for callers that hold rows of their own (a machine's
+    /// gathered shard, a broadcast center block).
+    #[inline]
+    pub fn row_dist(a: &[f64], b: &[f64]) -> f64 {
+        Self::row_dist_sq(a, b).sqrt()
+    }
+
+    /// `min_b d(a, b)` over `rows`, by [`MetricSpace::dist_to_set`]'s
+    /// fold: the minimum of the squared distances, then one `sqrt`.
+    /// `f64::INFINITY` when `rows` is empty.
+    #[inline]
+    pub fn row_dist_to_rows<'r>(a: &[f64], rows: impl IntoIterator<Item = &'r [f64]>) -> f64 {
+        rows.into_iter()
+            .map(|b| Self::row_dist_sq(a, b))
+            .fold(f64::INFINITY, f64::min)
+            .sqrt()
     }
 
     /// Tiled multi-query threshold scan: for each query in `qs`, decides
@@ -542,7 +554,7 @@ impl MetricSpace for EuclideanSpace {
 
     #[inline]
     fn dist(&self, i: PointId, j: PointId) -> f64 {
-        self.dist_sq(i, j).sqrt()
+        Self::row_dist(self.points.coords(i), self.points.coords(j))
     }
 
     fn point_weight(&self) -> u64 {
@@ -827,7 +839,7 @@ impl MetricSpace for EuclideanSpace {
                 .iter()
                 .map(|&c| {
                     let b = &data[c as usize * dim..c as usize * dim + dim];
-                    Self::row_dist_sq(a, b).sqrt()
+                    Self::row_dist(a, b)
                 })
                 .collect()
         };
@@ -843,7 +855,7 @@ impl MetricSpace for EuclideanSpace {
         } else {
             out.extend(candidates.iter().map(|&c| {
                 let b = &data[c as usize * dim..c as usize * dim + dim];
-                Self::row_dist_sq(a, b).sqrt()
+                Self::row_dist(a, b)
             }));
         }
     }
@@ -854,19 +866,14 @@ impl MetricSpace for EuclideanSpace {
     /// square roots bit-for-bit — same result as the default per-pair fold,
     /// with |S| − 1 fewer square roots and no `PointId` indirection.
     fn dist_to_set(&self, p: PointId, set: &[PointId]) -> f64 {
-        if set.is_empty() {
-            return f64::INFINITY;
-        }
         let dim = self.points.dim();
         let data = self.points.raw();
         let a = &data[p.idx() * dim..(p.idx() + 1) * dim];
-        set.iter()
-            .map(|s| {
-                let b = &data[s.idx() * dim..s.idx() * dim + dim];
-                Self::row_dist_sq(a, b)
-            })
-            .fold(f64::INFINITY, f64::min)
-            .sqrt()
+        Self::row_dist_to_rows(
+            a,
+            set.iter()
+                .map(|s| &data[s.idx() * dim..s.idx() * dim + dim]),
+        )
     }
 
     /// Snapshot of the cumulative fast-path kernel tallies (pairs routed

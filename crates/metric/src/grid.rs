@@ -22,18 +22,22 @@
 //!
 //! ## Deterministic parallel build
 //!
-//! Construction is a bucket sort of `(cell key, point id)` pairs: fixed
-//! size chunks of the member list are keyed and sorted on the worker pool
-//! (the chunk split is a function of the member count only — see
-//! [`crate::space::par_chunk_size`]), then the sorted runs are merged
-//! sequentially. Every step is independent of the thread count, so the
-//! index — like every other structure in this codebase — is bit-identical
-//! across `KCENTER_THREADS` settings.
+//! Construction is a bucket sort of `(cell key, point id, input position)`
+//! entries: fixed size chunks of the member list are keyed and sorted on
+//! the worker pool (the chunk split is a function of the member count
+//! only — see [`crate::space::par_chunk_size`]), then the sorted runs are
+//! merged sequentially. Every step is independent of the thread count, so
+//! the index — like every other structure in this codebase — is
+//! bit-identical across `KCENTER_THREADS` settings.
 
 use rayon::prelude::*;
 
 use crate::point::PointSet;
 use crate::space;
+
+/// Largest dimension a [`GridIndex`] packs: each axis needs at least one
+/// of the key's 64 bits. It also sizes the stencil's stack counters.
+pub const MAX_DIM: usize = 64;
 
 /// Tallies of one stencil scan: how many cells were looked up and how many
 /// member points they surfaced (the pairs the caller then checks exactly).
@@ -71,13 +75,18 @@ impl GridIndex {
     /// Builds the index over `members` (distinct ids into `points`) with
     /// cell side `side`. Deterministic at every thread count.
     ///
-    /// Panics if `side` is not a positive finite number.
+    /// Panics if `side` is not a positive finite number, or if the points
+    /// have more than [`MAX_DIM`] dimensions.
     pub fn build(points: &PointSet, members: &[u32], side: f64) -> Self {
         assert!(
             side.is_finite() && side > 0.0,
             "grid cell side must be positive and finite, got {side}"
         );
         let dim = points.dim().max(1);
+        assert!(
+            dim <= MAX_DIM,
+            "grid index supports at most {MAX_DIM} dimensions, got {dim}"
+        );
         let bits = ((64 / dim) as u32).clamp(1, 63);
         let mask = (1u64 << bits) - 1;
         let n = members.len();
@@ -105,55 +114,53 @@ impl GridIndex {
         };
 
         // Bucket sort: key every member, sort fixed chunks on the pool,
-        // merge the ≤ MAX_CHUNKS sorted runs sequentially.
-        let key_chunk = |chunk: &[u32]| -> Vec<(u64, u32)> {
-            let mut run: Vec<(u64, u32)> = chunk
+        // merge the ≤ MAX_CHUNKS sorted runs sequentially. Each entry
+        // carries its member's input position, so the slot map falls out
+        // of the merged order without an id-indexed table. Ids are
+        // distinct, so the position never breaks a tie.
+        let key_chunk = |offset: usize, chunk: &[u32]| -> Vec<Entry> {
+            let mut run: Vec<Entry> = chunk
                 .iter()
-                .map(|&id| {
+                .enumerate()
+                .map(|(i, &id)| {
                     (
                         pack_key(points.raw(), dim, id, &origin, side, bits, mask),
                         id,
+                        (offset + i) as u32,
                     )
                 })
                 .collect();
             run.sort_unstable();
             run
         };
-        let runs: Vec<Vec<(u64, u32)>> = if space::par_bulk(n) {
+        let runs: Vec<Vec<Entry>> = if space::par_bulk(n) {
+            let size = space::par_chunk_size(n);
             members
-                .par_chunks(space::par_chunk_size(n))
-                .map(key_chunk)
+                .par_chunks(size)
+                .enumerate()
+                .map(|(c, chunk)| key_chunk(c * size, chunk))
                 .collect()
         } else if n == 0 {
             Vec::new()
         } else {
-            vec![key_chunk(members)]
+            vec![key_chunk(0, members)]
         };
         let sorted = merge_runs(runs, n);
 
-        // CSR over the sorted (key, id) pairs + the input-order slot map.
+        // CSR over the sorted entries + the input-order slot map.
         let mut keys = Vec::new();
         let mut starts = Vec::with_capacity(16);
         let mut ids = Vec::with_capacity(n);
-        for (i, &(key, id)) in sorted.iter().enumerate() {
-            if i == 0 || keys.last() != Some(&key) {
+        let mut slots = vec![0u32; n];
+        for (slot, &(key, id, pos)) in sorted.iter().enumerate() {
+            if slot == 0 || keys.last() != Some(&key) {
                 keys.push(key);
-                starts.push(i as u32);
+                starts.push(slot as u32);
             }
             ids.push(id);
+            slots[pos as usize] = slot as u32;
         }
         starts.push(n as u32);
-        let mut slots = vec![0u32; n];
-        // Input members are distinct, so id → input position is injective;
-        // invert through a dense id-indexed table (ids are bounded by the
-        // point count, so this stays O(n) and allocation-cheap).
-        let mut pos_of = vec![u32::MAX; points.len().max(1)];
-        for (i, &id) in members.iter().enumerate() {
-            pos_of[id as usize] = i as u32;
-        }
-        for (slot, &id) in ids.iter().enumerate() {
-            slots[pos_of[id as usize] as usize] = slot as u32;
-        }
 
         Self {
             dim,
@@ -217,12 +224,13 @@ impl GridIndex {
     /// with an exact distance check.
     pub fn stencil<F: FnMut(usize, u32)>(&self, coords: &[f64], mut visit: F) -> GridScan {
         debug_assert_eq!(coords.len(), self.dim);
-        let base: Vec<u64> = (0..self.dim)
-            .map(|a| axis_cell(coords[a], self.origin[a], self.side))
-            .collect();
+        let mut base = [0u64; MAX_DIM];
+        for (a, b) in base[..self.dim].iter_mut().enumerate() {
+            *b = axis_cell(coords[a], self.origin[a], self.side);
+        }
         let mut scan = GridScan::default();
         // Mixed-radix counter over the 3^d per-axis offsets {-1, 0, +1}.
-        let mut offs = vec![0u8; self.dim];
+        let mut offs = [0u8; MAX_DIM];
         loop {
             let mut key = 0u64;
             for a in 0..self.dim {
@@ -306,16 +314,19 @@ fn pack_key(
     key
 }
 
-/// Sequential k-way merge of sorted `(key, id)` runs via a tournament over
+/// One bucket-sort entry: `(cell key, member id, input position)`.
+type Entry = (u64, u32, u32);
+
+/// Sequential k-way merge of sorted [`Entry`] runs via a tournament over
 /// run heads — O(n log runs), deterministic by construction.
-fn merge_runs(runs: Vec<Vec<(u64, u32)>>, n: usize) -> Vec<(u64, u32)> {
+fn merge_runs(runs: Vec<Vec<Entry>>, n: usize) -> Vec<Entry> {
     if runs.len() <= 1 {
         return runs.into_iter().next().unwrap_or_default();
     }
     let mut heads: Vec<usize> = vec![0; runs.len()];
     let mut out = Vec::with_capacity(n);
     // A binary heap keyed by (entry, run index) keeps ties deterministic;
-    // ids are distinct so (key, id) never actually ties.
+    // ids are distinct so entries never actually tie.
     let mut heap = std::collections::BinaryHeap::with_capacity(runs.len());
     for (r, run) in runs.iter().enumerate() {
         if let Some(&e) = run.first() {
@@ -374,14 +385,26 @@ mod tests {
     fn build_is_thread_count_invariant() {
         let n = 6000; // above PAR_MIN_BULK so the parallel path engages
         let points = datasets::gaussian_clusters(n, 3, 5, 0.05, 3);
-        let members: Vec<u32> = (0..n as u32).collect();
-        let reference = with_threads(1, || GridIndex::build(&points, &members, 0.1));
-        for threads in [2usize, 8] {
-            let g = with_threads(threads, || GridIndex::build(&points, &members, 0.1));
-            assert_eq!(g.keys, reference.keys, "t={threads}");
-            assert_eq!(g.starts, reference.starts, "t={threads}");
-            assert_eq!(g.ids, reference.ids, "t={threads}");
-            assert_eq!(g.slots, reference.slots, "t={threads}");
+        let ascending: Vec<u32> = (0..n as u32).collect();
+        let descending: Vec<u32> = ascending.iter().rev().copied().collect();
+        // A scrambled order (multiplication by a unit mod n) and a sparse
+        // subset out of id order: positions and ids disagree everywhere.
+        let scrambled: Vec<u32> = (0..n as u64)
+            .map(|i| (i * 2423 % n as u64) as u32)
+            .collect();
+        let sparse: Vec<u32> = scrambled.iter().copied().filter(|id| id % 3 != 0).collect();
+        for members in [&ascending, &descending, &scrambled, &sparse] {
+            let reference = with_threads(1, || GridIndex::build(&points, members, 0.1));
+            for (i, &id) in members.iter().enumerate() {
+                assert_eq!(reference.member(reference.slot_of(i)), id);
+            }
+            for threads in [2usize, 8] {
+                let g = with_threads(threads, || GridIndex::build(&points, members, 0.1));
+                assert_eq!(g.keys, reference.keys, "t={threads}");
+                assert_eq!(g.starts, reference.starts, "t={threads}");
+                assert_eq!(g.ids, reference.ids, "t={threads}");
+                assert_eq!(g.slots, reference.slots, "t={threads}");
+            }
         }
     }
 
@@ -398,15 +421,18 @@ mod tests {
     #[test]
     fn cells_group_by_key_with_ascending_ids() {
         let points = datasets::uniform_cube(500, 2, 9);
-        let members: Vec<u32> = (0..500u32).collect();
-        let grid = GridIndex::build(&points, &members, 0.2);
-        assert!(grid.keys.windows(2).all(|w| w[0] < w[1]));
-        for ci in 0..grid.n_cells() {
-            let cell = &grid.ids[grid.starts[ci] as usize..grid.starts[ci + 1] as usize];
-            assert!(cell.windows(2).all(|w| w[0] < w[1]));
+        let ascending: Vec<u32> = (0..500u32).collect();
+        let descending: Vec<u32> = (0..500u32).rev().collect();
+        for members in [ascending, descending] {
+            let grid = GridIndex::build(&points, &members, 0.2);
+            assert!(grid.keys.windows(2).all(|w| w[0] < w[1]));
+            for ci in 0..grid.n_cells() {
+                let cell = &grid.ids[grid.starts[ci] as usize..grid.starts[ci + 1] as usize];
+                assert!(cell.windows(2).all(|w| w[0] < w[1]));
+            }
+            assert_eq!(grid.len(), 500);
+            assert!(grid.memory_words() > 0);
         }
-        assert_eq!(grid.len(), 500);
-        assert!(grid.memory_words() > 0);
     }
 
     #[test]
@@ -433,6 +459,13 @@ mod tests {
         let scan = grid.stencil(&[0.5, 0.5], |_, _| panic!("no members"));
         assert_eq!(scan.points, 0);
         assert_eq!(scan.cells, 9);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 dimensions")]
+    fn rejects_dimensions_past_the_key_budget() {
+        let points = datasets::uniform_cube(4, MAX_DIM + 1, 1);
+        GridIndex::build(&points, &[0, 1], 1.0);
     }
 
     #[test]

@@ -126,6 +126,19 @@ impl PointSet {
     pub fn raw(&self) -> &[f64] {
         &self.data
     }
+
+    /// The rows of `ids`, in that order, as a new contiguous set: row `j`
+    /// of the result is point `ids[j]`. Coordinates are copied bit for bit.
+    pub fn gather(&self, ids: &[u32]) -> PointSet {
+        let mut data = Vec::with_capacity(ids.len() * self.dim);
+        for &id in ids {
+            data.extend_from_slice(self.coords(PointId(id)));
+        }
+        Self {
+            data,
+            dim: self.dim,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -151,6 +164,16 @@ mod tests {
         assert_eq!(b, PointId(1));
         assert_eq!(ps.len(), 2);
         assert_eq!(ps.coords(b), &[1.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn gather_copies_rows_in_id_order() {
+        let ps = PointSet::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]);
+        let g = ps.gather(&[2, 0]);
+        assert_eq!(g.len(), 2);
+        assert_eq!(g.coords(PointId(0)), ps.coords(PointId(2)));
+        assert_eq!(g.coords(PointId(1)), ps.coords(PointId(0)));
+        assert!(ps.gather(&[]).is_empty());
     }
 
     #[test]

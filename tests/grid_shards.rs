@@ -1,0 +1,251 @@
+//! Shard parity for the grid k-center engine: `mpc_kcenter_grid_on`
+//! gathers each machine's rows into contiguous storage of its own and runs
+//! the coreset GMM, the covering radius and every rung there. This suite
+//! rebuilds the same pipeline from the public pieces that read the
+//! caller's global space by id — `gmm_coreset`, `covering_radius`, and a
+//! `LadderSearch` over `grid_k_bounded_mis` — and requires the two to
+//! agree bit for bit: centers, radius bits, boundary rung, rounds, total
+//! words, peak memory, the ledger transcript and the grid work counters.
+//!
+//! A shard whose rows do not line up with its member list (row `j` not
+//! holding point `local_sets[i][j]`) changes the coreset, the radius or a
+//! rung on these inputs, so any such slip fails here.
+
+use mpc_clustering::core::common::{covering_radius, gmm_coreset};
+use mpc_clustering::core::grid::{grid_k_bounded_mis, mpc_kcenter_grid_on};
+use mpc_clustering::core::ladder::{BoundaryMode, LadderSearch, RungEval};
+use mpc_clustering::core::{Params, PartitionStrategy};
+use mpc_clustering::metric::{
+    datasets, EuclideanSpace, KernelStats, MetricSpace, PointId, PointSet,
+};
+use mpc_clustering::sim::{Cluster, Ledger};
+use rayon::with_threads;
+
+const THREADS: [usize; 3] = [1, 2, 8];
+
+const PARTITIONS: [PartitionStrategy; 4] = [
+    PartitionStrategy::RoundRobin,
+    PartitionStrategy::Contiguous,
+    PartitionStrategy::Random,
+    PartitionStrategy::Skewed(1.5),
+];
+
+/// FNV-1a over every round's label and per-machine sent/received words.
+fn ledger_fnv(ledger: &Ledger) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for r in ledger.records() {
+        eat(r.label.as_bytes());
+        for io in &r.per_machine {
+            eat(&io.sent.to_le_bytes());
+            eat(&io.received.to_le_bytes());
+        }
+    }
+    h
+}
+
+/// Everything one solve must reproduce.
+#[derive(Debug, PartialEq, Eq)]
+struct Digest {
+    centers: Vec<PointId>,
+    radius_bits: u64,
+    boundary: usize,
+    rounds: u64,
+    total_words: u64,
+    peak_memory: u64,
+    ledger_fnv: u64,
+    grid_cells: u64,
+    grid_stencil_cells: u64,
+    grid_pairs: u64,
+}
+
+fn digest(
+    centers: Vec<PointId>,
+    radius: f64,
+    boundary: usize,
+    ledger: &Ledger,
+    grid: &KernelStats,
+) -> Digest {
+    Digest {
+        centers,
+        radius_bits: radius.to_bits(),
+        boundary,
+        rounds: ledger.rounds(),
+        total_words: ledger.total_words(),
+        peak_memory: ledger.max_machine_memory(),
+        ledger_fnv: ledger_fnv(ledger),
+        grid_cells: grid.grid_cells,
+        grid_stencil_cells: grid.grid_stencil_cells,
+        grid_pairs: grid.grid_pairs,
+    }
+}
+
+/// The engine under test.
+fn sharded(space: &EuclideanSpace, k: usize, params: &Params) -> Digest {
+    let mut cluster = Cluster::new(params.m, params.seed);
+    let res = mpc_kcenter_grid_on(&mut cluster, space, k, params);
+    let grid = res.telemetry.kernels.unwrap_or_default();
+    digest(
+        res.centers,
+        res.radius,
+        res.boundary_index,
+        cluster.ledger(),
+        &grid,
+    )
+}
+
+/// Grid rungs over the global space, one `grid_k_bounded_mis` each.
+struct GlobalRungs<'a> {
+    space: &'a EuclideanSpace,
+    local_sets: &'a [Vec<u32>],
+    r: f64,
+    k: usize,
+    epsilon: f64,
+    stats: KernelStats,
+}
+
+impl RungEval for GlobalRungs<'_> {
+    type Rung = Vec<u32>;
+
+    fn eval(&mut self, cluster: &mut Cluster, i: usize) -> Vec<u32> {
+        let tau = self.r / (1.0 + self.epsilon).powi(i as i32);
+        grid_k_bounded_mis(
+            cluster,
+            self.space,
+            self.local_sets,
+            tau,
+            self.k + 1,
+            &mut self.stats,
+        )
+    }
+
+    fn accept(&self, _i: usize, rung: &Vec<u32>) -> bool {
+        rung.len() <= self.k
+    }
+}
+
+/// Algorithm 5 with grid rungs, recomposed from the global-space helpers
+/// in the engine's collective order.
+fn recomposed(space: &EuclideanSpace, k: usize, params: &Params) -> Digest {
+    let mut cluster = Cluster::new(params.m, params.seed);
+    let partition = params.partition.build(space.n(), params.m, params.seed);
+    let local_sets = partition.all_items().to_vec();
+    let input_words: Vec<u64> = local_sets
+        .iter()
+        .map(|s| s.len() as u64 * space.point_weight())
+        .collect();
+    cluster.note_memory_all(&input_words);
+    cluster.ship_shards("setup/shards", &local_sets, space.point_weight());
+
+    let (q, _) = gmm_coreset(&mut cluster, space, &local_sets, k);
+    let r = covering_radius(&mut cluster, space, &local_sets, &q);
+    let ids = |set: &[u32]| set.iter().map(|&v| PointId(v)).collect::<Vec<_>>();
+    if q.len() < k || r <= 0.0 {
+        let grid = KernelStats::default();
+        return digest(ids(&q), r.max(0.0), 0, cluster.ledger(), &grid);
+    }
+
+    let mut rungs = GlobalRungs {
+        space,
+        local_sets: &local_sets,
+        r,
+        k,
+        epsilon: params.epsilon,
+        stats: KernelStats::default(),
+    };
+    let mut search = LadderSearch::new(params.ladder_len(4.0, 1));
+    search.seed(0, q);
+    let boundary = search.search(
+        &mut cluster,
+        &mut rungs,
+        BoundaryMode::LastAccept,
+        params.boundary_search,
+    );
+    let centers = search.take(boundary).expect("boundary was evaluated");
+    let radius = covering_radius(&mut cluster, space, &local_sets, &centers);
+    digest(
+        ids(&centers),
+        radius,
+        boundary,
+        cluster.ledger(),
+        &rungs.stats,
+    )
+}
+
+/// Checks parity at every thread count and returns the reference.
+fn assert_parity(space: &EuclideanSpace, k: usize, params: &Params, what: &str) -> Digest {
+    let reference = with_threads(1, || recomposed(space, k, params));
+    for threads in THREADS {
+        let got = with_threads(threads, || sharded(space, k, params));
+        assert_eq!(got, reference, "{what} t={threads}");
+    }
+    reference
+}
+
+#[test]
+fn every_partition_matches_the_global_recomposition() {
+    let space = EuclideanSpace::new(datasets::user_embeddings(1200, 3, 6, 0.03, 1e-3, 17));
+    for partition in PARTITIONS {
+        let mut params = Params::practical(6, 0.1, 17);
+        params.partition = partition;
+        let d = assert_parity(&space, 6, &params, &format!("{partition:?}"));
+        assert!(d.grid_cells > 0, "the ladder must run grid rungs");
+    }
+}
+
+/// Machines above the GMM and grid-build parallel thresholds, so the
+/// shard paths fan out across the pool inside one machine too.
+#[test]
+fn large_machines_match_the_global_recomposition() {
+    let space = EuclideanSpace::new(datasets::gaussian_clusters(9000, 2, 8, 0.05, 5));
+    for partition in [PartitionStrategy::RoundRobin, PartitionStrategy::Random] {
+        let mut params = Params::practical(2, 0.2, 5);
+        params.partition = partition;
+        let d = assert_parity(&space, 8, &params, &format!("{partition:?}"));
+        assert!(d.grid_cells > 0, "the ladder must run grid rungs");
+    }
+}
+
+#[test]
+fn empty_machines_match_the_global_recomposition() {
+    // n < m: most machines hold nothing, so their shards are empty.
+    let space = EuclideanSpace::new(datasets::uniform_cube(5, 2, 3));
+    for partition in PARTITIONS {
+        let mut params = Params::practical(8, 0.1, 3);
+        params.partition = partition;
+        assert_parity(&space, 2, &params, &format!("n<m {partition:?}"));
+    }
+}
+
+#[test]
+fn duplicate_heavy_input_matches_the_global_recomposition() {
+    // 600 points on 12 distinct locations: GMM ties and zero distances
+    // everywhere, and stencil cells holding dozens of coincident points.
+    let rows: Vec<Vec<f64>> = (0..600)
+        .map(|i| {
+            let s = (i * 7 % 12) as f64;
+            vec![s, (s * 0.37).sin(), (s * 1.3) % 2.0]
+        })
+        .collect();
+    let space = EuclideanSpace::new(PointSet::from_rows(&rows));
+    for partition in PARTITIONS {
+        let mut params = Params::practical(5, 0.1, 11);
+        params.partition = partition;
+        let d = assert_parity(&space, 4, &params, &format!("dups k=4 {partition:?}"));
+        assert!(
+            d.grid_cells > 0,
+            "k below the distinct count runs the ladder"
+        );
+        let d = assert_parity(&space, 12, &params, &format!("dups k=12 {partition:?}"));
+        assert_eq!(
+            d.radius_bits,
+            0f64.to_bits(),
+            "k = distinct count covers exactly"
+        );
+    }
+}
