@@ -6,10 +6,14 @@
 //!   index (per-insert cost is O(coreset_k) distance evals; no rebuilds
 //!   on this path).
 //! * `serving/query-warm/kmix` — one k-center + k-diversity pair against
-//!   a live snapshot whose memo and answer caches are hot (the steady
-//!   high-QPS state; mixed `k` keeps the answer cache from trivializing
-//!   it, matching `examples/serving_diversification.rs`). Criterion's
-//!   sample distribution over this id is the query p50/p95 record.
+//!   a live snapshot whose per-`k` answer caches are hot (the steady
+//!   high-QPS state, matching `examples/serving_diversification.rs`).
+//!   Every `k` it asks for is primed, so it times the answer-cache lookup
+//!   (~60 ns), never a ladder walk.
+//! * `serving/query-cold/k2-16` — the ladder cost the warm id cannot see:
+//!   absorb a 2% burst, take a fresh snapshot, and serve `kcenter(k)` +
+//!   `kdiversity(k)` for every k = 2..16, each one a full τ-ladder walk
+//!   over the coreset union.
 //! * `serving/refresh/incremental` vs `serving/refresh/batch` — the
 //!   coreset-merge path. Both arms run the *identical* per-iteration
 //!   work on a long-lived index (absorb a 2% burst, snapshot, serve one
@@ -68,8 +72,8 @@ fn bench_serving(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("query-warm", "kmix"), |b| {
         let mut index = filled_index(&points, N);
         let mut snap = index.snapshot();
-        // Prime memo + caches once; iterations then measure the steady
-        // high-QPS state (cache hits plus occasional re-walks).
+        // Prime the answer caches once; iterations then measure the
+        // steady high-QPS state, which is all cache hits.
         for k in 2..11 {
             snap.kcenter(k);
             snap.kdiversity(k);
@@ -82,6 +86,20 @@ fn bench_serving(c: &mut Criterion) {
                 let kc = snap.kcenter(k);
                 let kd = snap.kdiversity(k);
                 kc.radius.to_bits() ^ kd.diversity.to_bits()
+            })
+        })
+    });
+
+    group.bench_function(BenchmarkId::new("query-cold", "k2-16"), |b| {
+        let mut index = filled_index(&points, N);
+        let mut cursor = 0u32;
+        b.iter(|| {
+            with_threads(1, || {
+                absorb_burst(&mut index, &points, &mut cursor, N / 50);
+                let mut snap = index.snapshot();
+                (2..=16).fold(0u64, |acc, k| {
+                    acc ^ snap.kcenter(k).radius.to_bits() ^ snap.kdiversity(k).diversity.to_bits()
+                })
             })
         })
     });

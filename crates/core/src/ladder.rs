@@ -8,8 +8,8 @@
 //! ([`BoundarySearch`]). Before this module the three algorithms each
 //! carried their own copy of the cache-vector + eval-closure + probe-loop
 //! driver; [`LadderSearch`] is that driver extracted once, so rung
-//! caching, probe accounting, and the memo pre-warm hook
-//! ([`RungEval::prewarm`], used by serving's memoized ladders) are shared.
+//! caching, probe accounting, and the pre-warm hook
+//! ([`RungEval::prewarm`]) are shared.
 //!
 //! The probe schedules are bit-compatible with the loops they replaced:
 //! for a given mode, strategy, and accept sequence, the same rungs are
@@ -62,11 +62,13 @@ pub trait RungEval {
 
     /// Called once, before the first probe, with every rung index the
     /// schedule could still evaluate (at least two, else the hook is
-    /// skipped). Ladders over a [`crate::memo::MemoizedSpace`] use it to
-    /// register the rung thresholds with
-    /// [`crate::memo::MemoizedSpace::prewarm_taus`] so sorted companion
-    /// rows are retrofitted onto already-cached rows. Purely a
-    /// local-compute hint; must not touch the cluster.
+    /// skipped). Purely a local-compute hint; must not touch the cluster.
+    ///
+    /// No library ladder implements it: the batch drivers and the serving
+    /// snapshots run their rungs on the metric's own threshold kernels.
+    /// The one implementor left is the end-to-end benchmark's trace
+    /// recomposition, which registers its rung thresholds with
+    /// [`crate::memo::MemoizedSpace::prewarm_taus`] on a memoized space.
     fn prewarm(&mut self, _reachable: &[usize]) {}
 }
 

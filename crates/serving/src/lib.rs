@@ -23,10 +23,10 @@
 //!   and the global slack `δ = max_i slack_i` (every indexed point is
 //!   within `δ` of `U`), then serves queries with the same descending /
 //!   ascending τ-ladders as Algorithms 5 and 2 — [`LadderSearch`] +
-//!   `k_bounded_mis` over a **single warm [`MemoizedSpace`]** shared by
-//!   every query on the snapshot, so repeat queries re-probe sorted
-//!   distance rows instead of recomputing distances. Per-`k` answers are
-//!   cached.
+//!   `k_bounded_mis` straight on the indexed [`EuclideanSpace`], so each
+//!   rung runs on the metric's own threshold kernels (the f32 SoA
+//!   classifier at d ≥ 16), as the batch drivers do. Per-`k` answers are
+//!   cached on the snapshot.
 //!
 //! Guarantees served with each answer (`U ⊆ P`, so both are certified by
 //! the composable-coreset argument):
@@ -49,7 +49,6 @@ use mpc_core::gmm::gmm;
 use mpc_core::grid::grid_k_bounded_mis;
 use mpc_core::kbmis::k_bounded_mis;
 use mpc_core::ladder::{BoundaryMode, LadderSearch, RungEval};
-use mpc_core::memo::MemoizedSpace;
 use mpc_core::{KCenterEngine, Params};
 use mpc_metric::{
     dist_point_to_set, min_pairwise_distance, EuclideanSpace, KernelStats, MetricSpace, PointId,
@@ -276,8 +275,8 @@ impl DiversityIndex {
     }
 
     /// Freezes a queryable view: lazily rebuilds stale shards, merges the
-    /// shard coresets, and hands out a [`Snapshot`] whose warm
-    /// [`MemoizedSpace`] is shared by every query made on it.
+    /// shard coresets, and hands out a [`Snapshot`] whose per-`k` answer
+    /// caches are shared by every query made on it.
     pub fn snapshot(&mut self) -> Snapshot<'_> {
         for s in 0..self.shards.len() {
             if self.shards[s].stale(self.params.max_pending_frac) {
@@ -299,7 +298,6 @@ impl DiversityIndex {
         let params = Params::practical(1, self.params.epsilon, self.params.seed);
         Snapshot {
             space: &self.space,
-            memo: MemoizedSpace::new(&self.space),
             cluster: Cluster::new(1, self.params.seed),
             local_sets: vec![union.clone()],
             union,
@@ -348,8 +346,8 @@ pub struct ServedDiversity {
 /// Descending k-center ladder over the coreset union — rung `i` is the
 /// (k+1)-bounded MIS at `τ_i = r/(1+ε)^i`, exactly Algorithm 5's ladder
 /// with the union playing the role of `V`.
-struct UnionKCenterRungs<'s, 'a> {
-    memo: &'s MemoizedSpace<'a, EuclideanSpace>,
+struct UnionKCenterRungs<'s> {
+    space: &'s EuclideanSpace,
     local_sets: &'s [Vec<u32>],
     r: f64,
     k: usize,
@@ -357,19 +355,19 @@ struct UnionKCenterRungs<'s, 'a> {
     params: &'s Params,
 }
 
-impl UnionKCenterRungs<'_, '_> {
+impl UnionKCenterRungs<'_> {
     fn tau(&self, i: usize) -> f64 {
         self.r / (1.0 + self.params.epsilon).powi(i as i32)
     }
 }
 
-impl RungEval for UnionKCenterRungs<'_, '_> {
+impl RungEval for UnionKCenterRungs<'_> {
     type Rung = Vec<u32>;
 
     fn eval(&mut self, cluster: &mut Cluster, i: usize) -> Vec<u32> {
         k_bounded_mis(
             cluster,
-            self.memo,
+            self.space,
             self.local_sets,
             self.tau(i),
             self.k + 1,
@@ -383,19 +381,13 @@ impl RungEval for UnionKCenterRungs<'_, '_> {
     fn accept(&self, _i: usize, rung: &Vec<u32>) -> bool {
         rung.len() <= self.k
     }
-
-    fn prewarm(&mut self, reachable: &[usize]) {
-        let taus: Vec<f64> = reachable.iter().map(|&i| self.tau(i)).collect();
-        self.memo.prewarm_taus(&taus);
-    }
 }
 
 /// The same descending ladder answered by the grid engine
 /// ([`grid_k_bounded_mis`]): per-rung τ-grids over the union instead of
-/// memoized all-pairs scans. Selected via `KCENTER_ENGINE` at snapshot
-/// time.
-struct UnionGridRungs<'s, 'a> {
-    space: &'a EuclideanSpace,
+/// all-pairs scans. Selected via `KCENTER_ENGINE` at snapshot time.
+struct UnionGridRungs<'s> {
+    space: &'s EuclideanSpace,
     local_sets: &'s [Vec<u32>],
     r: f64,
     k: usize,
@@ -403,13 +395,13 @@ struct UnionGridRungs<'s, 'a> {
     stats: KernelStats,
 }
 
-impl UnionGridRungs<'_, '_> {
+impl UnionGridRungs<'_> {
     fn tau(&self, i: usize) -> f64 {
         self.r / (1.0 + self.params.epsilon).powi(i as i32)
     }
 }
 
-impl RungEval for UnionGridRungs<'_, '_> {
+impl RungEval for UnionGridRungs<'_> {
     type Rung = Vec<u32>;
 
     fn eval(&mut self, cluster: &mut Cluster, i: usize) -> Vec<u32> {
@@ -431,8 +423,8 @@ impl RungEval for UnionGridRungs<'_, '_> {
 /// Ascending diversity ladder over the coreset union — Algorithm 2's
 /// ladder: rung `i` is the k-bounded MIS at `τ_i = r(1+ε)^i`, accepted
 /// while it still finds k independent points.
-struct UnionDiversityRungs<'s, 'a> {
-    memo: &'s MemoizedSpace<'a, EuclideanSpace>,
+struct UnionDiversityRungs<'s> {
+    space: &'s EuclideanSpace,
     local_sets: &'s [Vec<u32>],
     r: f64,
     k: usize,
@@ -440,19 +432,19 @@ struct UnionDiversityRungs<'s, 'a> {
     params: &'s Params,
 }
 
-impl UnionDiversityRungs<'_, '_> {
+impl UnionDiversityRungs<'_> {
     fn tau(&self, i: usize) -> f64 {
         self.r * (1.0 + self.params.epsilon).powi(i as i32)
     }
 }
 
-impl RungEval for UnionDiversityRungs<'_, '_> {
+impl RungEval for UnionDiversityRungs<'_> {
     type Rung = Vec<u32>;
 
     fn eval(&mut self, cluster: &mut Cluster, i: usize) -> Vec<u32> {
         k_bounded_mis(
             cluster,
-            self.memo,
+            self.space,
             self.local_sets,
             self.tau(i),
             self.k,
@@ -466,20 +458,13 @@ impl RungEval for UnionDiversityRungs<'_, '_> {
     fn accept(&self, _i: usize, rung: &Vec<u32>) -> bool {
         rung.len() == self.k
     }
-
-    fn prewarm(&mut self, reachable: &[usize]) {
-        let taus: Vec<f64> = reachable.iter().map(|&i| self.tau(i)).collect();
-        self.memo.prewarm_taus(&taus);
-    }
 }
 
 /// A frozen, queryable view of the index: the merged coreset union, its
-/// slack `δ`, one warm [`MemoizedSpace`] shared across queries, and
-/// per-`k` answer caches. Holding a snapshot borrows the index — drop it
-/// to resume inserting.
+/// slack `δ`, and per-`k` answer caches. Holding a snapshot borrows the
+/// index — drop it to resume inserting.
 pub struct Snapshot<'a> {
     space: &'a EuclideanSpace,
-    memo: MemoizedSpace<'a, EuclideanSpace>,
     cluster: Cluster,
     /// The union, wrapped as the single machine's vertex list.
     local_sets: Vec<Vec<u32>>,
@@ -511,9 +496,11 @@ impl Snapshot<'_> {
         self.delta
     }
 
-    /// Distance-memo counters for the warm query path.
+    /// Always [`mpc_core::MemoStats::default`]: snapshot queries run on
+    /// the raw space and keep no distance memo. Kept only because the
+    /// end-to-end benchmark's serving workload still reads it.
     pub fn memo_stats(&self) -> mpc_core::MemoStats {
-        self.memo.stats()
+        mpc_core::MemoStats::default()
     }
 
     /// The rung-evaluation engine this snapshot's k-center queries use
@@ -568,7 +555,7 @@ impl Snapshot<'_> {
         let boundary = match self.engine {
             KCenterEngine::AllPairs => {
                 let mut rungs = UnionKCenterRungs {
-                    memo: &self.memo,
+                    space: self.space,
                     local_sets: &self.local_sets,
                     r,
                     k,
@@ -655,7 +642,7 @@ impl Snapshot<'_> {
 
         let t = self.params.ladder_len(4.0, 1);
         let mut rungs = UnionDiversityRungs {
-            memo: &self.memo,
+            space: self.space,
             local_sets: &self.local_sets,
             r,
             k,
@@ -688,8 +675,8 @@ mod tests {
     use super::*;
     use mpc_core::diversity::mpc_diversity;
     use mpc_core::kcenter::mpc_kcenter;
-    use mpc_metric::datasets;
     use mpc_metric::MetricSpace;
+    use mpc_metric::{datasets, SpeedTier};
 
     fn insert_all(index: &mut DiversityIndex, points: &PointSet) {
         for i in 0..points.len() as u32 {
@@ -799,17 +786,33 @@ mod tests {
 
     #[test]
     fn served_answers_cached_per_k() {
-        let points = datasets::uniform_cube(150, 2, 9);
-        let mut index = DiversityIndex::new(2, IndexParams::new(2, 8, 9));
+        // d = 16: both ladders run the all-pairs rungs on the SoA
+        // threshold kernels, whose tallies witness every rung scan.
+        let points = datasets::gaussian_clusters(400, 16, 12, 0.1, 9);
+        let mut index = DiversityIndex::new(16, IndexParams::new(4, 8, 9));
         insert_all(&mut index, &points);
         let mut snap = index.snapshot();
+        assert_eq!(snap.engine(), KCenterEngine::AllPairs);
+        // The exact tier runs the plain f64 loop and never tallies.
+        let tallies = snap.space().speed_tier() == SpeedTier::Soa;
+        let stats = |snap: &Snapshot<'_>| snap.space().kernel_stats().unwrap();
+
+        let before = stats(&snap);
         let first = snap.kcenter(4);
-        let evals_after_first = snap.memo_stats();
-        let second = snap.kcenter(4);
-        assert_eq!(first, second);
-        // The cache hit must not touch the memo at all.
-        assert_eq!(snap.memo_stats().misses, evals_after_first.misses);
-        assert_eq!(snap.memo_stats().hits, evals_after_first.hits);
+        let after_first = stats(&snap);
+        assert_eq!(tallies, after_first != before, "first kcenter ran no rung");
+        assert_eq!(snap.kcenter(4), first);
+        assert_eq!(stats(&snap), after_first, "cached kcenter rescanned");
+
+        let first = snap.kdiversity(4);
+        let after_first_div = stats(&snap);
+        assert_eq!(
+            tallies,
+            after_first_div != after_first,
+            "first kdiversity ran no rung"
+        );
+        assert_eq!(snap.kdiversity(4), first);
+        assert_eq!(stats(&snap), after_first_div, "cached kdiversity rescanned");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! corpus. This example drives `mpc_serving::DiversityIndex` through that
 //! shape: interleaved insert bursts and query bursts, every answer served
 //! from the incrementally maintained shard coresets (lazy staleness
-//! rebuilds; one warm distance memo per snapshot) instead of a batch
+//! rebuilds; per-`k` answer caches on each snapshot) instead of a batch
 //! re-run over all points.
 //!
 //! The final digest line is consumed by CI, which re-runs this binary
@@ -40,7 +40,6 @@ fn main() {
     let mut insert_ns = 0u128;
     let mut query_ns: Vec<u128> = Vec::with_capacity(bursts * queries_per_burst);
     let mut digest = 0u64;
-    let mut last_memo = None;
 
     for burst in 0..bursts {
         // Ingest burst: absorb a slice of the stream (O(coreset_k)
@@ -52,8 +51,8 @@ fn main() {
         insert_ns += started.elapsed().as_nanos();
 
         // Query burst: one snapshot (lazy rebuilds happen here), then a
-        // storm of small-k queries sharing its warm memo and answer
-        // cache. Vary k so the cache doesn't trivialize the workload.
+        // storm of small-k queries sharing its per-k answer cache. Vary k
+        // so the cache doesn't trivialize the workload.
         let mut snap = index.snapshot();
         for q in 0..queries_per_burst {
             let k = 2 + (q % 9);
@@ -77,7 +76,6 @@ fn main() {
                     .wrapping_add(s.0 as u64 + 1);
             }
         }
-        last_memo = Some(snap.memo_stats());
     }
 
     query_ns.sort_unstable();
@@ -103,16 +101,9 @@ fn main() {
     );
     println!("  merge slack δ     : {:>9.4}", stats.delta);
 
-    // Observability for the local compute behind the answers: the last
-    // snapshot's distance-memo counters and the index space's cumulative
-    // fast-path kernel tallies. Tier- and thread-dependent, so they go to
-    // stderr — CI's byte-diff watches stdout only.
-    if let Some(memo) = last_memo {
-        eprintln!(
-            "last snapshot memo: {} rows resident ({} sorted), {} hits / {} misses, {} sorted builds",
-            memo.entries, memo.sorted_rows, memo.hits, memo.misses, memo.sorted_builds
-        );
-    }
+    // Observability for the local compute behind the answers: the index
+    // space's cumulative fast-path kernel tallies. Tier-dependent, so they
+    // go to stderr — CI's byte-diff watches stdout only.
     match index.space().kernel_stats() {
         Some(k) => eprintln!(
             "kernel tallies: single {} run / {} indexed, multi-τ {} run / {} indexed, \

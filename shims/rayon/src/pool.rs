@@ -14,7 +14,8 @@
 //!
 //! Pool size defaults to [`std::thread::available_parallelism`], overridden
 //! by the `KCENTER_THREADS` environment variable (read once, at first
-//! use), and per-thread by [`with_threads`]. Worker threads are spawned
+//! use; anything but an integer ≥ 1 panics), and per-thread by
+//! [`with_threads`]. Worker threads are spawned
 //! lazily, on the first op that could use them, and then persist for the
 //! process lifetime (they park on a condvar while idle).
 //!
@@ -54,22 +55,35 @@ pub fn chunk_range(n_items: usize, n_chunks: usize, c: usize) -> Range<usize> {
     (c * n_items / n_chunks)..((c + 1) * n_items / n_chunks)
 }
 
-fn env_threads() -> Option<usize> {
-    std::env::var("KCENTER_THREADS")
-        .ok()?
-        .trim()
-        .parse::<usize>()
-        .ok()
-        .filter(|&n| n >= 1)
+/// Parses the raw `KCENTER_THREADS` value (`None` when unset, which
+/// defers to the machine's available parallelism). Surrounding whitespace
+/// is ignored; anything but an integer ≥ 1 is an error naming the
+/// accepted values.
+fn parse_threads_env(raw: Option<&str>) -> Result<Option<usize>, String> {
+    match raw {
+        None => Ok(None),
+        Some(s) => match s.trim().parse::<usize>() {
+            Ok(n) if n >= 1 => Ok(Some(n)),
+            _ => Err(format!(
+                "invalid KCENTER_THREADS {s:?} (expected an integer ≥ 1)"
+            )),
+        },
+    }
 }
 
-/// The process-default thread count: `KCENTER_THREADS` if set (≥ 1), else
-/// the machine's available parallelism; capped at [`MAX_THREADS`]. Read
-/// once and cached.
+/// The process-default thread count: `KCENTER_THREADS` if set, else the
+/// machine's available parallelism; capped at [`MAX_THREADS`]. Read once
+/// and cached.
+///
+/// # Panics
+/// On a `KCENTER_THREADS` value that is not an integer ≥ 1 (`eight`,
+/// `0`, `-1`, …), so a typo fails loudly instead of silently running at
+/// the default width.
 pub fn default_threads() -> usize {
     static N: OnceLock<usize> = OnceLock::new();
     *N.get_or_init(|| {
-        env_threads()
+        parse_threads_env(std::env::var("KCENTER_THREADS").ok().as_deref())
+            .unwrap_or_else(|e| panic!("{e}"))
             .unwrap_or_else(|| {
                 std::thread::available_parallelism()
                     .map(|n| n.get())
@@ -276,5 +290,25 @@ pub fn run_chunks(n_chunks: usize, body: &(dyn Fn(usize) + Sync)) {
     let payload = op.panic.lock().unwrap().take();
     if let Some(payload) = payload {
         panic::resume_unwind(payload);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_threads_env;
+
+    #[test]
+    fn thread_env_values_parse_or_fail_loudly() {
+        let ok = |raw| parse_threads_env(raw).unwrap();
+        assert_eq!(ok(None), None);
+        assert_eq!(ok(Some("1")), Some(1));
+        assert_eq!(ok(Some("8")), Some(8));
+        assert_eq!(ok(Some(" 4\n")), Some(4));
+        assert_eq!(ok(Some("1000")), Some(1000), "capping happens later");
+        for bad in ["eight", "0", "-1", "", "  ", "2.5", "4 threads", "+"] {
+            let err = parse_threads_env(Some(bad)).unwrap_err();
+            assert!(err.contains("integer ≥ 1"), "{bad:?}: {err}");
+            assert!(err.contains(&format!("{bad:?}")), "{bad:?}: {err}");
+        }
     }
 }
