@@ -5,6 +5,12 @@
 //! 1-core host only `t1` runs). Ids embed every axis, e.g.
 //! `tiled/many-d32-n100000-q1024/t1` vs `tiled/loop-d32-n100000-q1024/t1`.
 //!
+//! `tiled/many-d32-n10000-q1024-strided/t1` scans a **scattered**
+//! candidate list instead: every 8th id, i.e. one `RoundRobin` share at
+//! m = 8 — the shape of Alg 3's broadcast sample and of each machine's
+//! alive list. It gates the per-call packing that puts such lists on the
+//! dimension-major run kernel.
+//!
 //! The ISSUE 4 acceptance criterion reads off this group: at threads=1,
 //! d=32, n=1e5, Q=1024, `many` must be ≥ 2× faster than `loop` — pure
 //! cache blocking + the cached-norm dot-product inner loop, no
@@ -61,6 +67,17 @@ fn bench_tiled(c: &mut Criterion) {
                         },
                     );
                 }
+            }
+            if dim == 32 && n == 10_000 {
+                let strided: Vec<u32> = (0..n as u32).step_by(8).collect();
+                let vs: Vec<u32> = (0..1024).map(|i| (i * 7919 % n) as u32).collect();
+                group.bench_with_input(
+                    BenchmarkId::new(format!("many-d{dim}-n{n}-q1024-strided"), "t1"),
+                    &1usize,
+                    |b, &t| {
+                        b.iter(|| with_threads(t, || metric.count_within_many(&vs, &strided, tau)))
+                    },
+                );
             }
         }
     }

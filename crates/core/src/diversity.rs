@@ -19,7 +19,7 @@ use crate::gmm::gmm;
 use crate::kbmis::k_bounded_mis;
 use crate::ladder::{BoundaryMode, LadderSearch, RungEval};
 use crate::params::Params;
-use crate::telemetry::{PhaseTimes, Telemetry};
+use crate::telemetry::{kernels_since, PhaseTimes, Telemetry};
 
 /// Result of [`mpc_diversity`] / [`four_approx_diversity`].
 #[derive(Debug, Clone)]
@@ -170,6 +170,7 @@ pub fn mpc_diversity_on<M: MetricSpace + ?Sized>(
 ) -> DiversityResult {
     assert!(k >= 2, "diversity needs k >= 2");
     params.validate();
+    let kernels_at_entry = metric.kernel_stats();
     assert_eq!(cluster.m(), params.m, "cluster size must match params.m");
     let n = metric.n();
     let partition = params.partition.build(n, params.m, params.seed);
@@ -245,7 +246,7 @@ pub fn mpc_diversity_on<M: MetricSpace + ?Sized>(
     };
     telemetry.ladder_evals = search.evals() as u64;
     telemetry.ladder_probes = search.probes() as u64;
-    telemetry.kernels = metric.kernel_stats();
+    telemetry.kernels = kernels_since(metric.kernel_stats(), kernels_at_entry);
     telemetry.wire = cluster.wire_summary();
     DiversityResult {
         subset,

@@ -57,7 +57,7 @@ use crate::gmm::gmm;
 use crate::kcenter::KCenterResult;
 use crate::ladder::{BoundaryMode, LadderSearch, RungEval};
 use crate::params::Params;
-use crate::telemetry::{PhaseTimes, Telemetry};
+use crate::telemetry::{kernels_since, PhaseTimes, Telemetry};
 
 /// Which evaluation engine answers the k-center ladder's rungs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -499,6 +499,7 @@ pub fn mpc_kcenter_grid_on(
 ) -> KCenterResult {
     assert!(k >= 1, "k must be positive");
     params.validate();
+    let kernels_at_entry = space.kernel_stats();
     assert_eq!(cluster.m(), params.m, "cluster size must match params.m");
     let n = space.n();
     let partition = params.partition.build(n, params.m, params.seed);
@@ -519,7 +520,7 @@ pub fn mpc_kcenter_grid_on(
     if q.len() < k || r <= 0.0 {
         let mut telemetry = Telemetry::from_ledger(cluster.ledger());
         telemetry.phases.coarse_s = coarse_s;
-        telemetry.kernels = space.kernel_stats();
+        telemetry.kernels = kernels_since(space.kernel_stats(), kernels_at_entry);
         telemetry.wire = cluster.wire_summary();
         return KCenterResult {
             centers: to_point_ids(&q),
@@ -562,7 +563,7 @@ pub fn mpc_kcenter_grid_on(
     };
     telemetry.ladder_evals = search.evals() as u64;
     telemetry.ladder_probes = search.probes() as u64;
-    let mut kernels = space.kernel_stats().unwrap_or_default();
+    let mut kernels = kernels_since(space.kernel_stats(), kernels_at_entry).unwrap_or_default();
     kernels.merge(&rungs.stats);
     telemetry.kernels = Some(kernels);
     telemetry.wire = cluster.wire_summary();

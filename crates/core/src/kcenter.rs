@@ -18,7 +18,7 @@ use crate::common::{covering_radius, gmm_coreset, to_point_ids};
 use crate::kbmis::k_bounded_mis;
 use crate::ladder::{BoundaryMode, LadderSearch, RungEval};
 use crate::params::Params;
-use crate::telemetry::{PhaseTimes, Telemetry};
+use crate::telemetry::{kernels_since, PhaseTimes, Telemetry};
 
 /// Result of [`mpc_kcenter`].
 #[derive(Debug, Clone)]
@@ -117,6 +117,7 @@ pub fn mpc_kcenter_on<M: MetricSpace + ?Sized>(
 ) -> KCenterResult {
     assert!(k >= 1, "k must be positive");
     params.validate();
+    let kernels_at_entry = metric.kernel_stats();
     assert_eq!(cluster.m(), params.m, "cluster size must match params.m");
     let n = metric.n();
     let partition = params.partition.build(n, params.m, params.seed);
@@ -144,7 +145,7 @@ pub fn mpc_kcenter_on<M: MetricSpace + ?Sized>(
     if q.len() < k || r <= 0.0 {
         let mut telemetry = Telemetry::from_ledger(cluster.ledger());
         telemetry.phases.coarse_s = coarse_s;
-        telemetry.kernels = metric.kernel_stats();
+        telemetry.kernels = kernels_since(metric.kernel_stats(), kernels_at_entry);
         telemetry.wire = cluster.wire_summary();
         return KCenterResult {
             centers: to_point_ids(&q),
@@ -196,7 +197,7 @@ pub fn mpc_kcenter_on<M: MetricSpace + ?Sized>(
     };
     telemetry.ladder_evals = search.evals() as u64;
     telemetry.ladder_probes = search.probes() as u64;
-    telemetry.kernels = metric.kernel_stats();
+    telemetry.kernels = kernels_since(metric.kernel_stats(), kernels_at_entry);
     telemetry.wire = cluster.wire_summary();
     KCenterResult {
         centers: to_point_ids(&centers_raw),

@@ -22,7 +22,7 @@ use crate::common::{covering_radius, gmm_coreset, nearest_in_distributed_set, to
 use crate::kbmis::k_bounded_mis;
 use crate::ladder::{BoundaryMode, LadderSearch, RungEval};
 use crate::params::Params;
-use crate::telemetry::{PhaseTimes, Telemetry};
+use crate::telemetry::{kernels_since, PhaseTimes, Telemetry};
 
 /// Result of [`mpc_ksupplier`].
 #[derive(Debug, Clone)]
@@ -150,6 +150,7 @@ pub fn mpc_ksupplier_on<M: MetricSpace + ?Sized>(
     assert!(!suppliers.is_empty(), "need at least one supplier");
     assert_eq!(cluster.m(), params.m, "cluster size must match params.m");
     params.validate();
+    let kernels_at_entry = metric.kernel_stats();
     let n = metric.n();
     let local_c = split_ids(customers, params, 0xC);
     let local_s = split_ids(suppliers, params, 0x5);
@@ -240,7 +241,7 @@ pub fn mpc_ksupplier_on<M: MetricSpace + ?Sized>(
     };
     telemetry.ladder_evals = search.evals() as u64;
     telemetry.ladder_probes = search.probes() as u64;
-    telemetry.kernels = metric.kernel_stats();
+    telemetry.kernels = kernels_since(metric.kernel_stats(), kernels_at_entry);
     telemetry.wire = cluster.wire_summary();
     KSupplierResult {
         suppliers: to_point_ids(&sel),

@@ -52,11 +52,13 @@ pub struct Telemetry {
     /// Accept-predicate probes issued by the boundary search, including
     /// rung-cache hits; 0 for runs without a ladder.
     pub ladder_probes: u64,
-    /// Metric-space fast-path kernel tallies snapshotted when the run
-    /// finished; `None` when the space keeps none (exact tier, or a
-    /// non-SIMD space). Cumulative per space, so a run's own hits are the
-    /// delta against a snapshot taken at its start. Local-compute
-    /// observability only: the kernels never touch the ledger.
+    /// This run's own fast-path kernel tallies: the space's cumulative
+    /// counters when the run finished, less a snapshot taken when the
+    /// solve began ([`kernels_since`]), so back-to-back runs on one
+    /// space report the same work. The grid engine adds its grid-side
+    /// tallies. `None` when the space keeps none (a non-SIMD space).
+    /// Local-compute observability only: the kernels never touch the
+    /// ledger.
     pub kernels: Option<KernelStats>,
     /// Transport wire measurements: per-run byte totals plus
     /// encode/decode/transit wall-clock, stamped by drivers from
@@ -65,6 +67,12 @@ pub struct Telemetry {
     /// wall-clock and outside every determinism contract; the byte fields
     /// equal `8 ×` the corresponding ledger words when conformant.
     pub wire: Option<WireSummary>,
+}
+
+/// One run's kernel tallies: the space's counters `now` less the `start`
+/// snapshot taken at the run's entry; `None` when the space keeps none.
+pub fn kernels_since(now: Option<KernelStats>, start: Option<KernelStats>) -> Option<KernelStats> {
+    now.map(|k| k.since(&start.unwrap_or_default()))
 }
 
 impl Telemetry {

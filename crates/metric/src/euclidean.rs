@@ -149,8 +149,8 @@ impl Fast<'_> {
         }
     }
 
-    /// Turns a batched class ([`simd::classify_f32_indexed`]) into the
-    /// final verdict, **bit-identically** to the exact kernel: the f32
+    /// Turns a batched `CLASS_*` byte (from [`simd::classify_f32_run`] or
+    /// [`simd::classify_f32_indexed`]) into the final verdict, **bit-identically** to the exact kernel: the f32
     /// estimate decides only outside its error band ([`simd::CLASS_KEEP`]
     /// / [`simd::CLASS_REJECT`]), band hits ([`simd::CLASS_EXACT`]) fall
     /// back to the exact f64 evaluation.
@@ -166,8 +166,42 @@ impl Fast<'_> {
         }
     }
 
-    /// One batched SIMD dot + banded classification call per (query,
-    /// tile), filling `classes` with one `CLASS_*` byte per candidate.
+    /// One dimension-major run-kernel call ([`simd::classify_f32_run`]):
+    /// classifies rows `first..first + len` of `slab` — the space's own
+    /// mirror or a [`SoaStorage::gather`]ed candidate list — into `classes`,
+    /// one `CLASS_*` byte each, and tallies them as run pairs.
+    #[allow(clippy::too_many_arguments)]
+    fn classify_run(
+        &self,
+        fq: &FastQuery<'_>,
+        classes: &mut Vec<u8>,
+        slab: &SoaStorage,
+        first: usize,
+        len: usize,
+        t2: f64,
+        dim: usize,
+    ) {
+        classes.resize(len, 0);
+        simd::classify_f32_run(
+            fq.a32,
+            slab.cols(),
+            slab.col_stride(),
+            slab.raw(),
+            slab.norms(),
+            dim,
+            first,
+            fq.na32,
+            t2,
+            self.band_scale,
+            classes,
+        );
+        self.counters.record_single(true, len, count_exact(classes));
+    }
+
+    /// One batched SIMD dot + banded classification call per tile of a
+    /// single-query scan, filling `classes` with one `CLASS_*` byte per
+    /// candidate: contiguous tiles through [`Fast::classify_run`] on the
+    /// mirror, scattered ones through the 4-blocked gather kernel.
     fn classify_tile(
         &self,
         fq: &FastQuery<'_>,
@@ -176,25 +210,10 @@ impl Fast<'_> {
         t2: f64,
         dim: usize,
     ) {
-        classes.resize(tile.len(), 0);
-        let contiguous = is_contiguous_run(tile);
-        if contiguous {
-            // Contiguous candidates (the whole-set scan): the
-            // dimension-major run kernel — no gathers, no horizontal sums.
-            simd::classify_f32_run(
-                fq.a32,
-                self.soa.cols(),
-                self.soa.col_stride(),
-                self.soa.raw(),
-                self.soa.norms(),
-                dim,
-                tile[0] as usize,
-                fq.na32,
-                t2,
-                self.band_scale,
-                classes,
-            );
+        if is_contiguous_run(tile) {
+            self.classify_run(fq, classes, self.soa, tile[0] as usize, tile.len(), t2, dim);
         } else {
+            classes.resize(tile.len(), 0);
             simd::classify_f32_indexed(
                 fq.a32,
                 self.soa.raw(),
@@ -206,16 +225,19 @@ impl Fast<'_> {
                 self.band_scale,
                 classes,
             );
+            self.counters
+                .record_single(false, tile.len(), count_exact(classes));
         }
-        self.counters.record_single(
-            contiguous,
-            tile.len(),
-            classes
-                .iter()
-                .filter(|&&cl| cl == simd::CLASS_EXACT)
-                .count(),
-        );
     }
+}
+
+/// Band hits in one tile's `CLASS_*` bytes.
+#[inline]
+fn count_exact(classes: &[u8]) -> usize {
+    classes
+        .iter()
+        .filter(|&&cl| cl == simd::CLASS_EXACT)
+        .count()
 }
 
 /// Whether `ids` is `ids[0], ids[0]+1, …` — the access pattern the
@@ -351,6 +373,51 @@ impl EuclideanSpace {
             .sqrt()
     }
 
+    /// Multi-query threshold scan behind [`MetricSpace::count_within_many`]
+    /// / [`MetricSpace::neighbors_within_many`]: resolves the fast path,
+    /// lays the candidates out for the run kernel, then fans fixed query
+    /// chunks across the worker pool (whole queries never straddle a chunk
+    /// and rows concatenate in query order, so the output equals the
+    /// sequential walk).
+    ///
+    /// On the fast path every tile goes through the dimension-major run
+    /// kernel. A candidate list that is one contiguous id run reads the
+    /// space's own mirror; any other list — a `RoundRobin` share, a
+    /// broadcast sample — is packed **once per call**, before the fan-out,
+    /// into a [`SoaStorage::gather`]ed slab that every query chunk shares.
+    /// Packing costs one pass over the candidates' f32 rows, where the
+    /// gather kernel would pay an index gather and a horizontal sum on
+    /// every pair of every query.
+    fn scan_many<R: Default + Send>(
+        &self,
+        vs: &[u32],
+        candidates: &[u32],
+        t2: f64,
+        emit: impl Fn(&mut R, &[u32], &[bool]) + Sync,
+    ) -> Vec<R> {
+        if vs.is_empty() {
+            return Vec::new();
+        }
+        let fast = self.fast();
+        let packed;
+        let slab = match &fast {
+            Some(fast) if is_contiguous_run(candidates) => {
+                Some((fast, fast.soa, candidates[0] as usize))
+            }
+            Some(fast) => {
+                packed = fast.soa.gather(candidates);
+                Some((fast, &packed, 0))
+            }
+            None => None,
+        };
+        let run = |qs: &[u32]| self.scan_tiles(slab, qs, candidates, t2, &emit);
+        if space::par_bulk_pairs(vs.len(), candidates.len()) {
+            space::par_query_chunks(vs, run)
+        } else {
+            run(vs)
+        }
+    }
+
     /// Tiled multi-query threshold scan: for each query in `qs`, decides
     /// every candidate against `t2 = τ²` and folds the per-candidate
     /// verdicts with `emit`. Candidates stream in [`tile_len`]-row tiles so
@@ -358,14 +425,17 @@ impl EuclideanSpace {
     /// queries (the whole point — the one-query kernels are memory-bound
     /// at d=32, see DESIGN.md §6.2).
     ///
-    /// On the fast path each pair's f32 Gram estimate is trusted only
-    /// outside a conservative error band around `t2`; pairs inside the
-    /// band are re-decided with the exact [`EuclideanSpace::row_dist_sq`].
-    /// Decisions therefore match the plain diff loop (the exact oracle and
-    /// the narrow-row path) bit-for-bit — including at exact-boundary
-    /// thresholds — while the band keeps re-computes rare on real data.
-    /// Non-finite inputs fall into the band's "unclassified" branch and
-    /// get the exact answer too.
+    /// On the fast path, `slab` carries the fast-path context, the
+    /// candidates' run slab and the slab row of `candidates[0]` (see
+    /// [`EuclideanSpace::scan_many`]);
+    /// each pair's f32 Gram estimate is trusted only outside a
+    /// conservative error band around `t2`, and pairs inside the band are
+    /// re-decided with the exact [`EuclideanSpace::row_dist_sq`] on the
+    /// original ids. Decisions therefore match the plain diff loop (the
+    /// exact oracle and the narrow-row path) bit-for-bit — including at
+    /// exact-boundary thresholds — while the band keeps re-computes rare
+    /// on real data. Non-finite inputs fall into the band's "unclassified"
+    /// branch and get the exact answer too.
     ///
     /// `emit` receives one call per (query, tile) with the tile's
     /// candidate ids and their verdicts as parallel slices — per-tile
@@ -374,26 +444,28 @@ impl EuclideanSpace {
     /// call and branch per candidate.
     fn scan_tiles<R: Default>(
         &self,
+        slab: Option<(&Fast<'_>, &SoaStorage, usize)>,
         qs: &[u32],
         candidates: &[u32],
         t2: f64,
-        mut emit: impl FnMut(&mut R, &[u32], &[bool]),
+        emit: impl Fn(&mut R, &[u32], &[bool]),
     ) -> Vec<R> {
         let dim = self.points.dim();
         let data = self.points.raw();
-        let fast = self.fast();
         let mut rows: Vec<R> = std::iter::repeat_with(R::default).take(qs.len()).collect();
         let mut classes: Vec<u8> = Vec::new();
         let mut verdicts: Vec<bool> = Vec::new();
-        for tile in candidates.chunks(tile_len(dim, if fast.is_some() { 4 } else { 8 })) {
+        let tile_rows = tile_len(dim, if slab.is_some() { 4 } else { 8 });
+        for (t, tile) in candidates.chunks(tile_rows).enumerate() {
             for (row, &q) in rows.iter_mut().zip(qs) {
                 verdicts.clear();
-                if let Some(fast) = &fast {
+                if let Some((fast, soa, first)) = slab {
                     // Bulk keep/reject translation (vectorizable byte
                     // compare), then exact fallbacks only if the tile had
                     // any band hit (`contains` is a SIMD scan).
                     let fq = fast.query(q as usize, data, dim);
-                    fast.classify_tile(&fq, &mut classes, tile, t2, dim);
+                    let at = first + t * tile_rows;
+                    fast.classify_run(&fq, &mut classes, soa, at, tile.len(), t2, dim);
                     verdicts.extend(classes.iter().map(|&cl| cl == simd::CLASS_KEEP));
                     if classes.contains(&simd::CLASS_EXACT) {
                         for ((v, &cl), &c) in verdicts.iter_mut().zip(&classes).zip(tile) {
@@ -665,26 +737,20 @@ impl MetricSpace for EuclideanSpace {
         }
     }
 
-    /// Tiled multi-query kernel (see `EuclideanSpace::scan_tiles`). Large
-    /// query batches split into fixed query chunks across the worker pool;
-    /// whole queries never straddle a chunk and rows concatenate in query
-    /// order, so the output matches the sequential tile walk — which in
-    /// turn matches the per-query scalar kernel bit-for-bit.
+    /// Tiled multi-query kernel (see `EuclideanSpace::scan_many`): the
+    /// output matches the per-query scalar kernel bit-for-bit.
     fn count_within_many(&self, vs: &[u32], candidates: &[u32], tau: f64) -> Vec<usize> {
         if tau < 0.0 {
             return vec![0; vs.len()];
         }
-        let t2 = tau * tau;
-        let run = |qs: &[u32]| {
-            self.scan_tiles(qs, candidates, t2, |count: &mut usize, _, verdicts| {
+        self.scan_many(
+            vs,
+            candidates,
+            tau * tau,
+            |count: &mut usize, _, verdicts| {
                 *count += verdicts.iter().filter(|&&keep| keep).count();
-            })
-        };
-        if space::par_bulk_pairs(vs.len(), candidates.len()) {
-            space::par_query_chunks(vs, run)
-        } else {
-            run(vs)
-        }
+            },
+        )
     }
 
     /// Filter twin of [`MetricSpace::count_within_many`] over the same
@@ -695,21 +761,18 @@ impl MetricSpace for EuclideanSpace {
         if tau < 0.0 {
             return vec![Vec::new(); vs.len()];
         }
-        let t2 = tau * tau;
-        let run = |qs: &[u32]| {
-            self.scan_tiles(qs, candidates, t2, |row: &mut Vec<u32>, tile, verdicts| {
+        self.scan_many(
+            vs,
+            candidates,
+            tau * tau,
+            |row: &mut Vec<u32>, tile, verdicts| {
                 row.extend(
                     tile.iter()
                         .zip(verdicts)
                         .filter_map(|(&c, &keep)| keep.then_some(c)),
                 );
-            })
-        };
-        if space::par_bulk_pairs(vs.len(), candidates.len()) {
-            space::par_query_chunks(vs, run)
-        } else {
-            run(vs)
-        }
+            },
+        )
     }
 
     /// Multi-τ kernel over one candidate pass (see
@@ -957,6 +1020,31 @@ mod tests {
             m.neighbors_within_many(&[0, 1], &[0, 1, 2], -1.0),
             vec![Vec::<u32>::new(), Vec::new()]
         );
+    }
+
+    /// A multi-query scan over a strided candidate list (one `RoundRobin`
+    /// share) packs the list and runs every pair on the dimension-major
+    /// run kernel: `run_pairs` grows by `|qs|·|cands|` per call and the
+    /// gather kernel's tally does not move.
+    #[test]
+    fn strided_multi_query_scan_runs_on_the_run_kernel() {
+        let points = crate::datasets::uniform_cube(400, 32, 5);
+        let m = EuclideanSpace::new(points.clone()).with_speed_tier(SpeedTier::Soa);
+        let exact = EuclideanSpace::new(points).with_speed_tier(SpeedTier::Exact);
+        let qs: Vec<u32> = (0..400).step_by(9).collect();
+        let cands: Vec<u32> = (3..400).step_by(8).collect();
+        let tau = m.dist(PointId(0), PointId(200));
+        let before = m.kernel_stats().unwrap();
+        let counts = m.count_within_many(&qs, &cands, tau);
+        let mid = m.kernel_stats().unwrap();
+        let lists = m.neighbors_within_many(&qs, &cands, tau);
+        let after = m.kernel_stats().unwrap();
+        let pairs = (qs.len() * cands.len()) as u64;
+        assert_eq!(mid.run_pairs - before.run_pairs, pairs);
+        assert_eq!(after.run_pairs - mid.run_pairs, pairs);
+        assert_eq!(after.indexed_pairs, before.indexed_pairs);
+        assert_eq!(counts, exact.count_within_many(&qs, &cands, tau));
+        assert_eq!(lists, exact.neighbors_within_many(&qs, &cands, tau));
     }
 
     #[test]

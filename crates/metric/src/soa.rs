@@ -36,19 +36,23 @@
 //!
 //! The mirror keeps **both** orientations of the f32 coordinates:
 //!
-//! * **row-major** (`rows`) for arbitrary candidate lists — round-robin
-//!   partitions hand the kernels scattered id sets, where dimension-major
-//!   storage would gather every candidate across `dim` cache lines;
+//! * **row-major** (`rows`) for the single-query kernels' scattered tiles
+//!   — round-robin partitions hand the kernels strided id sets, where
+//!   dimension-major storage would gather every candidate across `dim`
+//!   cache lines — and for the run kernel's sub-8 tail;
 //! * **dimension-major** (`cols`, the transpose of `rows`) for
-//!   *contiguous* candidate runs — the common case when a kernel scans all
-//!   of `0..n`. There the run kernel broadcasts one query coordinate and
-//!   FMA-accumulates eight consecutive candidates per register with **no
-//!   horizontal sums and no index gather**, which is the difference
-//!   between a load-port-bound and an FMA-throughput-bound loop.
+//!   *contiguous* candidate runs. There the run kernel broadcasts one
+//!   query coordinate and FMA-accumulates eight consecutive candidates per
+//!   register with **no horizontal sums and no index gather**, which is
+//!   the difference between a load-port-bound and an FMA-throughput-bound
+//!   loop.
 //!
 //! Both are derived from the same f64 truth in one pass; the duplication
 //! costs `4·n·d` extra bytes (half the f64 input) and buys the fastest
-//! kernel shape for each access pattern. See DESIGN.md §6.4.
+//! kernel shape for each access pattern. A multi-query scan over a
+//! scattered list [`SoaStorage::gather`]s its rows into a packed
+//! sub-mirror once per call, so it reads a contiguous run too. See
+//! DESIGN.md §6.2 and §6.4.
 
 use std::sync::OnceLock;
 
@@ -141,6 +145,16 @@ impl SoaStorage {
     pub fn build(points: &PointSet) -> SoaStorage {
         let dim = points.dim();
         let rows: Vec<f32> = points.raw().iter().map(|&x| x as f32).collect();
+        let norms = rows
+            .chunks(dim.max(1))
+            .map(|row| row.iter().map(|x| x * x).sum())
+            .collect();
+        Self::transposed(rows, norms, dim)
+    }
+
+    /// A batch-layout mirror (`stride == n`) over row-major f32 `rows`
+    /// and their `norms`: fills the dimension-major lanes by transposing.
+    fn transposed(rows: Vec<f32>, norms: Vec<f32>, dim: usize) -> SoaStorage {
         let n = rows.len().checked_div(dim).unwrap_or(0);
         let mut cols = vec![0.0f32; rows.len()];
         for (i, row) in rows.chunks_exact(dim.max(1)).enumerate() {
@@ -148,10 +162,6 @@ impl SoaStorage {
                 cols[d * n + i] = x;
             }
         }
-        let norms = rows
-            .chunks(dim.max(1))
-            .map(|row| row.iter().map(|x| x * x).sum())
-            .collect();
         SoaStorage {
             rows,
             cols,
@@ -190,6 +200,21 @@ impl SoaStorage {
         }
         self.norms.push(norm);
         self.n += 1;
+    }
+
+    /// The sub-mirror of rows `ids`, in list order: row `i` of the result
+    /// is row `ids[i]` of `self`, norms and both orientations included, so
+    /// any id list — strided, scrambled, repeated — becomes one contiguous
+    /// run for the dimension-major kernels. The values are copies, never
+    /// recomputed, so every estimate over the gathered rows is bit-identical
+    /// to one over the originals.
+    pub fn gather(&self, ids: &[u32]) -> SoaStorage {
+        let mut rows = Vec::with_capacity(ids.len() * self.dim);
+        for &c in ids {
+            rows.extend_from_slice(self.row(c as usize));
+        }
+        let norms = ids.iter().map(|&c| self.norms[c as usize]).collect();
+        Self::transposed(rows, norms, self.dim)
     }
 
     /// The flat row-major f32 coordinate buffer.
@@ -288,6 +313,28 @@ mod tests {
                 assert_eq!(soa.cols()[d * 2 + i], soa.row(i)[d]);
             }
         }
+    }
+
+    /// A gathered sub-mirror holds the listed rows, in list order and
+    /// with repeats, bit for bit — and its lanes are their transpose.
+    #[test]
+    fn gather_copies_listed_rows_in_order() {
+        let rows: Vec<Vec<f64>> = (0..9)
+            .map(|i| (0..3).map(|d| (i * 3 + d) as f64 * 0.7 - 4.0).collect())
+            .collect();
+        let soa = SoaStorage::build(&PointSet::from_rows(&rows));
+        let ids = [8u32, 2, 2, 5];
+        let packed = soa.gather(&ids);
+        assert_eq!(packed.len(), ids.len());
+        assert_eq!(packed.col_stride(), ids.len());
+        for (i, &c) in ids.iter().enumerate() {
+            assert_eq!(packed.row(i), soa.row(c as usize));
+            assert_eq!(packed.norm(i).to_bits(), soa.norm(c as usize).to_bits());
+            for d in 0..3 {
+                assert_eq!(packed.cols()[d * ids.len() + i], soa.row(c as usize)[d]);
+            }
+        }
+        assert!(soa.gather(&[]).is_empty());
     }
 
     #[test]

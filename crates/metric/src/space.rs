@@ -367,10 +367,13 @@ pub trait MetricSpace: Sync {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelStats {
     /// Pairs classified by the single-τ contiguous-run kernel
-    /// (`classify_f32_run`).
+    /// (`classify_f32_run`): every multi-query pair — on the space's
+    /// mirror for a contiguous id run, else on a slab the call packs once
+    /// — plus the single-query kernels' contiguous tiles.
     pub run_pairs: u64,
     /// Pairs classified by the single-τ indexed kernel
-    /// (`classify_f32_indexed`).
+    /// (`classify_f32_indexed`): the scattered tiles of single-query
+    /// scans (`count_within` / `neighbors_within`) only.
     pub indexed_pairs: u64,
     /// Pairs classified by the multi-τ contiguous-run kernel
     /// (`classify_f32_run_taus`).
@@ -411,6 +414,24 @@ impl KernelStats {
         self.grid_cells += other.grid_cells;
         self.grid_stencil_cells += other.grid_stencil_cells;
         self.grid_pairs += other.grid_pairs;
+    }
+
+    /// Field-by-field `self − start`: what a run added to a space's
+    /// cumulative tallies since `start` was snapshotted — how each solver
+    /// stamps one run's own kernel work, however many runs the space
+    /// served before.
+    pub fn since(&self, start: &KernelStats) -> KernelStats {
+        KernelStats {
+            run_pairs: self.run_pairs - start.run_pairs,
+            indexed_pairs: self.indexed_pairs - start.indexed_pairs,
+            taus_run_pairs: self.taus_run_pairs - start.taus_run_pairs,
+            taus_indexed_pairs: self.taus_indexed_pairs - start.taus_indexed_pairs,
+            sketch_rejects: self.sketch_rejects - start.sketch_rejects,
+            exact_fallbacks: self.exact_fallbacks - start.exact_fallbacks,
+            grid_cells: self.grid_cells - start.grid_cells,
+            grid_stencil_cells: self.grid_stencil_cells - start.grid_stencil_cells,
+            grid_pairs: self.grid_pairs - start.grid_pairs,
+        }
     }
 }
 

@@ -516,3 +516,69 @@ fn multi_tau_counting_charge_is_tier_invariant() {
         assert_eq!(m.calls(), expected, "tier {} neighbors charge", tier.name());
     }
 }
+
+/// Scattered candidate lists through the multi-query kernels at d = 32:
+/// the `soa` tier packs each list once per call and runs every tile on the
+/// dimension-major run kernel, so lists that span several tiles, end in a
+/// ragged sub-8 tail, repeat ids, or are shorter than one 8-lane block
+/// must all answer exactly as the oracle does — at every thread count,
+/// with thresholds placed on exact pair distances so band hits re-decide.
+#[test]
+fn packed_candidate_lists_match_exact_oracle() {
+    let n = 1200u32;
+    let rows: Vec<Vec<f64>> = (0..n as usize)
+        .map(|i| {
+            (0..32)
+                .map(|j| ((i * 37 + j * 11) % 97) as f64 / 9.0 - ((i / 40) % 5) as f64)
+                .collect()
+        })
+        .collect();
+    // 300 ids: two full 128-row tiles plus a 44-row tail (a sub-8 rest of 4).
+    let strided: Vec<u32> = (3..n).step_by(4).collect();
+    let scrambled: Vec<u32> = (0..n).map(|i| (i * 797 + 5) % n).collect();
+    let repeated: Vec<u32> = (0..300u32).map(|i| 10 + (i / 7) % 9).collect();
+    let mut lists = vec![strided, scrambled, repeated];
+    lists.extend((1..=31usize).filter(|&l| l != 8).map(|len| {
+        (0..len as u32)
+            .map(|i| (i * 131 + len as u32) % n)
+            .collect()
+    }));
+    let qs: Vec<u32> = (0..24).map(|i| i * 47 % n).collect();
+    let [exact, soa] =
+        TIERS.map(|t| EuclideanSpace::new(PointSet::from_rows(&rows)).with_speed_tier(t));
+    let taus: Vec<f64> = [1u32, 600, 1199]
+        .iter()
+        .map(|&j| exact.dist(PointId(0), PointId(j)))
+        .flat_map(|d| [d, d * (1.0 - 1e-9), d * (1.0 + 1e-9)])
+        .collect();
+    for cands in &lists {
+        for &tau in &taus {
+            let want = with_threads(1, || {
+                (
+                    exact.count_within_many(&qs, cands, tau),
+                    exact.neighbors_within_many(&qs, cands, tau),
+                )
+            });
+            for threads in [1usize, 2, 8] {
+                let got = with_threads(threads, || {
+                    (
+                        soa.count_within_many(&qs, cands, tau),
+                        soa.neighbors_within_many(&qs, cands, tau),
+                    )
+                });
+                assert_eq!(
+                    got,
+                    want,
+                    "|cands|={} tau={tau} threads={threads}",
+                    cands.len()
+                );
+            }
+        }
+    }
+    let ks = soa.kernel_stats().unwrap();
+    assert!(
+        ks.run_pairs > 0,
+        "the soa tier never reached the run kernel"
+    );
+    assert_eq!(ks.indexed_pairs, 0, "multi-query scans must not gather");
+}

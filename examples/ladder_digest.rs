@@ -82,14 +82,16 @@ fn main() {
                 res.telemetry.phases.ladder_s,
                 res.telemetry.phases.finalize_s
             );
-            // Fast-path kernel tallies, stderr-only for the same reason:
-            // which kernel answered is tier-dependent by design; *what* it
-            // answered (stdout above) must not be.
+            // This run's fast-path kernel tallies, stderr-only for the same
+            // reason: which kernel answered is tier-dependent by design;
+            // *what* it answered (stdout above) must not be. CI reads the
+            // dim=32 lines' `classified=` to prove the fast path engaged.
             if let Some(ks) = &res.telemetry.kernels {
                 eprintln!(
-                    "  kernels(t={threads} tier={}): single {}r/{}i multi-τ {}r/{}i \
-                     exact_fallbacks={}",
+                    "  kernels(dim={dim} t={threads} tier={}): classified={} single {}r/{}i \
+                     multi-τ {}r/{}i exact_fallbacks={}",
                     space.speed_tier().name(),
+                    ks.classified_pairs(),
                     ks.run_pairs,
                     ks.indexed_pairs,
                     ks.taus_run_pairs,

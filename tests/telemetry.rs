@@ -1,8 +1,9 @@
 //! Integration tests of the resource accounting: the measured rounds and
 //! communication must match the paper's claimed complexity *shapes*.
 
-use mpc_clustering::core::{diversity, kcenter, Params};
-use mpc_clustering::metric::{datasets, EuclideanSpace};
+use mpc_clustering::core::Telemetry;
+use mpc_clustering::core::{diversity, grid, kcenter, ksupplier, Params};
+use mpc_clustering::metric::{datasets, EuclideanSpace, SpeedTier};
 
 /// Per-machine communication grows ~linearly in m·k (Õ(mk) claim): going
 /// from (m, k) to (2m, 2k) must grow max words/machine by far less than
@@ -106,4 +107,41 @@ fn ledger_observes_execution() {
     let seq = diversity::sequential_gmm_diversity(&metric, 5);
     assert_eq!(seq.telemetry.rounds, 0);
     assert_eq!(seq.telemetry.total_words, 0);
+}
+
+/// `Telemetry::kernels` is one run's own kernel work, not the space's
+/// running total: two back-to-back solves on one space report equal
+/// tallies, for every solver that stamps them.
+#[test]
+fn kernel_tallies_are_per_run() {
+    let wide = EuclideanSpace::new(datasets::gaussian_clusters(400, 32, 6, 0.05, 5))
+        .with_speed_tier(SpeedTier::Soa);
+    let params = Params::practical(4, 0.1, 5);
+    let twice = |solve: &dyn Fn() -> Telemetry| [solve().kernels, solve().kernels];
+
+    let [a, b] = twice(&|| kcenter::mpc_kcenter(&wide, 6, &params).telemetry);
+    assert!(
+        a.unwrap().classified_pairs() > 0,
+        "k-center never reached the fast path"
+    );
+    assert_eq!(a, b, "k-center");
+    let [a, b] = twice(&|| diversity::mpc_diversity(&wide, 6, &params).telemetry);
+    assert!(
+        a.unwrap().classified_pairs() > 0,
+        "diversity never reached the fast path"
+    );
+    assert_eq!(a, b, "diversity");
+    let customers: Vec<u32> = (0..400).filter(|i| i % 4 != 0).collect();
+    let suppliers: Vec<u32> = (0..400).step_by(4).collect();
+    let [a, b] =
+        twice(&|| ksupplier::mpc_ksupplier(&wide, &customers, &suppliers, 6, &params).telemetry);
+    assert_eq!(a, b, "k-supplier");
+
+    let narrow = EuclideanSpace::new(datasets::uniform_cube(600, 3, 5));
+    let [a, b] = twice(&|| grid::mpc_kcenter_grid(&narrow, 6, &params).telemetry);
+    assert!(
+        a.unwrap().grid_pairs > 0,
+        "the grid engine reported no stencil pairs"
+    );
+    assert_eq!(a, b, "grid engine");
 }
