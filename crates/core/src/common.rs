@@ -5,10 +5,21 @@ use mpc_metric::{dist_point_to_set, MetricSpace, PointId};
 use mpc_sim::Cluster;
 
 use crate::gmm::gmm;
+use crate::params::Params;
 
 /// Converts raw vertex ids to [`PointId`]s.
 pub fn to_point_ids(ids: &[u32]) -> Vec<PointId> {
     ids.iter().map(|&v| PointId(v)).collect()
+}
+
+/// The cluster a top-level driver runs on: `params.m` machines seeded
+/// with `params.seed`, on the `KCENTER_TRANSPORT` backend, with
+/// `params.budget_words` as the per-round budget when set.
+pub(crate) fn new_cluster(params: &Params) -> Cluster {
+    match params.budget_words {
+        Some(b) => Cluster::with_budget(params.m, params.seed, b),
+        None => Cluster::new(params.m, params.seed),
+    }
 }
 
 /// Lines 1–2 of Algorithms 2/5/6: every machine runs GMM on its local

@@ -14,7 +14,7 @@ use std::time::Instant;
 use mpc_metric::{min_pairwise_distance, MetricSpace, PointId};
 use mpc_sim::Cluster;
 
-use crate::common::{gmm_coreset, to_point_ids};
+use crate::common::{gmm_coreset, new_cluster, to_point_ids};
 use crate::gmm::gmm;
 use crate::kbmis::k_bounded_mis;
 use crate::ladder::{BoundaryMode, LadderSearch, RungEval};
@@ -87,13 +87,6 @@ pub fn four_approx_diversity<M: MetricSpace + ?Sized>(
         coarse_r: r,
         boundary_index: 0,
         telemetry: Telemetry::from_ledger(cluster.ledger()),
-    }
-}
-
-fn new_cluster(params: &Params) -> Cluster {
-    match params.budget_words {
-        Some(b) => Cluster::with_budget(params.m, params.seed, b),
-        None => Cluster::new(params.m, params.seed),
     }
 }
 

@@ -15,8 +15,8 @@
 //! constant number of rounds Theorem 13 gives.
 
 use mpc_metric::{MetricSpace, PointId};
-use mpc_sim::Cluster;
 
+use crate::common::new_cluster;
 use crate::kbmis::k_bounded_mis;
 use crate::params::Params;
 use crate::telemetry::Telemetry;
@@ -42,10 +42,7 @@ pub fn mpc_dominating_set<M: MetricSpace + ?Sized>(
     params: &Params,
 ) -> DominatingSetResult {
     let n = metric.n();
-    let mut cluster = match params.budget_words {
-        Some(b) => Cluster::with_budget(params.m, params.seed, b),
-        None => Cluster::new(params.m, params.seed),
-    };
+    let mut cluster = new_cluster(params);
     let partition = params.partition.build(n, params.m, params.seed);
     let local_sets = partition.all_items().to_vec();
 

@@ -52,7 +52,7 @@ use std::time::Instant;
 use mpc_metric::{EuclideanSpace, GridIndex, KernelStats, MetricSpace, PointId, PointSet};
 use mpc_sim::Cluster;
 
-use crate::common::{coreset_with, covering_radius_with, to_point_ids};
+use crate::common::{coreset_with, covering_radius_with, new_cluster, to_point_ids};
 use crate::gmm::gmm;
 use crate::kcenter::KCenterResult;
 use crate::ladder::{BoundaryMode, LadderSearch, RungEval};
@@ -483,10 +483,7 @@ impl RungEval for GridRungs<'_> {
 /// deterministic) tie-breaking, per-machine traffic `O(mk)` instead of
 /// `Θ(n/m)`.
 pub fn mpc_kcenter_grid(space: &EuclideanSpace, k: usize, params: &Params) -> KCenterResult {
-    let mut cluster = match params.budget_words {
-        Some(b) => Cluster::with_budget(params.m, params.seed, b),
-        None => Cluster::new(params.m, params.seed),
-    };
+    let mut cluster = new_cluster(params);
     mpc_kcenter_grid_on(&mut cluster, space, k, params)
 }
 

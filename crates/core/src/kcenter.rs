@@ -14,7 +14,7 @@ use std::time::Instant;
 use mpc_metric::{MetricSpace, PointId};
 use mpc_sim::Cluster;
 
-use crate::common::{covering_radius, gmm_coreset, to_point_ids};
+use crate::common::{covering_radius, gmm_coreset, new_cluster, to_point_ids};
 use crate::kbmis::k_bounded_mis;
 use crate::ladder::{BoundaryMode, LadderSearch, RungEval};
 use crate::params::Params;
@@ -33,13 +33,6 @@ pub struct KCenterResult {
     pub boundary_index: usize,
     /// Measured rounds/communication.
     pub telemetry: Telemetry,
-}
-
-fn new_cluster(params: &Params) -> Cluster {
-    match params.budget_words {
-        Some(b) => Cluster::with_budget(params.m, params.seed, b),
-        None => Cluster::new(params.m, params.seed),
-    }
 }
 
 /// The k-center ladder for [`LadderSearch`]: rung `i` is the (k+1)-bounded
@@ -128,7 +121,7 @@ pub fn mpc_kcenter_on<M: MetricSpace + ?Sized>(
         .collect();
     cluster.note_memory_all(&input_words);
     // Setup plane: distribute the per-machine shards through the transport
-    // (resident on workers under the process backend). Never touches the
+    // (encoded, copied and decode-validated on loopback). Never touches the
     // ledger, so round/word counts stay identical across backends.
     cluster.ship_shards("setup/shards", &local_sets, metric.point_weight());
 

@@ -18,7 +18,9 @@ use std::time::Instant;
 use mpc_metric::{MetricSpace, PointId};
 use mpc_sim::Cluster;
 
-use crate::common::{covering_radius, gmm_coreset, nearest_in_distributed_set, to_point_ids};
+use crate::common::{
+    covering_radius, gmm_coreset, nearest_in_distributed_set, new_cluster, to_point_ids,
+};
 use crate::kbmis::k_bounded_mis;
 use crate::ladder::{BoundaryMode, LadderSearch, RungEval};
 use crate::params::Params;
@@ -37,13 +39,6 @@ pub struct KSupplierResult {
     pub boundary_index: usize,
     /// Measured rounds/communication.
     pub telemetry: Telemetry,
-}
-
-fn new_cluster(params: &Params) -> Cluster {
-    match params.budget_words {
-        Some(b) => Cluster::with_budget(params.m, params.seed, b),
-        None => Cluster::new(params.m, params.seed),
-    }
 }
 
 /// Splits `ids` over `m` machines with the partition strategy (reusing the

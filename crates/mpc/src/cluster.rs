@@ -40,13 +40,12 @@ use crate::wire::Wire;
 /// ### Transports
 ///
 /// Collective *semantics* and ledger charges are identical everywhere;
-/// `KCENTER_TRANSPORT=sim|loopback|process` selects how payloads
-/// physically move (see [`crate::transport`]). On the wire backends every
-/// collective's payload is encoded into length-prefixed little-endian
-/// frames, transited (in-process copy or worker pipes), and **decoded
-/// values are what the algorithm continues with** — encode/decode
-/// asymmetry changes answers loudly instead of silently. `sim` remains
-/// the bit-exact zero-copy reference.
+/// `KCENTER_TRANSPORT=sim|loopback` selects how payloads physically move
+/// (see [`crate::transport`]). On `loopback` every collective's payload is
+/// encoded into length-prefixed little-endian frames, copied across a wire
+/// buffer, and **decoded values are what the algorithm continues with** —
+/// encode/decode asymmetry changes answers loudly instead of silently.
+/// `sim` remains the bit-exact zero-copy reference.
 ///
 /// ```
 /// use mpc_sim::Cluster;
@@ -89,7 +88,7 @@ impl Cluster {
             m,
             seed,
             ledger: Ledger::new(m),
-            backend: Backend::new(kind, m, seed),
+            backend: Backend::new(kind, m),
         }
     }
 
@@ -128,11 +127,11 @@ impl Cluster {
     }
 
     /// Ships per-machine shards through the transport's *setup plane*:
-    /// frames are encoded, transited, and decode-validated (workers hold
-    /// them resident on the process backend), but the [`Ledger`] is never
-    /// touched — it meters algorithm rounds, and the one-time input
-    /// distribution is the dataset load, not part of any algorithm's
-    /// round/word count. Bytes land in `WireStats::setup_bytes`.
+    /// on `loopback` the frames are encoded, copied, and decode-validated,
+    /// but the [`Ledger`] is never touched — it meters algorithm rounds,
+    /// and the one-time input distribution is the dataset load, not part of
+    /// any algorithm's round/word count. Bytes land in
+    /// `WireStats::setup_bytes`.
     pub fn ship_shards<T: Wire>(&mut self, label: &str, shards: &[Vec<T>], weight: u64) {
         assert_eq!(shards.len(), self.m, "one shard per machine");
         ship_setup(&mut self.backend, label, shards, weight);

@@ -28,7 +28,6 @@ pub mod cluster;
 pub mod cost;
 pub mod ledger;
 pub mod partition;
-pub mod process;
 pub mod rng;
 pub mod transport;
 pub mod wire;
@@ -37,7 +36,6 @@ pub use cluster::Cluster;
 pub use cost::CostModel;
 pub use ledger::{Ledger, MachineIo, RoundRecord, Violation};
 pub use partition::Partition;
-pub use process::transport_worker_main;
 pub use rng::machine_rng;
 pub use transport::{ByteIo, TransportKind, WireRound, WireStats, WireSummary};
 pub use wire::Wire;

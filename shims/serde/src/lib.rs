@@ -3,9 +3,9 @@
 //! Until the transport refactor (ISSUE 10) these were empty marker traits:
 //! nothing in the workspace consumed serialized bytes, so `#[derive]` sites
 //! were decorative. The pluggable `Cluster` transport changed that — the
-//! `loopback` and `process` backends move every collective's payload
-//! through length-prefixed little-endian frames, so `Serialize` /
-//! `Deserialize` now carry a working wire codec:
+//! `loopback` backend moves every collective's payload through
+//! length-prefixed little-endian frames, so `Serialize` / `Deserialize`
+//! now carry a working wire codec:
 //!
 //! * [`Serialize::to_bytes`] appends a value's canonical little-endian
 //!   encoding to a byte buffer;
@@ -134,7 +134,7 @@ macro_rules! impl_le_codec {
 impl_le_codec!(u8, u16, u32, u64, u128, i8, i16, i32, i64, i128, f32, f64);
 
 // `usize`/`isize` travel as 8 bytes so encodings are identical across
-// hosts and between coordinator and worker processes.
+// hosts.
 impl Serialize for usize {
     #[inline]
     fn to_bytes(&self, out: &mut Vec<u8>) {

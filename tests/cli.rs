@@ -100,9 +100,12 @@ fn bad_invocations_fail_cleanly() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--input"));
 
-    let out = bin().args(["frobnicate"]).output().unwrap();
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command"));
+    for unknown in ["frobnicate", "transport-worker"] {
+        let out = bin().args([unknown]).output().unwrap();
+        assert!(!out.status.success(), "`{unknown}` must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown command"), "`{unknown}`: {stderr}");
+    }
 
     let out = bin()
         .args(["kcenter", "--input", "/nonexistent.csv", "--k", "2"])
@@ -112,40 +115,53 @@ fn bad_invocations_fail_cleanly() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("cannot read"));
 }
 
-/// A `KCENTER_SPEED` typo — or a retired tier name from an old script —
-/// must abort the run naming the accepted values, never quietly run the
-/// default tier.
-#[test]
-fn unknown_speed_tier_fails_loudly() {
-    let pts = tmp("speed-points.csv");
+/// Runs a small k-center job with `var` set to each of `bad` (must abort
+/// with stderr naming `var` and the `accepted` values) and each of `good`
+/// (must run).
+fn env_value_check(var: &str, bad: &[&str], good: &[&str], accepted: &str) {
+    let pts = tmp(&format!("{var}-points.csv"));
     bin()
         .args(["gen", "--n", "60", "--seed", "8", "--out"])
         .arg(&pts)
         .status()
         .unwrap();
-    for bad in ["soa+sketch", "sketch", "fast"] {
-        let out = bin()
+    let run = |value: &str| {
+        bin()
             .args(["kcenter", "--k", "3", "--m", "2", "--input"])
             .arg(&pts)
-            .env("KCENTER_SPEED", bad)
+            .env(var, value)
             .output()
-            .unwrap();
-        assert!(!out.status.success(), "KCENTER_SPEED={bad} must fail");
+            .unwrap()
+    };
+    for value in bad {
+        let out = run(value);
+        assert!(!out.status.success(), "{var}={value} must fail");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(
-            stderr.contains("KCENTER_SPEED") && stderr.contains("exact|soa"),
-            "KCENTER_SPEED={bad}: {stderr}"
+            stderr.contains(var) && stderr.contains(accepted),
+            "{var}={value}: {stderr}"
         );
     }
-    for good in ["exact", "soa"] {
-        let out = bin()
-            .args(["kcenter", "--k", "3", "--m", "2", "--input"])
-            .arg(&pts)
-            .env("KCENTER_SPEED", good)
-            .output()
-            .unwrap();
-        assert!(out.status.success(), "KCENTER_SPEED={good} must run");
+    for value in good {
+        assert!(run(value).status.success(), "{var}={value} must run");
     }
+}
+
+/// A `KCENTER_SPEED` typo — or a retired tier name from an old script —
+/// must abort the run naming the accepted values, never quietly run the
+/// default tier.
+#[test]
+fn unknown_speed_tier_fails_loudly() {
+    let bad = ["soa+sketch", "sketch", "fast"];
+    env_value_check("KCENTER_SPEED", &bad, &["exact", "soa"], "exact|soa");
+}
+
+/// Likewise for `KCENTER_TRANSPORT`: the retired `process` backend and
+/// one never built (`tcp`) must abort, never fall back to `sim`.
+#[test]
+fn unknown_transport_fails_loudly() {
+    let (bad, good) = (["process", "tcp"], ["sim", "loopback"]);
+    env_value_check("KCENTER_TRANSPORT", &bad, &good, "sim|loopback");
 }
 
 #[test]
