@@ -10,6 +10,10 @@
 //! or the memo's cached distance rows. Ids, objective bits and the ledger
 //! transcript (labels plus per-machine traffic, FNV-hashed) must all
 //! match, at dimensions 3 and 32 and at 1, 2 and 8 worker threads.
+//!
+//! Each case's reference digest is also hashed and compared with a
+//! constant recorded before the drivers shared one ladder, so a driver
+//! edit that changed every configuration alike still fails here.
 
 use mpc_clustering::core::diversity::mpc_diversity_on;
 use mpc_clustering::core::kcenter::mpc_kcenter_on;
@@ -22,6 +26,23 @@ use rayon::with_threads;
 
 const THREADS: [usize; 3] = [1, 2, 8];
 const DIMS: [usize; 2] = [3, 32];
+
+/// Recorded reference-digest hashes, one per entry of `DIMS`.
+const KCENTER_PINS: [u64; 2] = [0x7fc2_5043_3baa_cd6f, 0x5a24_4eb1_491c_6eec];
+const DIVERSITY_PINS: [u64; 2] = [0x055b_efc0_64c2_2e56, 0xf15d_cad4_ea97_82df];
+const KSUPPLIER_PINS: [u64; 2] = [0x8422_7ab9_aa24_64dc, 0xeffb_3a93_85c6_97ee];
+
+/// FNV-1a over a stream of words.
+fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for w in words {
+        for b in w.to_le_bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
 
 /// FNV-1a over every round's label and per-machine sent/received words.
 fn ledger_fnv(ledger: &Ledger) -> u64 {
@@ -40,6 +61,14 @@ fn ledger_fnv(ledger: &Ledger) -> u64 {
         }
     }
     h
+}
+
+/// One hash of a whole digest: the id count, the ids, then the scalars.
+fn digest_hash((ids, objective, boundary, evals, rounds, ledger): &Digest) -> u64 {
+    let scalars = [*objective, *boundary as u64, *evals, *rounds, *ledger];
+    fnv(std::iter::once(ids.len() as u64)
+        .chain(ids.iter().map(|p| p.0 as u64))
+        .chain(scalars))
 }
 
 /// What one run must reproduce: selected ids, the objective as raw bits,
@@ -115,16 +144,23 @@ fn spaces(points: PointSet) -> (EuclideanSpace, EuclideanSpace) {
     (space, oracle)
 }
 
-/// Runs `run` on the exact oracle at one thread for the reference, then
-/// on the oracle, the default-tier space and a fresh memo over the
-/// default space at every thread count; all ten digests must be equal.
+/// Runs `run` on the exact oracle at one thread for the reference, whose
+/// hash must equal `pin`, then on the oracle, the default-tier space and
+/// a fresh memo over the default space at every thread count; all ten
+/// digests must be equal.
 fn assert_memo_neutral(
     what: &str,
     (space, oracle): &(EuclideanSpace, EuclideanSpace),
+    pin: u64,
     run: impl Fn(&dyn MetricSpace) -> Digest,
 ) {
     let reference = with_threads(1, || run(oracle));
     assert!(reference.3 > 0, "{what}: the run should climb the ladder");
+    let hash = digest_hash(&reference);
+    assert_eq!(
+        hash, pin,
+        "{what}: reference digest hashes to {hash:#018x}, recorded {pin:#018x}"
+    );
     for threads in THREADS {
         let exact = with_threads(threads, || run(oracle));
         let raw = with_threads(threads, || run(space));
@@ -143,10 +179,10 @@ fn assert_memo_neutral(
 
 #[test]
 fn kcenter_is_memo_neutral() {
-    for dim in DIMS {
+    for (dim, pin) in DIMS.into_iter().zip(KCENTER_PINS) {
         let spaces = spaces(datasets::gaussian_clusters(300, dim, 6, 0.05, 11));
         let params = Params::practical(4, 0.1, 11);
-        assert_memo_neutral(&format!("k-center d={dim}"), &spaces, |m| {
+        assert_memo_neutral(&format!("k-center d={dim}"), &spaces, pin, |m| {
             kcenter(m, 6, &params)
         });
     }
@@ -154,10 +190,10 @@ fn kcenter_is_memo_neutral() {
 
 #[test]
 fn diversity_is_memo_neutral() {
-    for dim in DIMS {
+    for (dim, pin) in DIMS.into_iter().zip(DIVERSITY_PINS) {
         let spaces = spaces(datasets::gaussian_clusters(300, dim, 8, 0.05, 12));
         let params = Params::practical(4, 0.1, 12);
-        assert_memo_neutral(&format!("diversity d={dim}"), &spaces, |m| {
+        assert_memo_neutral(&format!("diversity d={dim}"), &spaces, pin, |m| {
             diversity(m, 8, &params)
         });
     }
@@ -165,13 +201,13 @@ fn diversity_is_memo_neutral() {
 
 #[test]
 fn ksupplier_is_memo_neutral() {
-    for dim in DIMS {
+    for (dim, pin) in DIMS.into_iter().zip(KSUPPLIER_PINS) {
         // The first 220 points are customers, the last 80 suppliers.
         let spaces = spaces(datasets::gaussian_clusters(300, dim, 6, 0.05, 13));
         let customers: Vec<u32> = (0..220).collect();
         let suppliers: Vec<u32> = (220..300).collect();
         let params = Params::practical(4, 0.1, 13);
-        assert_memo_neutral(&format!("k-supplier d={dim}"), &spaces, |m| {
+        assert_memo_neutral(&format!("k-supplier d={dim}"), &spaces, pin, |m| {
             ksupplier(m, &customers, &suppliers, 6, &params)
         });
     }
