@@ -3,7 +3,7 @@
 
 use mpc_clustering::core::Telemetry;
 use mpc_clustering::core::{diversity, grid, kcenter, ksupplier, Params};
-use mpc_clustering::metric::{datasets, EuclideanSpace, SpeedTier};
+use mpc_clustering::metric::{datasets, EuclideanSpace, PointSet, SpeedTier};
 
 /// Per-machine communication grows ~linearly in m·k (Õ(mk) claim): going
 /// from (m, k) to (2m, 2k) must grow max words/machine by far less than
@@ -144,4 +144,26 @@ fn kernel_tallies_are_per_run() {
         "the grid engine reported no stencil pairs"
     );
     assert_eq!(a, b, "grid engine");
+}
+
+/// Runs that stop after the coarse stage still stamp their kernel
+/// tallies: diversity with n ≤ k, and k-supplier with every customer on
+/// a supplier (coarse radius 0).
+#[test]
+fn degenerate_runs_keep_their_kernel_tallies() {
+    let params = Params::practical(4, 0.1, 3);
+    let tiny = EuclideanSpace::new(datasets::uniform_cube(3, 2, 3));
+    let div = diversity::mpc_diversity(&tiny, 5, &params);
+    assert_eq!(div.subset.len(), 3);
+    assert!(div.telemetry.kernels.is_some(), "n <= k diversity");
+
+    // Twelve customers on three locations, one supplier on each.
+    let sites = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]];
+    let rows: Vec<Vec<f64>> = (0..15).map(|i| sites[i % 3].to_vec()).collect();
+    let space = EuclideanSpace::new(PointSet::from_rows(&rows));
+    let customers: Vec<u32> = (0..12).collect();
+    let suppliers: Vec<u32> = (12..15).collect();
+    let sup = ksupplier::mpc_ksupplier(&space, &customers, &suppliers, 3, &params);
+    assert_eq!(sup.radius, 0.0);
+    assert!(sup.telemetry.kernels.is_some(), "zero-radius k-supplier");
 }

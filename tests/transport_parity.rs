@@ -1,5 +1,5 @@
 //! Full pipelines on the byte-level `loopback` transport: Algorithm 5 on
-//! both Euclidean engines and Algorithm 2 must land on exactly the answer
+//! both Euclidean engines, Algorithm 2 and Algorithm 6 must land on exactly the answer
 //! and ledger of the in-memory `sim` reference, while every collective's
 //! frames really move — and per machine and per round, the bytes on the
 //! wire equal 8 × the words the ledger charged.
@@ -9,7 +9,7 @@
 
 use std::fmt::Debug;
 
-use mpc_clustering::core::{diversity, grid, kcenter, Params, Telemetry};
+use mpc_clustering::core::{diversity, grid, kcenter, ksupplier, Params, Telemetry};
 use mpc_clustering::metric::{datasets, EuclideanSpace};
 use mpc_clustering::sim::{Cluster, TransportKind};
 
@@ -100,6 +100,19 @@ fn diversity_loopback_matches_sim() {
     assert_loopback_matches_sim(
         |c, space, params| diversity::mpc_diversity_on(c, space, 6, params),
         |r| (r.subset.clone(), r.diversity.to_bits()),
+        |r| &r.telemetry,
+    );
+}
+
+#[test]
+fn ksupplier_loopback_matches_sim() {
+    // Every fourth point is a supplier, the rest are customers; both
+    // families are setup shards of their own.
+    let customers: Vec<u32> = (0..600).filter(|i| i % 4 != 0).collect();
+    let suppliers: Vec<u32> = (0..600).step_by(4).collect();
+    assert_loopback_matches_sim(
+        |c, space, params| ksupplier::mpc_ksupplier_on(c, space, &customers, &suppliers, 6, params),
+        |r| (r.suppliers.clone(), r.radius.to_bits()),
         |r| &r.telemetry,
     );
 }
