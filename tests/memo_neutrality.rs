@@ -9,10 +9,12 @@
 //! f32 SoA classifier with its exact re-decide, the plain f64 diff loop,
 //! or the memo's cached distance rows. Ids, objective bits and the ledger
 //! transcript (labels plus per-machine traffic, FNV-hashed) must all
-//! match, at dimensions 3 and 32 and at 1, 2 and 8 worker threads.
+//! match, at dimensions 3, 16 and 32 and at 1, 2 and 8 worker threads.
+//! d = 16 is the narrowest dimension on the f32 Gram path.
 //!
 //! Each case's reference digest is also hashed and compared with a
-//! constant recorded before the drivers shared one ladder, so a driver
+//! constant recorded before the drivers shared one ladder (the d = 16
+//! constants: before the query-paired run kernel), so a driver or kernel
 //! edit that changed every configuration alike still fails here.
 
 use mpc_clustering::core::diversity::mpc_diversity_on;
@@ -25,12 +27,24 @@ use mpc_clustering::sim::{Cluster, Ledger};
 use rayon::with_threads;
 
 const THREADS: [usize; 3] = [1, 2, 8];
-const DIMS: [usize; 2] = [3, 32];
+const DIMS: [usize; 3] = [3, 16, 32];
 
 /// Recorded reference-digest hashes, one per entry of `DIMS`.
-const KCENTER_PINS: [u64; 2] = [0x7fc2_5043_3baa_cd6f, 0x5a24_4eb1_491c_6eec];
-const DIVERSITY_PINS: [u64; 2] = [0x055b_efc0_64c2_2e56, 0xf15d_cad4_ea97_82df];
-const KSUPPLIER_PINS: [u64; 2] = [0x8422_7ab9_aa24_64dc, 0xeffb_3a93_85c6_97ee];
+const KCENTER_PINS: [u64; 3] = [
+    0x7fc2_5043_3baa_cd6f,
+    0x814d_a2b1_075e_4010,
+    0x5a24_4eb1_491c_6eec,
+];
+const DIVERSITY_PINS: [u64; 3] = [
+    0x055b_efc0_64c2_2e56,
+    0xaf1a_c5fe_77d9_8bb0,
+    0xf15d_cad4_ea97_82df,
+];
+const KSUPPLIER_PINS: [u64; 3] = [
+    0x8422_7ab9_aa24_64dc,
+    0xfcae_d25f_7cdc_57c7,
+    0xeffb_3a93_85c6_97ee,
+];
 
 /// FNV-1a over a stream of words.
 fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
