@@ -1,7 +1,5 @@
 //! Implicit threshold graphs `G_τ` over a metric space.
 
-use std::collections::HashMap;
-
 use mpc_metric::{MetricSpace, PointId};
 
 use crate::GraphView;
@@ -86,18 +84,21 @@ impl<M: MetricSpace> GraphView for ThresholdGraph<M> {
     /// ([`MetricSpace::count_within_many`] — tiled on coordinate-backed
     /// spaces, memo-served on `MemoizedSpace`), then a self-pair fixup:
     /// τ ≥ 0 means every occurrence of a query vertex in `candidates` was
-    /// counted within threshold, but the graph is irreflexive. Candidate
-    /// multiplicities are tallied once for the batch (restricted to ids
-    /// that actually occur in `vs`), replacing the per-query self scan.
+    /// counted within threshold, but the graph is irreflexive. Each query's
+    /// multiplicity in `candidates` is read off one sorted copy of the
+    /// list by two binary searches, replacing the per-query self scan.
     fn degrees_among(&self, vs: &[u32], candidates: &[u32]) -> Vec<usize> {
         let within = self.metric.count_within_many(vs, candidates, self.tau);
-        let mut selfs: HashMap<u32, usize> = vs.iter().map(|&v| (v, 0)).collect();
-        for &c in candidates {
-            if let Some(count) = selfs.get_mut(&c) {
-                *count += 1;
-            }
-        }
-        vs.iter().zip(within).map(|(&v, w)| w - selfs[&v]).collect()
+        let mut sorted = candidates.to_vec();
+        sorted.sort_unstable();
+        vs.iter()
+            .zip(within)
+            .map(|(&v, w)| {
+                let selfs =
+                    sorted.partition_point(|&c| c <= v) - sorted.partition_point(|&c| c < v);
+                w - selfs
+            })
+            .collect()
     }
 
     /// Batched via [`MetricSpace::neighbors_within_many`], dropping
@@ -153,6 +154,16 @@ mod tests {
             0,
             "self and far vertex contribute nothing"
         );
+    }
+
+    #[test]
+    fn batched_degrees_drop_every_self_occurrence() {
+        let g = ThresholdGraph::new(line(), 1.5);
+        let vs = [1, 1, 3, 0, 2];
+        let candidates = [1, 0, 1, 2, 1, 3, 2];
+        let want: Vec<usize> = vs.iter().map(|&v| g.degree_among(v, &candidates)).collect();
+        assert_eq!(want, vec![3, 3, 0, 3, 3]);
+        assert_eq!(g.degrees_among(&vs, &candidates), want);
     }
 
     #[test]
