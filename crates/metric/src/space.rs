@@ -366,10 +366,12 @@ pub trait MetricSpace: Sync {
 /// verdict. All counts are in pairs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelStats {
-    /// Pairs classified by the single-τ contiguous-run kernel
-    /// (`classify_f32_run`): every multi-query pair — on the space's
+    /// Pairs classified by the single-τ run kernel
+    /// (`classify_f32_run_bits`): every multi-query pair — on the space's
     /// mirror for a contiguous id run, else on a slab the call packs once
-    /// — plus the single-query kernels' contiguous tiles.
+    /// — plus the single-query kernels' contiguous tiles. The kernel takes
+    /// queries in pairs where it can; each (query, candidate) pair still
+    /// counts once, so the tally does not depend on the pairing.
     pub run_pairs: u64,
     /// Pairs classified by the single-τ indexed kernel
     /// (`classify_f32_indexed`): the scattered tiles of single-query
