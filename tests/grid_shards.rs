@@ -10,6 +10,10 @@
 //! A shard whose rows do not line up with its member list (row `j` not
 //! holding point `local_sets[i][j]`) changes the coreset, the radius or a
 //! rung on these inputs, so any such slip fails here.
+//!
+//! The recomposition shares the rung protocol with the engine, so a rung
+//! change that moves both sides would still agree. `PINS` closes that gap
+//! with recorded constants for d ∈ {2, 4, 8}.
 
 use mpc_clustering::core::common::{covering_radius, gmm_coreset};
 use mpc_clustering::core::grid::{grid_k_bounded_mis, mpc_kcenter_grid_on};
@@ -247,5 +251,107 @@ fn duplicate_heavy_input_matches_the_global_recomposition() {
             0f64.to_bits(),
             "k = distinct count covers exactly"
         );
+    }
+}
+
+/// FNV-1a over the center ids, count first.
+fn centers_fnv(centers: &[PointId]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for w in std::iter::once(centers.len() as u64).chain(centers.iter().map(|p| p.0 as u64)) {
+        for b in w.to_le_bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// One recorded solve: the input's dimension, then [`Digest`] with the
+/// centers folded into one FNV.
+type Pin = (usize, [u64; 10]);
+
+/// `mpc_kcenter_grid_on` on `datasets::user_embeddings(18000, d, 16, 0.1,
+/// 1e-3, 40 + d)` with k = 8, m = 4, ε = 0.1: centers FNV, radius bits,
+/// boundary, rounds, total words, peak memory, ledger FNV, `grid_cells`,
+/// `grid_stencil_cells`, `grid_pairs`. These are recorded constants, not
+/// a recomposition, so a change to the rung kernel that moves both sides
+/// of the parity tests above still fails here. d = 8 runs the 6 561-cell
+/// stencil.
+const PINS: [Pin; 3] = [
+    (
+        2,
+        [
+            0x3bc7_86c7_e90f_8f7a,
+            0x3fdb_c88b_1838_bb1b,
+            1,
+            19,
+            870,
+            9000,
+            0xd976_a39e_ba9d_3b8a,
+            614,
+            1593,
+            334_952,
+        ],
+    ),
+    (
+        4,
+        [
+            0xbb2a_ec96_0760_5d0f,
+            0x3fe9_2442_41dc_f794,
+            0,
+            17,
+            1469,
+            18_000,
+            0xd34a_ab00_a339_4988,
+            2297,
+            13_203,
+            403_221,
+        ],
+    ),
+    (
+        8,
+        [
+            0xed9a_f690_82ce_0aad,
+            0x3ff2_2bd6_dc78_718c,
+            1,
+            25,
+            2655,
+            36_000,
+            0x5ec6_2fcc_0007_f058,
+            5496,
+            1_443_420,
+            584_503,
+        ],
+    ),
+];
+
+#[test]
+fn recorded_pins_hold_at_every_thread_count() {
+    for (dim, want) in PINS {
+        let space = EuclideanSpace::new(datasets::user_embeddings(
+            18000,
+            dim,
+            16,
+            0.1,
+            1e-3,
+            40 + dim as u64,
+        ));
+        let params = Params::practical(4, 0.1, 40 + dim as u64);
+        for threads in THREADS {
+            let d = with_threads(threads, || sharded(&space, 8, &params));
+            let got = [
+                centers_fnv(&d.centers),
+                d.radius_bits,
+                d.boundary as u64,
+                d.rounds,
+                d.total_words,
+                d.peak_memory,
+                d.ledger_fnv,
+                d.grid_cells,
+                d.grid_stencil_cells,
+                d.grid_pairs,
+            ];
+            assert_eq!(got, want, "d={dim} t={threads}: {got:#x?}");
+        }
     }
 }
