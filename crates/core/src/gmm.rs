@@ -67,88 +67,101 @@ impl GmmOutput {
 /// assert_eq!(out.diversity(), 9.0);
 /// ```
 pub fn gmm<M: MetricSpace + ?Sized>(metric: &M, subset: &[u32], k: usize) -> GmmOutput {
-    if subset.is_empty() || k == 0 {
+    // Scratch for the bulk distance fills: one |subset|-long vector reused
+    // across picks.
+    let mut dists = Vec::with_capacity(subset.len());
+    let mut out = gmm_by(subset.len(), k, |next, slots| {
+        // One bulk kernel computes d(v, ·) against the whole subset
+        // (`dists_into` is bit-identical to the per-pair `dist` loop, and
+        // metric symmetry holds bitwise for every implementation here).
+        metric.dists_into(subset[next].into(), subset, &mut dists);
+        relax(&dists, slots)
+    });
+    for v in &mut out.selected {
+        *v = subset[*v as usize];
+    }
+    out
+}
+
+/// The one GMM driver, over positions `0..len`: seeds with position 0,
+/// then repeatedly picks the furthest position from the selection.
+/// `relax(next, slots)` must lower every `slots[i]` to `min(slots[i],
+/// d(next, i))` and return `(max, i)` over the relaxed slots, ties to the
+/// lower `i`. A chosen position's slot is `−∞`, which no relaxation raises
+/// and no argmax picks, so coincident points are never re-picked. The
+/// output's `selected` holds positions.
+pub(crate) fn gmm_by(
+    len: usize,
+    k: usize,
+    mut relax: impl FnMut(usize, &mut [f64]) -> (f64, usize),
+) -> GmmOutput {
+    if len == 0 || k == 0 {
         return GmmOutput {
             selected: Vec::new(),
             radii: Vec::new(),
             next_radius: 0.0,
         };
     }
-    let mut selected = Vec::with_capacity(k.min(subset.len()));
-    let mut radii = Vec::with_capacity(k.min(subset.len()));
-    // dist_to_sel[i] = d(subset[i], selected); chosen marks selected indices
-    // so coincident points are never re-picked.
-    let mut dist_to_sel = vec![f64::INFINITY; subset.len()];
-    let mut chosen = vec![false; subset.len()];
-
-    let mut next = 0usize; // index into subset of the point to add
+    let mut selected = Vec::with_capacity(k.min(len));
+    let mut radii = Vec::with_capacity(k.min(len));
+    // slots[i] = d(i, selected), −∞ once i is selected.
+    let mut slots = vec![f64::INFINITY; len];
+    let mut next = 0usize; // the position to add
     let mut next_radius = f64::INFINITY;
-    // Scratch for the bulk distance fills: one |subset|-long vector reused
-    // across iterations.
-    let mut dists = Vec::with_capacity(subset.len());
     while selected.len() < k {
-        let v = subset[next];
-        selected.push(v);
+        selected.push(next as u32);
         radii.push(next_radius);
-        chosen[next] = true;
-        if selected.len() == subset.len() {
+        slots[next] = f64::NEG_INFINITY;
+        if selected.len() == len {
             next_radius = 0.0;
             break;
         }
-        // One bulk kernel computes d(v, ·) against the whole subset
-        // (`dists_into` is bit-identical to the per-pair `dist` loop, and
-        // metric symmetry holds bitwise for every implementation here), then
-        // the relaxation tracks the new furthest unselected point. Large
-        // inputs run the relaxation across the worker pool; the reduction
-        // selects the lexicographic max of (distance, lower index), a total
-        // order, so any associative combine of the fixed chunk partials
-        // matches the sequential scan exactly (determinism at every thread
-        // count).
-        metric.dists_into(v.into(), subset, &mut dists);
-        const PAR_THRESHOLD: usize = 4096;
-        let best = if subset.len() >= PAR_THRESHOLD {
-            use rayon::prelude::*;
-            dists
-                .par_iter()
-                .zip(dist_to_sel.par_iter_mut())
-                .enumerate()
-                .map(|(i, (&dv, slot))| {
-                    let d = dv.min(*slot);
-                    *slot = d;
-                    if chosen[i] {
-                        (f64::NEG_INFINITY, usize::MAX)
-                    } else {
-                        (d, i)
-                    }
-                })
-                .reduce(
-                    || (f64::NEG_INFINITY, usize::MAX),
-                    |a, b| {
-                        if b.0 > a.0 || (b.0 == a.0 && b.1 < a.1) {
-                            b
-                        } else {
-                            a
-                        }
-                    },
-                )
-        } else {
-            let mut best = (f64::NEG_INFINITY, usize::MAX);
-            for (i, &dv) in dists.iter().enumerate() {
-                let d = dv.min(dist_to_sel[i]);
-                dist_to_sel[i] = d;
-                if !chosen[i] && d > best.0 {
-                    best = (d, i);
-                }
-            }
-            best
-        };
-        next_radius = best.0;
-        next = best.1;
+        (next_radius, next) = relax(next, &mut slots);
     }
     GmmOutput {
         selected,
         radii,
         next_radius,
+    }
+}
+
+/// [`gmm_by`]'s relaxation from precomputed distances: `slots[i] =
+/// min(dists[i], slots[i])`, then the furthest slot, ties to the lower
+/// index. Large inputs run it across the worker pool when there is more
+/// than one thread; the reduction selects the lexicographic max of
+/// (distance, lower index), a total order, so any associative combine of
+/// the fixed chunk partials matches the sequential scan exactly
+/// (determinism at every thread count).
+fn relax(dists: &[f64], slots: &mut [f64]) -> (f64, usize) {
+    if mpc_metric::space::par_bulk(dists.len()) {
+        use rayon::prelude::*;
+        dists
+            .par_iter()
+            .zip(slots.par_iter_mut())
+            .enumerate()
+            .map(|(i, (&dv, slot))| {
+                *slot = dv.min(*slot);
+                (*slot, i)
+            })
+            .reduce(
+                || (f64::NEG_INFINITY, usize::MAX),
+                |a, b| {
+                    if b.0 > a.0 || (b.0 == a.0 && b.1 < a.1) {
+                        b
+                    } else {
+                        a
+                    }
+                },
+            )
+    } else {
+        let mut best = (f64::NEG_INFINITY, usize::MAX);
+        for (i, (&dv, slot)) in dists.iter().zip(slots).enumerate() {
+            *slot = dv.min(*slot);
+            if *slot > best.0 {
+                best = (*slot, i);
+            }
+        }
+        best
     }
 }
 

@@ -52,13 +52,14 @@
 //! (the 3^d stencil is the budget) and all-pairs otherwise. The default
 //! stays all-pairs so existing digests are unchanged.
 
+use std::ops::Range;
 use std::sync::OnceLock;
 
-use mpc_metric::{EuclideanSpace, GridIndex, KernelStats, MetricSpace, PointId, PointSet};
+use mpc_metric::{simd, EuclideanSpace, GridIndex, KernelStats, MetricSpace, PointId, PointSet};
 use mpc_sim::Cluster;
 
 use crate::common::{coreset_with, covering_radius_with, new_cluster, Input, Run};
-use crate::gmm::gmm;
+use crate::gmm::gmm_by;
 use crate::kcenter::{kcenter_with, KCenterResult, KCenterSteps};
 use crate::params::Params;
 
@@ -157,49 +158,72 @@ impl EngineChoice {
 }
 
 /// One machine's input points in storage of its own, as the MPC model
-/// has them: local id `j` is the row of global point `members[j]`. Every
+/// has them: local row `j` is global point `members[j]`. Every
 /// machine-local step of the grid engine — the coreset GMM, the
 /// covering-radius scan, the rung grids — runs on these contiguous rows
 /// instead of reading the caller's global array by id, which under a
 /// round-robin partition scatters every pass over the machine's points
 /// across the whole input.
+///
+/// The rows are stored dimension-major (`cols[a * n + j]` is row `j`'s
+/// coordinate on axis `a`), the layout of the exact run kernels in
+/// [`mpc_metric::simd`]: four rows per vector step, one column load per
+/// coordinate. Those kernels are bit-identical to
+/// [`EuclideanSpace::row_dist`], so every step returns what a row-major
+/// scalar scan of the same rows would.
 struct Shard<'a> {
     /// The machine's global ids (its `local_sets` entry).
     members: &'a [u32],
-    rows: EuclideanSpace,
-    /// Local ids `0..len`, the member list of every computation on the
-    /// shard.
-    local: Vec<u32>,
+    dim: usize,
+    cols: Vec<f64>,
 }
 
 impl Shard<'_> {
-    fn row(&self, j: u32) -> &[f64] {
-        self.rows.points().coords(PointId(j))
+    fn len(&self) -> usize {
+        self.members.len()
     }
 
-    /// `GMM(members, k)` run on the shard and mapped back to global ids.
-    /// GMM seeds with the first member and breaks ties by member order,
-    /// and the shard keeps that order, so the selection equals
-    /// `gmm(space, members, k)`.
+    /// Copies local row `j` out of the slab into `row`.
+    fn read_row(&self, j: usize, row: &mut [f64]) {
+        for (a, x) in row.iter_mut().enumerate() {
+            *x = self.cols[a * self.len() + j];
+        }
+    }
+
+    /// `GMM(members, k)` run on the shard and mapped back to global ids:
+    /// the one [`gmm_by`] driver, each pick one fused distance, relax and
+    /// argmax pass of [`simd::exact_relax_run`]. GMM seeds with the first
+    /// member and breaks ties by member order, and the shard keeps that
+    /// order, so the selection equals `gmm(space, members, k)`.
     fn gmm(&self, k: usize) -> Vec<u32> {
-        gmm(&self.rows, &self.local, k)
-            .selected
-            .into_iter()
-            .map(|j| self.members[j as usize])
-            .collect()
+        let mut q = vec![0.0; self.dim];
+        gmm_by(self.len(), k, |next, slots| {
+            self.read_row(next, &mut q);
+            simd::exact_relax_run(&q, &self.cols, self.len(), 0, slots)
+        })
+        .selected
+        .into_iter()
+        .map(|j| self.members[j as usize])
+        .collect()
     }
 
-    /// `max_{x ∈ shard} d(x, Q)` for `Q` given as gathered center rows,
-    /// by the fold of [`crate::common::covering_radius`]: per point the
-    /// minimum squared distance and one `sqrt`, then the maximum.
+    /// `max_{x ∈ shard} d(x, Q)` for `Q` given as gathered center rows.
+    /// [`simd::exact_min_sq_run`] folds each point's minimum squared
+    /// distance to `Q`, bit for bit the squares behind
+    /// [`EuclideanSpace::row_dist_to_rows`]. `sqrt` is monotone, so the
+    /// largest `sqrt(min)` of [`crate::common::covering_radius`]'s fold is
+    /// the `sqrt` of the largest minimum: one root per shard.
     fn covering_radius(&self, centers: &PointSet) -> f64 {
-        let dim = centers.dim();
-        self.rows
-            .points()
-            .raw()
-            .chunks_exact(dim)
-            .map(|x| EuclideanSpace::row_dist_to_rows(x, centers.raw().chunks_exact(dim)))
-            .fold(0.0f64, f64::max)
+        let mut mins = vec![f64::INFINITY; self.len()];
+        simd::exact_min_sq_run(
+            centers.raw(),
+            centers.dim(),
+            &self.cols,
+            self.len(),
+            0,
+            &mut mins,
+        );
+        mins.into_iter().fold(0.0f64, f64::max).sqrt()
     }
 }
 
@@ -211,49 +235,73 @@ fn gather_shards<'a>(
     space: &EuclideanSpace,
     local_sets: &'a [Vec<u32>],
 ) -> Vec<Shard<'a>> {
+    let (data, dim) = (space.points().raw(), space.points().dim());
     // Index `local_sets` rather than take the closure's argument, whose
     // borrow ends with the call: the shard keeps `members` for `'a`.
     cluster.map(local_sets, |i, _| {
         let members = &local_sets[i];
-        Shard {
-            members,
-            rows: EuclideanSpace::new(space.points().gather(members)),
-            local: (0..members.len() as u32).collect(),
+        let n = members.len();
+        let mut cols = vec![0.0; dim * n];
+        for (j, &id) in members.iter().enumerate() {
+            let row = &data[id as usize * dim..(id as usize + 1) * dim];
+            for (a, &x) in row.iter().enumerate() {
+                cols[a * n + j] = x;
+            }
         }
+        Shard { members, dim, cols }
     })
 }
 
 /// Per-machine state of one rung's grid protocol: the local τ-grid over
-/// the machine's shard, the authoritative domination flags (within τ of
-/// an accepted center), and the per-iteration tentative marks (within τ
-/// of this iteration's own proposals), all indexed by grid slot.
+/// the machine's shard, the shard's rows in the grid's slot order, the
+/// authoritative domination flags (within τ of an accepted center), and
+/// the per-iteration tentative marks (within τ of this iteration's own
+/// proposals), all indexed by grid slot.
 struct MachineGrid<'a> {
     shard: &'a Shard<'a>,
     /// Grid over the shard's local ids.
     grid: GridIndex,
+    /// The shard's rows permuted to slot order, dimension-major: each
+    /// stencil cell is one contiguous run of the exact kernel. A copy of
+    /// rows the machine already holds, so the ledger does not charge it.
+    cells: Vec<f64>,
     dominated: Vec<bool>,
     tentative: Vec<u32>,
     /// Input positions before this are authoritatively dominated — the
     /// resume point for the proposal scan.
     start: usize,
+    /// Keep words of the current stencil run.
+    keep: Vec<u64>,
 }
 
 impl<'a> MachineGrid<'a> {
     fn build(shard: &'a Shard<'a>, tau: f64) -> Self {
-        let grid = GridIndex::build(shard.rows.points(), &shard.local, tau);
-        let n = shard.members.len();
+        let grid = GridIndex::build_cols(&shard.cols, shard.dim, tau);
+        let n = shard.len();
+        let mut cells = vec![0.0; shard.cols.len()];
+        // One column at a time (`max(1)`: an empty shard has no columns).
+        for (dst, src) in cells
+            .chunks_exact_mut(n.max(1))
+            .zip(shard.cols.chunks_exact(n.max(1)))
+        {
+            for (slot, x) in dst.iter_mut().enumerate() {
+                *x = src[grid.member(slot) as usize];
+            }
+        }
         Self {
             shard,
             grid,
+            cells,
             dominated: vec![false; n],
             tentative: vec![0; n],
             start: 0,
+            keep: Vec::new(),
         }
     }
 
     /// Ledger words for the grid plus the two per-point flag arrays.
     fn memory_words(&self) -> u64 {
-        self.grid.memory_words() + (5 * self.shard.members.len() as u64).div_ceil(8)
+        self.grid.memory_words() + (5 * self.shard.len() as u64).div_ceil(8)
     }
 
     /// Greedy independent proposals among undominated local points, at
@@ -266,26 +314,27 @@ impl<'a> MachineGrid<'a> {
         let Self {
             shard,
             grid,
+            cells,
             dominated,
             tentative,
             start,
+            keep,
         } = self;
-        while *start < shard.members.len() && dominated[grid.slot_of(*start)] {
+        while *start < shard.len() && dominated[grid.slot_of(*start)] {
             *start += 1;
         }
+        let mut a = vec![0.0; shard.dim];
         for (i, &id) in shard.members.iter().enumerate().skip(*start) {
             let slot = grid.slot_of(i);
             if dominated[slot] || tentative[slot] == epoch {
                 continue;
             }
             out.push(id);
-            let a = shard.row(i as u32);
+            shard.read_row(i, &mut a);
             let mut pairs = 0u64;
-            let scan = grid.stencil(a, |s2, j2| {
-                pairs += 1;
-                if EuclideanSpace::row_dist(a, shard.row(j2)) <= tau {
-                    tentative[s2] = epoch;
-                }
+            let scan = grid.stencil(&a, |run| {
+                pairs += run.len() as u64;
+                within(&a, cells, run, tau, keep, |s| tentative[s] = epoch);
             });
             stats.grid_stencil_cells += scan.cells as u64;
             stats.grid_pairs += pairs;
@@ -297,26 +346,49 @@ impl<'a> MachineGrid<'a> {
     }
 
     /// Marks the τ-balls of newly accepted centers, given as gathered
-    /// rows, as dominated.
+    /// rows, as dominated. A pair counts when its point was not yet
+    /// dominated; the kernel judges the whole run, and already dominated
+    /// points stay dominated.
     fn mark(&mut self, tau: f64, centers: &PointSet, stats: &mut KernelStats) {
         let Self {
-            shard,
             grid,
+            cells,
             dominated,
+            keep,
             ..
         } = self;
         for c in centers.raw().chunks_exact(centers.dim()) {
             let mut pairs = 0u64;
-            let scan = grid.stencil(c, |s2, j2| {
-                if !dominated[s2] {
-                    pairs += 1;
-                    if EuclideanSpace::row_dist(c, shard.row(j2)) <= tau {
-                        dominated[s2] = true;
-                    }
-                }
+            let scan = grid.stencil(c, |run| {
+                pairs += dominated[run.clone()].iter().filter(|&&d| !d).count() as u64;
+                within(c, cells, run, tau, keep, |s| dominated[s] = true);
             });
             stats.grid_stencil_cells += scan.cells as u64;
             stats.grid_pairs += pairs;
+        }
+    }
+}
+
+/// Calls `hit(slot)` for every slot of `run` whose row in the slot-ordered
+/// slab `cells` is within `tau` of `q` — [`simd::exact_within_run`]'s
+/// verdict, which is `row_dist(q, row) <= tau` bit for bit — in slot
+/// order, using `keep` as the run's word scratch.
+fn within(
+    q: &[f64],
+    cells: &[f64],
+    run: Range<usize>,
+    tau: f64,
+    keep: &mut Vec<u64>,
+    mut hit: impl FnMut(usize),
+) {
+    let n = cells.len() / q.len().max(1);
+    keep.resize(simd::run_words(run.len()), 0);
+    simd::exact_within_run(q, cells, n, run.start, run.len(), tau, keep);
+    for (w, &word) in keep.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            hit(run.start + w * 64 + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
         }
     }
 }
