@@ -1,4 +1,4 @@
-//! τ-sweep ladder engine benchmarks (`BENCH_ladder.json`), three series:
+//! τ-sweep ladder engine benchmarks (`BENCH_ladder.json`), two series:
 //!
 //! 1. **Warm-memo rung re-probe** — `warm-sorted` (sorted companion rows:
 //!    each rung is a `partition_point` prefix) vs `warm-scan` (the PR-4
@@ -9,9 +9,6 @@
 //! 2. **Sharded-memo warm hits** — bulk hit traffic through the sharded
 //!    locks at threads {1, default} (deduplicated — on a 1-core host only
 //!    `t1` runs, honestly recording t_default ≈ t1).
-//! 3. **Multi-τ vs per-τ kernels** — `EuclideanSpace::count_within_taus`
-//!    classifying one candidate pass against all 6 rungs vs the per-τ
-//!    `count_within` loop (no memo: raw kernels).
 //!
 //! The consistency suites (`crates/metric/tests/kernel_consistency.rs`,
 //! memo unit tests) separately pin that every pair of ids computes
@@ -19,7 +16,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mpc_core::memo::MemoizedSpace;
-use mpc_metric::{datasets, EuclideanSpace, MetricSpace, PointId};
+use mpc_metric::{datasets, EuclideanSpace, MetricSpace};
 use rayon::with_threads;
 
 /// Thread counts to measure: sequential and the process default,
@@ -82,42 +79,6 @@ fn bench_ladder(c: &mut Criterion) {
             &t,
             |b, &t| {
                 b.iter(|| with_threads(t, || sorted.count_within_many(&vs, &candidates, rungs[3])))
-            },
-        );
-    }
-
-    // Series 3: one-pass multi-τ kernel vs the per-τ loop on the raw
-    // Euclidean kernels (no memo involved).
-    for t in thread_variants() {
-        group.bench_with_input(
-            BenchmarkId::new(format!("multitau-d{dim}-n{n}-q{q}"), format!("t{t}")),
-            &t,
-            |b, &t| {
-                b.iter(|| {
-                    with_threads(t, || {
-                        vs.iter()
-                            .map(|&v| metric.count_within_taus(PointId(v), &candidates, &rungs))
-                            .collect::<Vec<_>>()
-                    })
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new(format!("pertau-d{dim}-n{n}-q{q}"), format!("t{t}")),
-            &t,
-            |b, &t| {
-                b.iter(|| {
-                    with_threads(t, || {
-                        vs.iter()
-                            .map(|&v| {
-                                rungs
-                                    .iter()
-                                    .map(|&tau| metric.count_within(PointId(v), &candidates, tau))
-                                    .collect::<Vec<usize>>()
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
             },
         );
     }

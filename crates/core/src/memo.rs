@@ -588,10 +588,11 @@ impl<M: MetricSpace + ?Sized> MetricSpace for MemoizedSpace<'_, M> {
     /// kernels compare, so every rung's answer is bit-identical to calling
     /// [`MetricSpace::count_within`] per τ.
     ///
-    /// Deliberately *not* forwarded to the inner space's multi-τ kernel:
-    /// Euclidean's works on squared thresholds, and mixing its verdicts
-    /// with this wrapper's `dist`-based ones could flip 1-ulp boundary
-    /// cases depending on cache state (see DESIGN.md §6.3).
+    /// Deliberately *not* forwarded to the inner space's
+    /// `count_within_taus`: Euclidean's `within` compares squared
+    /// thresholds, and mixing its verdicts with this wrapper's
+    /// `dist`-based ones could flip 1-ulp boundary cases depending on
+    /// cache state (see DESIGN.md §6.3).
     fn count_within_taus(&self, v: PointId, candidates: &[u32], taus: &[f64]) -> Vec<usize> {
         debug_assert!(
             taus.windows(2).all(|w| w[0] <= w[1]),

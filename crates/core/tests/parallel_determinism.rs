@@ -207,32 +207,6 @@ proptest! {
     }
 
     #[test]
-    fn multi_tau_kernels_identical_across_thread_counts(
-        seed in 0u64..1_000,
-        base in 0.05f64..1.0,
-    ) {
-        let n = 64u32;
-        let taus: Vec<f64> = (0..6).map(|i| base * 1.25f64.powi(i)).collect();
-        // dim 3 exercises the tiled rung scan, dim 18 (≥ GRAM_MIN_DIM) the
-        // Gram-banded rung classification; both must be thread-invariant.
-        for dim in [3usize, 18] {
-            let space = EuclideanSpace::new(datasets::uniform_cube(n as usize, dim, seed));
-            let cands = big_candidates(n, PAR_MIN_BULK + 29);
-            let v = PointId(seed as u32 % n);
-            let run = || {
-                (
-                    space.count_within_taus(v, &cands, &taus),
-                    space.neighbors_within_taus(v, &cands, &taus),
-                )
-            };
-            let baseline = with_threads(1, run);
-            for &t in &THREAD_COUNTS[1..] {
-                prop_assert_eq!(&with_threads(t, run), &baseline, "dim={} threads={}", dim, t);
-            }
-        }
-    }
-
-    #[test]
     fn memoized_sorted_paths_identical_across_thread_counts(
         seed in 0u64..1_000,
         base in 0.05f64..1.0,

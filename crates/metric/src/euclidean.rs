@@ -1,6 +1,5 @@
 //! Euclidean (L2) metric over flat point storage.
 
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
@@ -58,8 +57,6 @@ pub struct EuclideanSpace {
 struct KernelCounters {
     run_pairs: AtomicU64,
     indexed_pairs: AtomicU64,
-    taus_run_pairs: AtomicU64,
-    taus_indexed_pairs: AtomicU64,
     exact_fallbacks: AtomicU64,
 }
 
@@ -71,9 +68,6 @@ impl Clone for KernelCounters {
         let c = Self::default();
         c.run_pairs.store(s.run_pairs, Ordering::Relaxed);
         c.indexed_pairs.store(s.indexed_pairs, Ordering::Relaxed);
-        c.taus_run_pairs.store(s.taus_run_pairs, Ordering::Relaxed);
-        c.taus_indexed_pairs
-            .store(s.taus_indexed_pairs, Ordering::Relaxed);
         c.exact_fallbacks
             .store(s.exact_fallbacks, Ordering::Relaxed);
         c
@@ -85,24 +79,15 @@ impl KernelCounters {
         KernelStats {
             run_pairs: self.run_pairs.load(Ordering::Relaxed),
             indexed_pairs: self.indexed_pairs.load(Ordering::Relaxed),
-            taus_run_pairs: self.taus_run_pairs.load(Ordering::Relaxed),
-            taus_indexed_pairs: self.taus_indexed_pairs.load(Ordering::Relaxed),
             exact_fallbacks: self.exact_fallbacks.load(Ordering::Relaxed),
             ..KernelStats::default()
         }
     }
 
-    /// Folds one single-τ chunk scan into the tally.
-    fn record_single(&self, run: usize, indexed: usize, exact: usize) {
+    /// Folds one chunk scan into the tally.
+    fn record(&self, run: usize, indexed: usize, exact: usize) {
         bump(&self.run_pairs, run);
         bump(&self.indexed_pairs, indexed);
-        bump(&self.exact_fallbacks, exact);
-    }
-
-    /// Folds one multi-τ chunk scan into the tally.
-    fn record_taus(&self, run: usize, indexed: usize, exact: usize) {
-        bump(&self.taus_run_pairs, run);
-        bump(&self.taus_indexed_pairs, indexed);
         bump(&self.exact_fallbacks, exact);
     }
 }
@@ -179,7 +164,7 @@ impl ChunkScan {
 
     /// Folds this chunk's tallies into the space's counters.
     fn record(&self, counters: &KernelCounters) {
-        counters.record_single(self.run_pairs, self.indexed_pairs, self.exact);
+        counters.record(self.run_pairs, self.indexed_pairs, self.exact);
     }
 }
 
@@ -297,26 +282,6 @@ fn for_each_bit(words: &[u64], mut f: impl FnMut(usize)) {
 #[inline]
 fn is_contiguous_run(ids: &[u32]) -> bool {
     ids.len() >= 8 && ids.windows(2).all(|w| w[1] == w[0] + 1)
-}
-
-/// Reusable multi-τ kernel scratch, one per worker thread: the squared
-/// rungs and the per-tile class buffer the `scan_rungs` fast path fills.
-/// Hoisting these out of the per-call (and per-chunk) hot paths removes
-/// every allocation from the τ-sweep except the output vectors themselves.
-#[derive(Default)]
-struct TauScratch {
-    /// Squared non-negative rungs (`EuclideanSpace::with_t2s`).
-    t2s: Vec<f64>,
-    /// Per-tile rung-entry bytes from the `*_taus` kernels.
-    classes: Vec<u8>,
-}
-
-thread_local! {
-    /// Per-thread [`TauScratch`]. Thread-local rather than per-call so the
-    /// parallel chunk closures reuse buffers across chunks *and* across
-    /// kernel calls; the buffers never carry data between uses, so reuse
-    /// is invisible to results.
-    static TAU_SCRATCH: RefCell<TauScratch> = RefCell::new(TauScratch::default());
 }
 
 impl EuclideanSpace {
@@ -537,135 +502,6 @@ impl EuclideanSpace {
         }
         rows
     }
-
-    /// Multi-τ single-query scan: classifies each candidate in `chunk`
-    /// into its entry rung against the ascending squared thresholds `t2s`
-    /// and emits `(candidate, entry)` for candidates some rung admits.
-    ///
-    /// On the fast path each pair's f32 Gram estimate is computed **once**
-    /// and judged against each rung's own error band, vectorized across
-    /// both pairs and rungs ([`simd::classify_f32_run_taus`] /
-    /// [`simd::classify_f32_indexed_taus`]), with the exact
-    /// [`EuclideanSpace::row_dist_sq`] deciding any pair whose ladder had a
-    /// band hit. Each rung's verdict is therefore exactly `dist_sq <=
-    /// t2s[j]` — the plain loop's — and since `t2s` is non-decreasing the
-    /// verdict sequence is monotone, so the first admitting rung fully
-    /// describes all of them.
-    fn scan_rungs(
-        &self,
-        fast: Option<&Fast<'_>>,
-        v: u32,
-        chunk: &[u32],
-        t2s: &[f64],
-        mut emit: impl FnMut(u32, usize),
-    ) {
-        let dim = self.points.dim();
-        let data = self.points.raw();
-        let a = &data[v as usize * dim..(v as usize + 1) * dim];
-        let top = *t2s.last().expect("scan_rungs requires rungs");
-        // Ladders longer than the u8 entry encoding fall back to the plain
-        // loop below — verdict-identical, and far beyond any real sweep.
-        let fast = fast.filter(|_| t2s.len() <= simd::MAX_RUNGS);
-        let Some(fast) = fast else {
-            for &c in chunk {
-                let b = &data[c as usize * dim..c as usize * dim + dim];
-                let ds = Self::row_dist_sq(a, b);
-                // First rung with t2 >= ds, i.e. ds <= t2 — the scalar
-                // verdict. `!(ds <= top)` also sheds NaN distances, which
-                // no rung admits.
-                if ds <= top {
-                    emit(c, t2s.partition_point(|&t2| t2 < ds));
-                }
-            }
-            return;
-        };
-        // One batched rung-entry classification per tile — each f32 dot is
-        // computed once (contiguous tiles through the dimension-major run
-        // kernel, gathered tiles through the 4-blocked indexed kernel) and
-        // bucketed against every rung's own f32 band in vector code.
-        // Certain entries are emitted as-is (they provably equal the plain
-        // loop's first admitting rung); band hits re-derive the entry from
-        // the exact f64 distance.
-        let (q32, na32) = fast.query(v as usize);
-        let soa = fast.soa;
-        let (mut run, mut indexed, mut exact_hits) = (0usize, 0usize, 0usize);
-        TAU_SCRATCH.with(|cell| {
-            let classes = &mut cell.borrow_mut().classes;
-            for tile in chunk.chunks(tile_len(dim, 4)) {
-                classes.resize(tile.len(), 0);
-                if is_contiguous_run(tile) {
-                    simd::classify_f32_run_taus(
-                        q32,
-                        soa.cols(),
-                        soa.col_stride(),
-                        soa.raw(),
-                        soa.norms(),
-                        dim,
-                        tile[0] as usize,
-                        na32,
-                        t2s,
-                        fast.band_scale,
-                        classes,
-                    );
-                    run += tile.len();
-                } else {
-                    simd::classify_f32_indexed_taus(
-                        q32,
-                        soa.raw(),
-                        soa.norms(),
-                        dim,
-                        tile,
-                        na32,
-                        t2s,
-                        fast.band_scale,
-                        classes,
-                    );
-                    indexed += tile.len();
-                }
-                for (&c, &cl) in tile.iter().zip(&*classes) {
-                    match cl {
-                        simd::RUNG_NONE => {}
-                        simd::RUNG_EXACT => {
-                            // Some rung's verdict sat inside its band:
-                            // re-derive the entry from the exact distance.
-                            // `!(ds <= top)` also sheds NaN distances,
-                            // which no rung admits.
-                            exact_hits += 1;
-                            let b = &data[c as usize * dim..c as usize * dim + dim];
-                            let ds = Self::row_dist_sq(a, b);
-                            if ds <= top {
-                                emit(c, t2s.partition_point(|&t2| t2 < ds));
-                            }
-                        }
-                        entry => emit(c, entry as usize),
-                    }
-                }
-            }
-        });
-        fast.counters.record_taus(run, indexed, exact_hits);
-    }
-
-    /// Splits the non-decreasing `taus` into the negative prefix (always
-    /// empty/zero rungs — the scalar kernels return nothing for τ < 0) and
-    /// the squared non-negative suffix, handing `f` the prefix length and
-    /// the squared rungs. The rung buffer is borrowed from the calling
-    /// thread's [`TauScratch`] (taken out for the duration of `f`, so the
-    /// chunk closures `f` fans out — possibly onto this same thread — can
-    /// still borrow the scratch for their own buffers) and returned after,
-    /// so repeated sweeps allocate nothing.
-    fn with_t2s<R>(taus: &[f64], f: impl FnOnce(usize, &[f64]) -> R) -> R {
-        debug_assert!(
-            taus.windows(2).all(|w| w[0] <= w[1]),
-            "multi-τ kernels require non-decreasing thresholds"
-        );
-        let mut t2s = TAU_SCRATCH.with(|cell| std::mem::take(&mut cell.borrow_mut().t2s));
-        t2s.clear();
-        let j0 = taus.partition_point(|&t| t < 0.0);
-        t2s.extend(taus[j0..].iter().map(|&t| t * t));
-        let out = f(j0, &t2s);
-        TAU_SCRATCH.with(|cell| cell.borrow_mut().t2s = t2s);
-        out
-    }
 }
 
 impl MetricSpace for EuclideanSpace {
@@ -800,118 +636,6 @@ impl MetricSpace for EuclideanSpace {
             tau * tau,
             |row: &mut Vec<u32>, tile, verdicts| for_each_bit(verdicts, |i| row.push(tile[i])),
         )
-    }
-
-    /// Multi-τ kernel over one candidate pass (see
-    /// `EuclideanSpace::scan_rungs`): norms and the Gram dot product are
-    /// computed once per pair and classified against every rung, instead of
-    /// once per rung. Chunked counts combine by elementwise integer sums,
-    /// so the parallel path equals the sequential scan exactly.
-    fn count_within_taus(&self, v: PointId, candidates: &[u32], taus: &[f64]) -> Vec<usize> {
-        let mut counts = vec![0usize; taus.len()];
-        Self::with_t2s(taus, |j0, t2s| {
-            if t2s.is_empty() {
-                return;
-            }
-            let dim = self.points.dim();
-            let fast = self.fast();
-            let scan = |chunk: &[u32]| -> Vec<usize> {
-                let mut entry_counts = vec![0usize; t2s.len()];
-                self.scan_rungs(fast.as_ref(), v.0, chunk, t2s, |_, j| entry_counts[j] += 1);
-                entry_counts
-            };
-            let entry_counts = if space::par_bulk_weighted(candidates.len(), dim * t2s.len()) {
-                use rayon::prelude::*;
-                candidates
-                    .par_chunks(space::par_chunk_size_weighted(candidates.len(), dim))
-                    .map(scan)
-                    .reduce(
-                        || vec![0usize; t2s.len()],
-                        |mut acc, part| {
-                            for (a, b) in acc.iter_mut().zip(&part) {
-                                *a += b;
-                            }
-                            acc
-                        },
-                    )
-            } else {
-                scan(candidates)
-            };
-            let mut acc = 0usize;
-            for (j, &e) in entry_counts.iter().enumerate() {
-                acc += e;
-                counts[j0 + j] = acc;
-            }
-        });
-        counts
-    }
-
-    /// Filter twin of [`MetricSpace::count_within_taus`]: one classification
-    /// pass, then one bucketizing pass over the admitted `(candidate,
-    /// entry)` pairs and a prefix-merge across rungs — O(entries + output)
-    /// instead of re-scanning every entry per rung. Candidate order is
-    /// preserved per rung (as the per-rung scalar kernel would produce):
-    /// entries arrive in candidate scan order, so their sequence positions
-    /// key the merges.
-    fn neighbors_within_taus(&self, v: PointId, candidates: &[u32], taus: &[f64]) -> Vec<Vec<u32>> {
-        Self::with_t2s(taus, |j0, t2s| {
-            if t2s.is_empty() {
-                return vec![Vec::new(); taus.len()];
-            }
-            let dim = self.points.dim();
-            let fast = self.fast();
-            let scan = |chunk: &[u32]| -> Vec<(u32, u32)> {
-                let mut entries = Vec::new();
-                self.scan_rungs(fast.as_ref(), v.0, chunk, t2s, |c, j| {
-                    entries.push((c, j as u32))
-                });
-                entries
-            };
-            let entries: Vec<(u32, u32)> =
-                if space::par_bulk_weighted(candidates.len(), dim * t2s.len()) {
-                    use rayon::prelude::*;
-                    let parts: Vec<Vec<(u32, u32)>> = candidates
-                        .par_chunks(space::par_chunk_size_weighted(candidates.len(), dim))
-                        .map(scan)
-                        .collect();
-                    parts.concat()
-                } else {
-                    scan(candidates)
-                };
-            // Bucketize each entry to its rung, keyed by its position in
-            // the scan order (chunks concatenate in candidate order, so
-            // position order IS candidate order).
-            let mut buckets: Vec<Vec<(u32, u32)>> = vec![Vec::new(); t2s.len()];
-            for (p, &(c, e)) in entries.iter().enumerate() {
-                buckets[e as usize].push((p as u32, c));
-            }
-            // Rung j's list is every entry with rung ≤ j in scan order:
-            // prefix-merge the buckets, two ordered lists at a time.
-            let mut out: Vec<Vec<u32>> = vec![Vec::new(); j0];
-            let mut acc: Vec<(u32, u32)> = Vec::new();
-            let mut merged: Vec<(u32, u32)> = Vec::new();
-            for bucket in &buckets {
-                if !bucket.is_empty() {
-                    merged.clear();
-                    merged.reserve(acc.len() + bucket.len());
-                    let (mut x, mut y) = (0, 0);
-                    while x < acc.len() && y < bucket.len() {
-                        if acc[x].0 < bucket[y].0 {
-                            merged.push(acc[x]);
-                            x += 1;
-                        } else {
-                            merged.push(bucket[y]);
-                            y += 1;
-                        }
-                    }
-                    merged.extend_from_slice(&acc[x..]);
-                    merged.extend_from_slice(&bucket[y..]);
-                    std::mem::swap(&mut acc, &mut merged);
-                }
-                out.push(acc.iter().map(|&(_, c)| c).collect());
-            }
-            out
-        })
     }
 
     /// Bulk distance fill over flat rows. Deliberately **not** the Gram

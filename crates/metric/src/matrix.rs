@@ -10,13 +10,12 @@ use crate::space::{self, KernelStats, MetricSpace};
 /// Euclidean counters so `MatrixSpace` runs report [`KernelStats`] too.
 /// Row scans have no run/indexed split, so the mapping is by
 /// kernel shape: single-query scans count as `run_pairs`, multi-query
-/// scans as `indexed_pairs`, multi-τ scans as `taus_run_pairs`. Relaxed
-/// atomics — tallies, not synchronization.
+/// scans as `indexed_pairs`. Relaxed atomics — tallies, not
+/// synchronization.
 #[derive(Debug, Default)]
 struct MatrixCounters {
     run_pairs: AtomicU64,
     indexed_pairs: AtomicU64,
-    taus_run_pairs: AtomicU64,
 }
 
 impl MatrixCounters {
@@ -28,7 +27,6 @@ impl MatrixCounters {
         KernelStats {
             run_pairs: self.run_pairs.load(Ordering::Relaxed),
             indexed_pairs: self.indexed_pairs.load(Ordering::Relaxed),
-            taus_run_pairs: self.taus_run_pairs.load(Ordering::Relaxed),
             ..KernelStats::default()
         }
     }
@@ -39,7 +37,6 @@ impl Clone for MatrixCounters {
         Self {
             run_pairs: AtomicU64::new(self.run_pairs.load(Ordering::Relaxed)),
             indexed_pairs: AtomicU64::new(self.indexed_pairs.load(Ordering::Relaxed)),
-            taus_run_pairs: AtomicU64::new(self.taus_run_pairs.load(Ordering::Relaxed)),
         }
     }
 }
@@ -262,126 +259,6 @@ impl MetricSpace for MatrixSpace {
         }
     }
 
-    /// Multi-τ kernel: one row borrow, then each candidate's entry rung is
-    /// a `partition_point` over the non-decreasing thresholds — the first
-    /// rung `j` with `row[c] <= taus[j]`, exactly the per-rung scalar
-    /// verdict. One pass answers every rung; per-rung counts are the prefix
-    /// sums of the entry histogram.
-    fn count_within_taus(&self, v: PointId, candidates: &[u32], taus: &[f64]) -> Vec<usize> {
-        debug_assert!(
-            taus.windows(2).all(|w| w[0] <= w[1]),
-            "count_within_taus requires non-decreasing thresholds"
-        );
-        MatrixCounters::add(&self.counters.taus_run_pairs, candidates.len() as u64);
-        let row = &self.d[v.idx() * self.n..(v.idx() + 1) * self.n];
-        let mut counts = vec![0usize; taus.len()];
-        let Some(&last) = taus.last() else {
-            return counts;
-        };
-        let scan = |chunk: &[u32]| -> Vec<usize> {
-            let mut entry = vec![0usize; taus.len()];
-            for &c in chunk {
-                let d = row[c as usize];
-                if d <= last {
-                    entry[taus.partition_point(|&t| t < d)] += 1;
-                }
-            }
-            entry
-        };
-        let entry = if space::par_bulk_weighted(candidates.len(), taus.len()) {
-            use rayon::prelude::*;
-            candidates
-                .par_chunks(space::par_chunk_size(candidates.len()))
-                .map(scan)
-                .reduce(
-                    || vec![0usize; taus.len()],
-                    |mut acc, part| {
-                        for (a, b) in acc.iter_mut().zip(&part) {
-                            *a += b;
-                        }
-                        acc
-                    },
-                )
-        } else {
-            scan(candidates)
-        };
-        let mut acc = 0usize;
-        for (j, &e) in entry.iter().enumerate() {
-            acc += e;
-            counts[j] = acc;
-        }
-        counts
-    }
-
-    /// Filter twin of [`MetricSpace::count_within_taus`] over the same row
-    /// slice; each rung's list preserves candidate order. Entry collection
-    /// fans out over candidate chunks like the counting kernel (parts
-    /// concatenate in candidate order, so the output matches the
-    /// sequential scan at every thread count); the per-rung lists then
-    /// come from one bucketizing pass plus a prefix-merge across rungs —
-    /// O(entries + output), not O(rungs × entries).
-    fn neighbors_within_taus(&self, v: PointId, candidates: &[u32], taus: &[f64]) -> Vec<Vec<u32>> {
-        debug_assert!(
-            taus.windows(2).all(|w| w[0] <= w[1]),
-            "neighbors_within_taus requires non-decreasing thresholds"
-        );
-        MatrixCounters::add(&self.counters.taus_run_pairs, candidates.len() as u64);
-        let row = &self.d[v.idx() * self.n..(v.idx() + 1) * self.n];
-        let Some(&last) = taus.last() else {
-            return Vec::new();
-        };
-        let scan = |chunk: &[u32]| -> Vec<(u32, u32)> {
-            chunk
-                .iter()
-                .filter_map(|&c| {
-                    let d = row[c as usize];
-                    (d <= last).then(|| (c, taus.partition_point(|&t| t < d) as u32))
-                })
-                .collect()
-        };
-        let entries: Vec<(u32, u32)> = if space::par_bulk_weighted(candidates.len(), taus.len()) {
-            use rayon::prelude::*;
-            let parts: Vec<Vec<(u32, u32)>> = candidates
-                .par_chunks(space::par_chunk_size(candidates.len()))
-                .map(scan)
-                .collect();
-            parts.concat()
-        } else {
-            scan(candidates)
-        };
-        // Bucketize by entry rung (entries are already in candidate
-        // order, so bucket order and merge order both preserve it), then
-        // prefix-merge: rung j's list is every entry with rung ≤ j.
-        let mut buckets: Vec<Vec<(u32, u32)>> = vec![Vec::new(); taus.len()];
-        for (p, &(c, e)) in entries.iter().enumerate() {
-            buckets[e as usize].push((p as u32, c));
-        }
-        let mut out: Vec<Vec<u32>> = Vec::with_capacity(taus.len());
-        let mut acc: Vec<(u32, u32)> = Vec::new();
-        let mut merged: Vec<(u32, u32)> = Vec::new();
-        for bucket in &buckets {
-            if !bucket.is_empty() {
-                merged.clear();
-                merged.reserve(acc.len() + bucket.len());
-                let (mut x, mut y) = (0, 0);
-                while x < acc.len() && y < bucket.len() {
-                    if acc[x].0 < bucket[y].0 {
-                        merged.push(acc[x]);
-                        x += 1;
-                    } else {
-                        merged.push(bucket[y]);
-                        y += 1;
-                    }
-                }
-                merged.extend_from_slice(&acc[x..]);
-                merged.extend_from_slice(&bucket[y..]);
-                std::mem::swap(&mut acc, &mut merged);
-            }
-            out.push(acc.iter().map(|&(_, c)| c).collect());
-        }
-        out
-    }
-
     /// Bulk distance fill: one row borrow, then a gather — each entry is
     /// the exact matrix lookup [`MetricSpace::dist`] performs.
     fn dists_into(&self, v: PointId, candidates: &[u32], out: &mut Vec<f64>) {
@@ -455,11 +332,9 @@ mod tests {
         let cands: Vec<u32> = (0..6).collect();
         assert_eq!(m.count_within(PointId(0), &cands, 2.0), 3);
         let _ = m.count_within_many(&[0, 5], &cands, 2.0);
-        let _ = m.count_within_taus(PointId(0), &cands, &[1.0, 3.0]);
         let ks = m.kernel_stats().unwrap();
         assert_eq!(ks.run_pairs, 6);
         assert_eq!(ks.indexed_pairs, 12);
-        assert_eq!(ks.taus_run_pairs, 6);
         // Clones snapshot the tallies rather than sharing them.
         let c = m.clone();
         let _ = m.count_within(PointId(1), &cands, 2.0);

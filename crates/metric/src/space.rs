@@ -288,8 +288,7 @@ pub trait MetricSpace: Sync {
     /// **monotone non-decreasing** batch of finite thresholds (the ladder's
     /// rung schedule). One candidate pass classifies each candidate into
     /// its *entry rung* — the first rung that admits it — and the per-rung
-    /// counts fall out as a prefix sum, so `|taus|` rungs cost one scan
-    /// instead of `|taus|`.
+    /// counts fall out as a prefix sum.
     ///
     /// The entry-rung representation is sound because every implementation's
     /// `within` answers `dist <= τ`, which is monotone in τ: once a
@@ -366,22 +365,23 @@ pub trait MetricSpace: Sync {
 /// verdict. All counts are in pairs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelStats {
-    /// Pairs classified by the single-τ run kernel
+    /// Pairs classified by the run kernel
     /// (`classify_f32_run_bits`): every multi-query pair — on the space's
     /// mirror for a contiguous id run, else on a slab the call packs once
     /// — plus the single-query kernels' contiguous tiles. The kernel takes
     /// queries in pairs where it can; each (query, candidate) pair still
     /// counts once, so the tally does not depend on the pairing.
     pub run_pairs: u64,
-    /// Pairs classified by the single-τ indexed kernel
+    /// Pairs classified by the indexed kernel
     /// (`classify_f32_indexed`): the scattered tiles of single-query
     /// scans (`count_within` / `neighbors_within`) only.
     pub indexed_pairs: u64,
-    /// Pairs classified by the multi-τ contiguous-run kernel
-    /// (`classify_f32_run_taus`).
+    /// Always 0. The multi-τ run kernel that counted its pairs here is
+    /// gone; the field stays so struct literals that name it keep
+    /// compiling.
     pub taus_run_pairs: u64,
-    /// Pairs classified by the multi-τ indexed kernel
-    /// (`classify_f32_indexed_taus`).
+    /// Always 0, like [`KernelStats::taus_run_pairs`]: the multi-τ
+    /// indexed kernel is gone too.
     pub taus_indexed_pairs: u64,
     /// Always 0. The Hamming-sketch prefilter that counted certified
     /// rejects here is gone; the field stays so struct literals that name
@@ -402,7 +402,7 @@ pub struct KernelStats {
 impl KernelStats {
     /// Total pairs the fast-path classifiers judged.
     pub fn classified_pairs(&self) -> u64 {
-        self.run_pairs + self.indexed_pairs + self.taus_run_pairs + self.taus_indexed_pairs
+        self.run_pairs + self.indexed_pairs
     }
 
     /// Folds another tally into this one field-by-field — used to combine
@@ -410,8 +410,6 @@ impl KernelStats {
     pub fn merge(&mut self, other: &KernelStats) {
         self.run_pairs += other.run_pairs;
         self.indexed_pairs += other.indexed_pairs;
-        self.taus_run_pairs += other.taus_run_pairs;
-        self.taus_indexed_pairs += other.taus_indexed_pairs;
         self.exact_fallbacks += other.exact_fallbacks;
         self.grid_cells += other.grid_cells;
         self.grid_stencil_cells += other.grid_stencil_cells;

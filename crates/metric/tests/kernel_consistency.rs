@@ -58,11 +58,11 @@ fn probe_taus<M: MetricSpace + ?Sized>(m: &M) -> Vec<f64> {
 ///    band's exact-recompute fallback);
 /// 6. `dists_into` is bitwise `dist` per candidate, and `dist_to_set` is
 ///    bitwise the min-fold of `dist` over the set (`INFINITY` on empty);
-/// 7. the multi-τ kernels (`count_within_taus` / `neighbors_within_taus`)
+/// 7. the multi-τ methods (`count_within_taus` / `neighbors_within_taus`)
 ///    over the full sorted probe batch equal the per-τ kernels rung for
 ///    rung — including exact boundary thresholds, negative rungs, and
-///    duplicated rungs (for `EuclideanSpace` this exercises the one-pass
-///    entry-rung classification against the Gram band).
+///    duplicated rungs (the trait's entry-rung default body, which every
+///    space here runs, against each space's own single-τ kernels).
 fn check_kernels<M: MetricSpace>(m: &M) -> Result<(), TestCaseError> {
     let n = m.n() as u32;
     let all: Vec<u32> = (0..n).collect();
@@ -104,8 +104,8 @@ fn check_kernels<M: MetricSpace>(m: &M) -> Result<(), TestCaseError> {
             );
         }
     }
-    // (7) — the multi-τ kernels over the whole sorted probe batch. The
-    // kernels require non-decreasing thresholds (`probe_taus` is not
+    // (7) — the multi-τ methods over the whole sorted probe batch. The
+    // methods require non-decreasing thresholds (`probe_taus` is not
     // sorted), and `total_cmp` keeps duplicates adjacent.
     {
         let mut batch = probe_taus(m);
@@ -289,17 +289,6 @@ proptest! {
         m.reset();
         let _ = m.neighbors_within_many(&vs, &all, 1.0);
         prop_assert_eq!(m.calls(), (vs.len() * all.len()) as u64);
-        let taus = {
-            let mut t = vec![0.5, 1.0, 1.0, 2.0];
-            t.sort_by(f64::total_cmp);
-            t
-        };
-        m.reset();
-        let _ = m.count_within_taus(PointId(0), &all, &taus);
-        prop_assert_eq!(m.calls(), (all.len() * taus.len()) as u64);
-        m.reset();
-        let _ = m.neighbors_within_taus(PointId(0), &all, &taus);
-        prop_assert_eq!(m.calls(), (all.len() * taus.len()) as u64);
         m.reset();
         let mut out = Vec::new();
         m.dists_into(PointId(0), &all, &mut out);

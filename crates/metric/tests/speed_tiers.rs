@@ -9,7 +9,7 @@
 //! ladder digest check relies on: `KCENTER_SPEED` may change wall-clock
 //! time, never a single output bit.
 
-use mpc_metric::{simd, CountingSpace, EuclideanSpace, MetricSpace, PointId, PointSet, SpeedTier};
+use mpc_metric::{EuclideanSpace, MetricSpace, PointId, PointSet, SpeedTier};
 use proptest::prelude::*;
 use rayon::with_threads;
 
@@ -46,7 +46,7 @@ fn probe_taus(m: &EuclideanSpace) -> Vec<f64> {
 /// diffed against.
 const TIERS: [SpeedTier; 2] = [SpeedTier::Exact, SpeedTier::Soa];
 
-/// One full kernel transcript — everything the six bulk kernels return for
+/// One full kernel transcript — everything the four bulk kernels return for
 /// a fixed dataset, over every probe τ and candidate-set shape. Two spaces
 /// agree iff their transcripts are `==` (counts are `usize`, neighbor rows
 /// are `Vec<u32>`; no floats, so `==` is exact).
@@ -56,8 +56,6 @@ struct Transcript {
     neighbors: Vec<Vec<u32>>,
     counts_many: Vec<Vec<usize>>,
     neighbors_many: Vec<Vec<Vec<u32>>>,
-    counts_taus: Vec<Vec<usize>>,
-    neighbors_taus: Vec<Vec<Vec<u32>>>,
 }
 
 fn transcript(m: &EuclideanSpace, taus: &[f64]) -> Transcript {
@@ -72,18 +70,11 @@ fn transcript(m: &EuclideanSpace, taus: &[f64]) -> Transcript {
     let empty: Vec<u32> = Vec::new();
     let cand_sets = [&all, &evens, &with_dup, &empty];
     let probes: Vec<u32> = vec![0, n / 2, n - 1];
-    let sorted_taus = {
-        let mut t = taus.to_vec();
-        t.sort_by(f64::total_cmp);
-        t
-    };
     let mut out = Transcript {
         counts: Vec::new(),
         neighbors: Vec::new(),
         counts_many: Vec::new(),
         neighbors_many: Vec::new(),
-        counts_taus: Vec::new(),
-        neighbors_taus: Vec::new(),
     };
     for &tau in taus {
         for cands in cand_sets {
@@ -97,14 +88,6 @@ fn transcript(m: &EuclideanSpace, taus: &[f64]) -> Transcript {
                 .push(m.count_within_many(&probes, cands, tau));
             out.neighbors_many
                 .push(m.neighbors_within_many(&probes, cands, tau));
-        }
-    }
-    for cands in cand_sets {
-        for &v in &probes {
-            out.counts_taus
-                .push(m.count_within_taus(PointId(v), cands, &sorted_taus));
-            out.neighbors_taus
-                .push(m.neighbors_within_taus(PointId(v), cands, &sorted_taus));
         }
     }
     out
@@ -291,229 +274,6 @@ proptest! {
             let tn = with_threads(threads, || transcript(&space, &taus));
             prop_assert_eq!(&tn, &t1, "grown space changed output at {} threads", threads);
         }
-    }
-}
-
-/// A dense, adversarial multi-τ ladder: every probe threshold (exact
-/// pairwise distances with near-rung nudges, the edges) plus a handful of
-/// rungs duplicated verbatim — sorted non-decreasing as the multi-τ
-/// kernels require. Equal rungs force the rung-entry classification to
-/// settle ties identically to the scalar sweep, and the nudged rungs land
-/// inside the per-rung f32 error band, forcing exact re-decides.
-fn dense_ladder(m: &EuclideanSpace) -> Vec<f64> {
-    let mut taus = probe_taus(m);
-    let dups: Vec<f64> = taus.iter().copied().take(4).collect();
-    taus.extend(dups);
-    taus.sort_by(f64::total_cmp);
-    taus
-}
-
-/// Ground-truth oracle for the multi-τ kernels: per-rung counts and
-/// neighbor rows computed with nothing but the scalar `within` predicate —
-/// the same oracle `kernel_consistency.rs` pins the single-τ kernels to,
-/// and one no speed tier touches. NaN distances fail `within` at every
-/// rung, matching the kernels' shedding of non-finite pairs.
-fn taus_oracle(
-    m: &EuclideanSpace,
-    v: u32,
-    cands: &[u32],
-    taus: &[f64],
-) -> (Vec<usize>, Vec<Vec<u32>>) {
-    let counts = taus
-        .iter()
-        .map(|&t| {
-            cands
-                .iter()
-                .filter(|&&c| m.within(PointId(v), PointId(c), t))
-                .count()
-        })
-        .collect();
-    let neighbors = taus
-        .iter()
-        .map(|&t| {
-            cands
-                .iter()
-                .copied()
-                .filter(|&c| m.within(PointId(v), PointId(c), t))
-                .collect()
-        })
-        .collect();
-    (counts, neighbors)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// The multi-τ kernels match the scalar `dist` oracle bit-for-bit on
-    /// every tier, over dense ladders with duplicated and near-rung
-    /// thresholds and candidate lists with duplicates.
-    #[test]
-    fn multi_tau_matches_scalar_oracle(rows in arb_wide_rows(14, 32)) {
-        let spaces = spaces(&rows);
-        let ladder = dense_ladder(&spaces[0].1);
-        let n = spaces[0].1.n() as u32;
-        let all: Vec<u32> = (0..n).collect();
-        let with_dup: Vec<u32> = {
-            let mut v = vec![0u32, 0];
-            v.extend((0..n).rev());
-            v
-        };
-        for cands in [&all, &with_dup] {
-            for &v in &[0u32, n - 1] {
-                let (counts, neighbors) = taus_oracle(&spaces[0].1, v, cands, &ladder);
-                for (tier, space) in &spaces {
-                    prop_assert_eq!(
-                        &space.count_within_taus(PointId(v), cands, &ladder),
-                        &counts,
-                        "tier {} multi-τ counts diverged from the scalar oracle", tier.name()
-                    );
-                    prop_assert_eq!(
-                        &space.neighbors_within_taus(PointId(v), cands, &ladder),
-                        &neighbors,
-                        "tier {} multi-τ neighbors diverged from the scalar oracle", tier.name()
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Ladders longer than [`simd::MAX_RUNGS`] exceed what a `u8` rung-entry
-/// index can encode; the fast path must bow out and the plain-loop fallback
-/// must stay verdict-identical to the scalar oracle on every tier.
-#[test]
-fn multi_tau_overlong_ladder_falls_back() {
-    let rows: Vec<Vec<f64>> = (0..24)
-        .map(|i| {
-            (0..32)
-                .map(|j| ((i * 37 + j * 11) % 19) as f64 - 9.0)
-                .collect()
-        })
-        .collect();
-    let spaces = spaces(&rows);
-    let base = probe_taus(&spaces[0].1);
-    let hi = base.iter().copied().fold(1.0f64, f64::max);
-    // MAX_RUNGS + 17 rungs spanning [0, 2·max distance], strictly sorted.
-    let m = simd::MAX_RUNGS + 17;
-    let ladder: Vec<f64> = (0..m)
-        .map(|i| 2.0 * hi * i as f64 / (m - 1) as f64)
-        .collect();
-    let cands: Vec<u32> = (0..rows.len() as u32).collect();
-    let (counts, neighbors) = taus_oracle(&spaces[0].1, 0, &cands, &ladder);
-    for (tier, space) in &spaces {
-        assert_eq!(
-            space.count_within_taus(PointId(0), &cands, &ladder),
-            counts,
-            "tier {} diverged on an overlong ladder",
-            tier.name()
-        );
-        assert_eq!(
-            space.neighbors_within_taus(PointId(0), &cands, &ladder),
-            neighbors,
-            "tier {} neighbors diverged on an overlong ladder",
-            tier.name()
-        );
-    }
-}
-
-/// Non-finite coordinates through the dense multi-τ ladder, including an
-/// infinite rung: the f32 estimates go NaN/∞ (forcing exact re-decides)
-/// and verdicts must still match the scalar oracle on every tier.
-#[test]
-fn multi_tau_matches_oracle_on_non_finite_rows() {
-    let mut rows: Vec<Vec<f64>> = (0..12)
-        .map(|i| {
-            (0..32)
-                .map(|j| ((i * 31 + j * 7) % 13) as f64 - 6.0)
-                .collect()
-        })
-        .collect();
-    rows[3][4] = f64::INFINITY;
-    rows[7][0] = f64::NAN;
-    let spaces = spaces(&rows);
-    let mut ladder = vec![-1.0, 0.0, 3.0, 9.0, 27.0, f64::INFINITY];
-    ladder.sort_by(f64::total_cmp);
-    let cands: Vec<u32> = (0..rows.len() as u32).collect();
-    for &v in &[0u32, 3, 7] {
-        let (counts, neighbors) = taus_oracle(&spaces[0].1, v, &cands, &ladder);
-        for (tier, space) in &spaces {
-            assert_eq!(
-                space.count_within_taus(PointId(v), &cands, &ladder),
-                counts,
-                "tier {} diverged on non-finite data (probe {v})",
-                tier.name()
-            );
-            assert_eq!(
-                space.neighbors_within_taus(PointId(v), &cands, &ladder),
-                neighbors,
-                "tier {} neighbors diverged on non-finite data (probe {v})",
-                tier.name()
-            );
-        }
-    }
-}
-
-/// Multi-τ thread determinism on a workload big enough to cross the
-/// weighted parallel-dispatch gate (`candidates × dim × rungs`): chunk
-/// boundaries must never leak into per-rung counts or neighbor order.
-#[test]
-fn multi_tau_thread_count_deterministic_at_scale() {
-    let rows: Vec<Vec<f64>> = (0..1500)
-        .map(|i| {
-            (0..32)
-                .map(|j| ((i * 53 + j * 17) % 101) as f64 / 7.0)
-                .collect()
-        })
-        .collect();
-    let cands: Vec<u32> = (0..rows.len() as u32).collect();
-    for tier in TIERS {
-        let space = EuclideanSpace::new(PointSet::from_rows(&rows)).with_speed_tier(tier);
-        let base = space.dist(PointId(0), PointId(750));
-        let ladder: Vec<f64> = (0..24).map(|i| base * 0.2 * 1.15f64.powi(i)).collect();
-        let t1 = with_threads(1, || {
-            (
-                space.count_within_taus(PointId(0), &cands, &ladder),
-                space.neighbors_within_taus(PointId(0), &cands, &ladder),
-            )
-        });
-        for threads in [2usize, 8] {
-            let tn = with_threads(threads, || {
-                (
-                    space.count_within_taus(PointId(0), &cands, &ladder),
-                    space.neighbors_within_taus(PointId(0), &cands, &ladder),
-                )
-            });
-            assert_eq!(
-                tn,
-                t1,
-                "tier {} multi-τ output changed at {threads} threads",
-                tier.name()
-            );
-        }
-    }
-}
-
-/// `CountingSpace` charges the multi-τ kernels `|candidates| × |taus|`
-/// oracle calls — the per-τ loop's bill — identically on every tier, so
-/// evaluation counts stay comparable no matter which fast path ran.
-#[test]
-fn multi_tau_counting_charge_is_tier_invariant() {
-    let rows: Vec<Vec<f64>> = (0..40)
-        .map(|i| (0..32).map(|j| ((i * 29 + j * 13) % 23) as f64).collect())
-        .collect();
-    let cands: Vec<u32> = (0..rows.len() as u32).collect();
-    for tier in TIERS {
-        let m = CountingSpace::new(
-            EuclideanSpace::new(PointSet::from_rows(&rows)).with_speed_tier(tier),
-        );
-        let ladder = dense_ladder(m.inner());
-        let expected = (cands.len() * ladder.len()) as u64;
-        m.reset();
-        let _ = m.count_within_taus(PointId(0), &cands, &ladder);
-        assert_eq!(m.calls(), expected, "tier {} count charge", tier.name());
-        m.reset();
-        let _ = m.neighbors_within_taus(PointId(0), &cands, &ladder);
-        assert_eq!(m.calls(), expected, "tier {} neighbors charge", tier.name());
     }
 }
 

@@ -14,7 +14,7 @@
 use mpc_clustering::core::grid::mpc_kcenter_grid_on;
 use mpc_clustering::core::kcenter::mpc_kcenter_on;
 use mpc_clustering::core::Params;
-use mpc_clustering::metric::{datasets, EuclideanSpace, MetricSpace, PointId};
+use mpc_clustering::metric::{datasets, EuclideanSpace};
 use mpc_clustering::sim::{Cluster, TransportKind};
 use rayon::with_threads;
 
@@ -88,14 +88,12 @@ fn main() {
             // dim=32 lines' `classified=` to prove the fast path engaged.
             if let Some(ks) = &res.telemetry.kernels {
                 eprintln!(
-                    "  kernels(dim={dim} t={threads} tier={}): classified={} single {}r/{}i \
-                     multi-τ {}r/{}i exact_fallbacks={}",
+                    "  kernels(dim={dim} t={threads} tier={}): classified={} {}r/{}i \
+                     exact_fallbacks={}",
                     space.speed_tier().name(),
                     ks.classified_pairs(),
                     ks.run_pairs,
                     ks.indexed_pairs,
-                    ks.taus_run_pairs,
-                    ks.taus_indexed_pairs,
                     ks.exact_fallbacks
                 );
             }
@@ -152,47 +150,6 @@ fn main() {
                 );
             }
         }
-    }
-
-    // Direct multi-τ sweep digest: one candidate pass classified against a
-    // whole rung schedule through `count_within_taus` /
-    // `neighbors_within_taus`. The k-center runs above reach these kernels
-    // through the distance memo; this section pins them raw, so a tier- or
-    // thread-dependent rung verdict cannot hide behind caching.
-    let (n, dim) = (4_000usize, 32usize);
-    let space = EuclideanSpace::new(datasets::gaussian_clusters(n, dim, 8, 0.05, 11));
-    let candidates: Vec<u32> = (0..n as u32).collect();
-    let base = space.dist(PointId(0), PointId(n as u32 / 2));
-    let rungs: Vec<f64> = (0..12).map(|i| base * 0.15 * 1.25f64.powi(i)).collect();
-    for threads in [1usize, 2, 8] {
-        let mut h = Fnv::new();
-        with_threads(threads, || {
-            for v in (0..n as u32).step_by(n / 16) {
-                for c in space.count_within_taus(PointId(v), &candidates, &rungs) {
-                    h.eat(&(c as u64).to_le_bytes());
-                }
-                for row in space.neighbors_within_taus(PointId(v), &candidates, &rungs) {
-                    h.eat(&(row.len() as u64).to_le_bytes());
-                    for c in row {
-                        h.eat(&c.to_le_bytes());
-                    }
-                }
-            }
-        });
-        println!(
-            "taus-sweep n={n} dim={dim} rungs={} t={threads} digest={:016x}",
-            rungs.len(),
-            h.0
-        );
-    }
-    if let Some(ks) = space.kernel_stats() {
-        eprintln!(
-            "  taus-sweep kernels (tier={}): multi-τ {}r/{}i exact_fallbacks={}",
-            space.speed_tier().name(),
-            ks.taus_run_pairs,
-            ks.taus_indexed_pairs,
-            ks.exact_fallbacks
-        );
     }
 
     // Transport parity: the same ladder driven over the byte-level

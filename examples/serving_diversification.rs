@@ -106,9 +106,8 @@ fn main() {
     // go to stderr — CI's byte-diff watches stdout only.
     match index.space().kernel_stats() {
         Some(k) => eprintln!(
-            "kernel tallies: single {} run / {} indexed, multi-τ {} run / {} indexed, \
-             {} exact fallbacks",
-            k.run_pairs, k.indexed_pairs, k.taus_run_pairs, k.taus_indexed_pairs, k.exact_fallbacks
+            "kernel tallies: {} run / {} indexed, {} exact fallbacks",
+            k.run_pairs, k.indexed_pairs, k.exact_fallbacks
         ),
         None => eprintln!("kernel tallies: none (exact tier)"),
     }
