@@ -11,6 +11,13 @@
 //! alive list. It gates the per-call packing that puts such lists on the
 //! dimension-major run kernel.
 //!
+//! `tiled/many-d32-n10000-q1024-clustered/t1` runs the same multi-query
+//! scan over clustered `user_embeddings` (32 clusters) at an in-cluster
+//! threshold, where the ball index decides most (query, ball) blocks by
+//! the triangle inequality: it gates the pruned scan, and the uniform
+//! `many-d32-*` ids, whose bounds decide too little to prune, gate its
+//! fallback to the whole-slab scan.
+//!
 //! The ISSUE 4 acceptance criterion reads off this group: at threads=1,
 //! d=32, n=1e5, Q=1024, `many` must be ≥ 2× faster than `loop` — pure
 //! cache blocking + the cached-norm dot-product inner loop, no
@@ -81,6 +88,15 @@ fn bench_tiled(c: &mut Criterion) {
             }
         }
     }
+    let metric = EuclideanSpace::new(datasets::user_embeddings(10_000, 32, 32, 0.03, 1e-3, 7));
+    let tau = mpc_bench::distance_quantile(&metric, 0.01, 7);
+    let candidates: Vec<u32> = (0..10_000).collect();
+    let vs: Vec<u32> = (0..1024).map(|i| (i * 7919 % 10_000) as u32).collect();
+    group.bench_with_input(
+        BenchmarkId::new("many-d32-n10000-q1024-clustered", "t1"),
+        &1usize,
+        |b, &t| b.iter(|| with_threads(t, || metric.count_within_many(&vs, &candidates, tau))),
+    );
     group.finish();
 }
 

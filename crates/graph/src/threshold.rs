@@ -49,6 +49,18 @@ impl<M: MetricSpace> ThresholdGraph<M> {
     pub fn metric(&self) -> &M {
         &self.metric
     }
+
+    /// How many of `v`'s `selfs` occurrences in a candidate list the
+    /// metric's threshold kernels counted within τ: all of them when `v`
+    /// is within τ of itself, none when a non-finite coordinate makes its
+    /// self-distance NaN.
+    fn self_pairs(&self, v: u32, selfs: usize) -> usize {
+        if selfs > 0 && self.metric.within(PointId(v), PointId(v), self.tau) {
+            selfs
+        } else {
+            0
+        }
+    }
 }
 
 impl<M: MetricSpace> GraphView for ThresholdGraph<M> {
@@ -62,13 +74,13 @@ impl<M: MetricSpace> GraphView for ThresholdGraph<M> {
     }
 
     /// Forwards the whole batch to the metric's [`MetricSpace::count_within`]
-    /// kernel, then subtracts the self-pairs the kernel counted: τ ≥ 0 means
-    /// every occurrence of `v` itself in `candidates` is within threshold,
-    /// but the graph is irreflexive.
+    /// kernel, then subtracts the self-pairs the kernel counted: when `v`
+    /// is within τ of itself (always, unless a non-finite coordinate makes
+    /// its self-distance NaN), every occurrence of `v` in `candidates` was
+    /// counted, but the graph is irreflexive.
     fn degree_among(&self, v: u32, candidates: &[u32]) -> usize {
         let within = self.metric.count_within(PointId(v), candidates, self.tau);
-        let selfs = candidates.iter().filter(|&&c| c == v).count();
-        within - selfs
+        within - self.self_pairs(v, candidates.iter().filter(|&&c| c == v).count())
     }
 
     /// Batched via [`MetricSpace::neighbors_within`], dropping self-pairs.
@@ -82,11 +94,12 @@ impl<M: MetricSpace> GraphView for ThresholdGraph<M> {
 
     /// One multi-query metric kernel call for the whole grid
     /// ([`MetricSpace::count_within_many`] — tiled on coordinate-backed
-    /// spaces, memo-served on `MemoizedSpace`), then a self-pair fixup:
-    /// τ ≥ 0 means every occurrence of a query vertex in `candidates` was
-    /// counted within threshold, but the graph is irreflexive. Each query's
-    /// multiplicity in `candidates` is read off one sorted copy of the
-    /// list by two binary searches, replacing the per-query self scan.
+    /// spaces, memo-served on `MemoizedSpace`), then a self-pair fixup as
+    /// in [`ThresholdGraph::degree_among`]: every occurrence of a query
+    /// vertex within τ of itself in `candidates` was counted, but the
+    /// graph is irreflexive. Each query's multiplicity in `candidates` is
+    /// read off one sorted copy of the list by two binary searches,
+    /// replacing the per-query self scan.
     fn degrees_among(&self, vs: &[u32], candidates: &[u32]) -> Vec<usize> {
         let within = self.metric.count_within_many(vs, candidates, self.tau);
         let mut sorted = candidates.to_vec();
@@ -96,7 +109,7 @@ impl<M: MetricSpace> GraphView for ThresholdGraph<M> {
             .map(|(&v, w)| {
                 let selfs =
                     sorted.partition_point(|&c| c <= v) - sorted.partition_point(|&c| c < v);
-                w - selfs
+                w - self.self_pairs(v, selfs)
             })
             .collect()
     }
@@ -164,6 +177,25 @@ mod tests {
         let want: Vec<usize> = vs.iter().map(|&v| g.degree_among(v, &candidates)).collect();
         assert_eq!(want, vec![3, 3, 0, 3, 3]);
         assert_eq!(g.degrees_among(&vs, &candidates), want);
+    }
+
+    /// A vertex with a non-finite coordinate is not within τ of itself
+    /// (its self-distance is NaN), so its self-pairs were never counted
+    /// and must not be subtracted.
+    #[test]
+    fn non_finite_vertex_keeps_its_degree() {
+        let space = EuclideanSpace::new(PointSet::from_rows(&[
+            vec![0.0, 0.0],
+            vec![f64::NAN, 1.0],
+            vec![1.0, 1.0],
+        ]));
+        let g = ThresholdGraph::new(&space, 2.0);
+        let all = [0, 1, 2];
+        assert_eq!(g.degree_among(1, &all), 0);
+        assert_eq!(g.degree_among(1, &[1, 1]), 0);
+        assert_eq!(g.degree_among(0, &all), 1);
+        assert_eq!(g.degrees_among(&all, &all), vec![1, 0, 1]);
+        assert_eq!(g.degrees_among(&[1, 2], &[1, 2, 1]), vec![0, 0]);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
+use crate::ball::{self, BallIndex, ScanPlan};
 use crate::point::{PointId, PointSet};
 use crate::simd;
 use crate::soa::{f32_band_scale, SoaStorage, SpeedTier};
@@ -26,6 +27,11 @@ fn tile_len(dim: usize, bytes_per_coord: usize) -> usize {
     (TILE_BYTES / (bytes_per_coord * dim.max(1))).clamp(16, 4096)
 }
 
+/// Slab rows a pruned scan's kernel run may bridge between two candidate
+/// groups open for the same query pair: classifying the closed rows in
+/// between and masking them off costs less than a second kernel call.
+const RUN_BRIDGE: usize = 64;
+
 /// Minimum dimension for the f32 Gram-estimate pair decision. The estimate
 /// costs a fixed ~10 extra ops per pair (norm adds, band, two compares) on
 /// top of the dot product; that amortizes over the `dim` multiply-adds it
@@ -45,6 +51,10 @@ pub struct EuclideanSpace {
     /// Lazily built f32 mirror ([`SpeedTier::Soa`]). Derived purely from
     /// `points`, so cloning the cache with the space is sound.
     soa: OnceLock<SoaStorage>,
+    /// Lazily built ball index behind the pruned multi-query scans
+    /// ([`SpeedTier::Soa`], see [`crate::ball`]). Derived purely from
+    /// `points` and kept valid by [`EuclideanSpace::push_point`].
+    balls: OnceLock<BallIndex>,
     /// Cumulative fast-path kernel hit counters ([`KernelStats`]).
     counters: KernelCounters,
 }
@@ -192,6 +202,29 @@ impl Fast<'_> {
         data: &[f64],
         dim: usize,
     ) {
+        self.run_masked(scan, qs, slab, first, tile, None, t2, data, dim);
+    }
+
+    /// [`Fast::run_verdicts`] that, given `masks` (laid out like
+    /// `scan.keep`), decides only each query's masked candidates of the
+    /// tile: every other bit of `scan.keep` ends clear, and only the
+    /// masked pairs are re-decided and tallied. The kernel still runs over
+    /// the whole tile, so the two queries of a pair share one call
+    /// whatever their masks, and a short run can borrow neighbouring slab
+    /// rows to fill whole eight-candidate blocks.
+    #[allow(clippy::too_many_arguments)]
+    fn run_masked(
+        &self,
+        scan: &mut ChunkScan,
+        qs: &[u32],
+        slab: &SoaStorage,
+        first: usize,
+        tile: &[u32],
+        masks: Option<&[u64]>,
+        t2: f64,
+        data: &[f64],
+        dim: usize,
+    ) {
         scan.reset(qs.len(), tile.len());
         let ops = [qs[0], qs[qs.len() - 1]].map(|q| self.query(q as usize));
         simd::classify_f32_run_bits(
@@ -208,7 +241,17 @@ impl Fast<'_> {
             &mut scan.keep,
             &mut scan.band,
         );
-        scan.run_pairs += qs.len() * tile.len();
+        match masks {
+            Some(masks) => {
+                for words in [&mut scan.keep, &mut scan.band] {
+                    for (word, &mask) in words.iter_mut().zip(masks) {
+                        *word &= mask;
+                    }
+                }
+                scan.run_pairs += popcount(masks);
+            }
+            None => scan.run_pairs += qs.len() * tile.len(),
+        }
         for (j, &q) in qs.iter().enumerate() {
             let q = q as usize;
             scan.resolve(j, &data[q * dim..(q + 1) * dim], tile, t2, data, dim);
@@ -257,6 +300,61 @@ impl Fast<'_> {
     }
 }
 
+/// One query's output row of a multi-query scan: a count or a neighbour
+/// list, folded from verdict bit words.
+trait ScanRow: Default + Send {
+    /// Whether the row lists candidates (in candidate order) rather than
+    /// counting them.
+    const LISTS: bool;
+
+    /// Folds the verdicts of `ids` (bit `i % 64` of word `i / 64` is
+    /// `ids[i]`'s).
+    fn fold(&mut self, ids: &[u32], verdicts: &[u64]);
+
+    /// Counts `n` candidates decided within τ wholesale (counting rows
+    /// only: a listing row takes its verdicts in candidate order).
+    fn add(&mut self, n: usize);
+}
+
+impl ScanRow for usize {
+    const LISTS: bool = false;
+
+    fn fold(&mut self, _: &[u32], verdicts: &[u64]) {
+        *self += popcount(verdicts);
+    }
+
+    fn add(&mut self, n: usize) {
+        *self += n;
+    }
+}
+
+impl ScanRow for Vec<u32> {
+    const LISTS: bool = true;
+
+    fn fold(&mut self, ids: &[u32], verdicts: &[u64]) {
+        for_each_bit(verdicts, |i| self.push(ids[i]));
+    }
+
+    fn add(&mut self, _: usize) {
+        unreachable!("listing rows fold their verdicts in candidate order");
+    }
+}
+
+/// Sets bits `range` across `words` (bit `i % 64` of word `i / 64`).
+#[inline]
+fn set_bits(words: &mut [u64], range: std::ops::Range<usize>) {
+    for (w, word) in words
+        .iter_mut()
+        .enumerate()
+        .take(range.end.div_ceil(64))
+        .skip(range.start / 64)
+    {
+        let lo = range.start.max(64 * w) - 64 * w;
+        let hi = range.end.min(64 * w + 64) - 64 * w;
+        *word |= (u64::MAX >> (64 - (hi - lo))) << lo;
+    }
+}
+
 /// Set bits across `words`.
 #[inline]
 fn popcount(words: &[u64]) -> usize {
@@ -292,6 +390,7 @@ impl EuclideanSpace {
             points,
             tier: SpeedTier::from_env(),
             soa: OnceLock::new(),
+            balls: OnceLock::new(),
             counters: KernelCounters::default(),
         }
     }
@@ -320,11 +419,15 @@ impl EuclideanSpace {
     /// geometric lane re-striding), yielding values bit-identical to a
     /// from-scratch build over the extended set, so verdicts after an
     /// insert remain bit-identical across speed tiers, exactly as for
-    /// batch-constructed spaces.
+    /// batch-constructed spaces. A built ball index assigns the new point
+    /// to its nearest pivot in O(P·dim).
     pub fn push_point(&mut self, coords: &[f64]) -> PointId {
         let id = self.points.push(coords);
         if let Some(soa) = self.soa.get_mut() {
             soa.push(coords);
+        }
+        if let Some(balls) = self.balls.get_mut() {
+            balls.push(&self.points);
         }
         id
     }
@@ -390,31 +493,44 @@ impl EuclideanSpace {
     }
 
     /// Multi-query threshold scan behind [`MetricSpace::count_within_many`]
-    /// / [`MetricSpace::neighbors_within_many`]: resolves the fast path,
-    /// lays the candidates out for the run kernel, then fans fixed query
-    /// chunks across the worker pool (whole queries never straddle a chunk
-    /// and rows concatenate in query order, so the output equals the
-    /// sequential walk).
+    /// / [`MetricSpace::neighbors_within_many`] at threshold `tau ≥ 0`:
+    /// resolves the fast path, lays the candidates out for the run kernel,
+    /// then fans fixed query chunks across the worker pool (whole queries
+    /// never straddle a chunk and rows concatenate in query order, so the
+    /// output equals the sequential walk).
     ///
-    /// On the fast path every tile goes through the dimension-major run
-    /// kernel. A candidate list that is one contiguous id run reads the
-    /// space's own mirror; any other list — a `RoundRobin` share, a
-    /// broadcast sample — is packed **once per call**, before the fan-out,
-    /// into a [`SoaStorage::gather`]ed slab that every query chunk shares.
+    /// At the `soa` tier, a scan whose own pair count pays for the space's
+    /// ball index ([`ball::pays_for_index`]) first asks it for a
+    /// [`ScanPlan`]: when the triangle-inequality bounds decide at least
+    /// half of the pairs, only the undecided (query, ball) blocks are
+    /// classified ([`EuclideanSpace::scan_pruned`]). The `exact` tier never
+    /// prunes — it stays the unpruned reference oracle.
+    ///
+    /// Otherwise every tile goes through the dimension-major run kernel. A
+    /// candidate list that is one contiguous id run reads the space's own
+    /// mirror; any other list — a `RoundRobin` share, a broadcast sample —
+    /// is packed **once per call**, before the fan-out, into a
+    /// [`SoaStorage::gather`]ed slab that every query chunk shares.
     /// Packing costs one pass over the candidates' f32 rows, where the
     /// gather kernel would pay an index gather and a horizontal sum on
     /// every pair of every query.
-    fn scan_many<R: Default + Send>(
-        &self,
-        vs: &[u32],
-        candidates: &[u32],
-        t2: f64,
-        emit: impl Fn(&mut R, &[u32], &[u64]) + Sync,
-    ) -> Vec<R> {
+    fn scan_many<R: ScanRow>(&self, vs: &[u32], candidates: &[u32], tau: f64) -> Vec<R> {
         if vs.is_empty() {
             return Vec::new();
         }
+        let t2 = tau * tau;
         let fast = self.fast();
+        if let Some(fast) = &fast {
+            if ball::pays_for_index(vs.len(), candidates.len(), self.points.len()) {
+                let index = self
+                    .balls
+                    .get_or_init(|| BallIndex::build(&self.points, fast.soa));
+                let dim = self.points.dim();
+                if let Some(plan) = ScanPlan::new(index, vs, candidates, tau, t2, dim) {
+                    return self.scan_pruned(fast, &plan, vs, candidates, t2);
+                }
+            }
+        }
         let packed;
         let slab = match &fast {
             Some(fast) if is_contiguous_run(candidates) => {
@@ -426,7 +542,7 @@ impl EuclideanSpace {
             }
             None => None,
         };
-        let run = |qs: &[u32]| self.scan_tiles(slab, qs, candidates, t2, &emit);
+        let run = |qs: &[u32]| self.scan_tiles(slab, qs, candidates, t2);
         if space::par_bulk_pairs(vs.len(), candidates.len()) {
             space::par_query_chunks(vs, run)
         } else {
@@ -434,9 +550,168 @@ impl EuclideanSpace {
         }
     }
 
+    /// The ball-pruned form of [`EuclideanSpace::scan_many`]: the
+    /// candidates are packed once, grouped by ball in `plan.order`, and the
+    /// queries walk ball by ball in pairs (an odd last query of a ball
+    /// alone), so paired queries share their blocks. For each pair, an
+    /// *in* block adds every member of its candidate group, an *out* block
+    /// (absent from the plan) nothing, and each run of groups open for
+    /// either query goes through one run-kernel call plus the exact
+    /// re-decide ([`Fast::run_masked`]) on its contiguous slab rows,
+    /// masked to each query's own open groups. Query-ball chunks fan
+    /// across the worker pool,
+    /// and the rows land back in query order; listing rows are assembled
+    /// as verdict bits in candidate order, so every neighbour row keeps
+    /// candidate order, duplicates included.
+    ///
+    /// Only open pairs reach the kernel and its tallies, so `run_pairs`
+    /// grows by the plan's open pairs — the same at every thread count,
+    /// since the plan is made once per call and a pair's class never
+    /// depends on its pairing.
+    fn scan_pruned<R: ScanRow>(
+        &self,
+        fast: &Fast<'_>,
+        plan: &ScanPlan,
+        vs: &[u32],
+        candidates: &[u32],
+        t2: f64,
+    ) -> Vec<R> {
+        let dim = self.points.dim();
+        let data = self.points.raw();
+        let sorted: Vec<u32> = plan.order.iter().map(|&i| candidates[i as usize]).collect();
+        let slab = fast.soa.gather(&sorted);
+        let words = simd::run_words(candidates.len());
+        let groups = &plan.groups;
+        let run = |query_groups: &[u32]| -> Vec<R> {
+            let mut rows: Vec<R> = Vec::new();
+            let mut scan = ChunkScan::default();
+            let mut bits = vec![0u64; if R::LISTS { 2 * words } else { 0 }];
+            let mut masks = Vec::new();
+            for &qg in query_groups {
+                let (members, blocks) = &plan.query_groups[qg as usize];
+                let blocks = &plan.blocks[blocks.clone()];
+                for first in members.clone().step_by(2) {
+                    let n = (members.end - first).min(2);
+                    let k = first - members.start;
+                    let qids = [0, n - 1].map(|j| vs[plan.queries[first + j] as usize]);
+                    let verdict = |block: &ball::Block, j: usize| plan.verdicts[block.at + k + j];
+                    let at = rows.len();
+                    rows.extend(std::iter::repeat_with(R::default).take(n));
+                    let pair = &mut rows[at..];
+                    for block in blocks {
+                        for (j, row) in pair.iter_mut().enumerate() {
+                            if verdict(block, j) != ball::IN {
+                                continue;
+                            }
+                            let members = groups[block.group].clone();
+                            if R::LISTS {
+                                for &pos in &plan.order[members] {
+                                    bits[j * words + pos as usize / 64] |= 1 << (pos % 64);
+                                }
+                            } else {
+                                row.add(members.len());
+                            }
+                        }
+                    }
+                    let open = |block: &ball::Block| {
+                        [0, 1].map(|j| j < n && verdict(block, j) == ball::OPEN)
+                    };
+                    // Runs of candidate groups open for either query, at
+                    // most RUN_BRIDGE slab rows apart: each one kernel call
+                    // for the queries open in it, masked to each query's
+                    // own open groups.
+                    let is_open = |b: usize| open(&blocks[b]) != [false, false];
+                    let mut b = 0;
+                    while b < blocks.len() {
+                        if !is_open(b) {
+                            b += 1;
+                            continue;
+                        }
+                        let (mut last, mut e) = (b, b + 1);
+                        while e < blocks.len()
+                            && groups[blocks[e].group].start
+                                <= groups[blocks[last].group].end + RUN_BRIDGE
+                        {
+                            if is_open(e) {
+                                last = e;
+                            }
+                            e += 1;
+                        }
+                        let run = &blocks[b..=last];
+                        b = last + 1;
+                        let window =
+                            groups[run[0].group].start..groups[run[run.len() - 1].group].end;
+                        let any = [0, 1].map(|j| run.iter().any(|block| open(block)[j]));
+                        let (who, m) = match any {
+                            [true, true] => ([0, 1], 2),
+                            [true, false] => ([0, 0], 1),
+                            _ => ([1, 1], 1),
+                        };
+                        // Whole eight-candidate blocks keep the kernel off
+                        // its scalar tail: widen the run into neighbouring
+                        // slab rows; the masks drop them again.
+                        let span = window.len().next_multiple_of(8).min(sorted.len());
+                        let from = window.start.min(sorted.len() - span);
+                        let tile = &sorted[from..from + span];
+                        let tile_words = simd::run_words(span);
+                        masks.clear();
+                        masks.resize(m * tile_words, 0);
+                        for (mask, &j) in masks.chunks_mut(tile_words).zip(&who[..m]) {
+                            for block in run.iter().filter(|block| open(block)[j]) {
+                                let group = &groups[block.group];
+                                set_bits(mask, group.start - from..group.end - from);
+                            }
+                        }
+                        let qs = who.map(|j| qids[j]);
+                        fast.run_masked(
+                            &mut scan,
+                            &qs[..m],
+                            &slab,
+                            from,
+                            tile,
+                            Some(&masks),
+                            t2,
+                            data,
+                            dim,
+                        );
+                        for (v, &j) in who[..m].iter().enumerate() {
+                            if R::LISTS {
+                                for_each_bit(scan.verdicts(v), |i| {
+                                    let pos = plan.order[from + i] as usize;
+                                    bits[j * words + pos / 64] |= 1 << (pos % 64);
+                                });
+                            } else {
+                                pair[j].fold(tile, scan.verdicts(v));
+                            }
+                        }
+                    }
+                    if R::LISTS {
+                        for (j, row) in pair.iter_mut().enumerate() {
+                            row.fold(candidates, &bits[j * words..(j + 1) * words]);
+                        }
+                        bits.fill(0);
+                    }
+                }
+            }
+            scan.record(fast.counters);
+            rows
+        };
+        let query_groups: Vec<u32> = (0..plan.query_groups.len() as u32).collect();
+        let by_slot = if space::par_bulk_pairs(vs.len(), candidates.len()) {
+            space::par_query_chunks(&query_groups, run)
+        } else {
+            run(&query_groups)
+        };
+        let mut rows: Vec<R> = std::iter::repeat_with(R::default).take(vs.len()).collect();
+        for (&pos, row) in plan.queries.iter().zip(by_slot) {
+            rows[pos as usize] = row;
+        }
+        rows
+    }
+
     /// Tiled multi-query threshold scan: for each query in `qs`, decides
     /// every candidate against `t2 = τ²` and folds the per-candidate
-    /// verdicts with `emit`. Candidates stream in [`tile_len`]-row tiles so
+    /// verdicts into its [`ScanRow`]. Candidates stream in [`tile_len`]-row tiles so
     /// a tile is loaded from memory once and reused from cache by all
     /// queries (the whole point — the one-query kernels are memory-bound
     /// at d=32, see DESIGN.md §6.2).
@@ -456,17 +731,16 @@ impl EuclideanSpace {
     /// get the exact answer too. The kernel tallies are recorded once, at
     /// the end of the chunk.
     ///
-    /// `emit` receives one call per (query, tile) with the tile's
-    /// candidate ids and their verdicts as bit words (bit `i % 64` of word
-    /// `i / 64` is `tile[i]`'s) — so counting consumers popcount and
-    /// filtering consumers walk set bits, in candidate order.
-    fn scan_tiles<R: Default>(
+    /// Each query's row folds one call per tile ([`ScanRow::fold`]) with
+    /// the tile's candidate ids and their verdicts as bit words (bit
+    /// `i % 64` of word `i / 64` is `tile[i]`'s) — so counting rows
+    /// popcount and listing rows walk set bits, in candidate order.
+    fn scan_tiles<R: ScanRow>(
         &self,
         slab: Option<(&Fast<'_>, &SoaStorage, usize)>,
         qs: &[u32],
         candidates: &[u32],
         t2: f64,
-        emit: impl Fn(&mut R, &[u32], &[u64]),
     ) -> Vec<R> {
         let dim = self.points.dim();
         let data = self.points.raw();
@@ -493,7 +767,7 @@ impl EuclideanSpace {
                     }
                 }
                 for (j, row) in pair_rows.iter_mut().enumerate() {
-                    emit(row, tile, scan.verdicts(j));
+                    row.fold(tile, scan.verdicts(j));
                 }
             }
         }
@@ -520,6 +794,12 @@ impl MetricSpace for EuclideanSpace {
 
     #[inline]
     fn within(&self, i: PointId, j: PointId, tau: f64) -> bool {
+        if i == j {
+            // `dist_sq(i, i)` is 0 for a finite row and NaN otherwise, so
+            // a finiteness check gives the same verdict without the fold
+            // (threshold graphs ask it once per self-pair fixup).
+            return tau >= 0.0 && self.points.coords(i).iter().all(|x| x.is_finite());
+        }
         // Avoids the sqrt on the hot threshold-graph adjacency path.
         tau >= 0.0 && self.dist_sq(i, j) <= tau * tau
     }
@@ -614,12 +894,7 @@ impl MetricSpace for EuclideanSpace {
         if tau < 0.0 {
             return vec![0; vs.len()];
         }
-        self.scan_many(
-            vs,
-            candidates,
-            tau * tau,
-            |count: &mut usize, _, verdicts| *count += popcount(verdicts),
-        )
+        self.scan_many(vs, candidates, tau)
     }
 
     /// Filter twin of [`MetricSpace::count_within_many`] over the same
@@ -630,12 +905,7 @@ impl MetricSpace for EuclideanSpace {
         if tau < 0.0 {
             return vec![Vec::new(); vs.len()];
         }
-        self.scan_many(
-            vs,
-            candidates,
-            tau * tau,
-            |row: &mut Vec<u32>, tile, verdicts| for_each_bit(verdicts, |i| row.push(tile[i])),
-        )
+        self.scan_many(vs, candidates, tau)
     }
 
     /// Bulk distance fill over flat rows. Deliberately **not** the Gram

@@ -20,6 +20,7 @@
 //! computation can run under rayon.
 
 pub mod angular;
+mod ball;
 pub mod counting;
 pub mod datasets;
 pub mod edit;

@@ -370,7 +370,10 @@ pub struct KernelStats {
     /// mirror for a contiguous id run, else on a slab the call packs once
     /// — plus the single-query kernels' contiguous tiles. The kernel takes
     /// queries in pairs where it can; each (query, candidate) pair still
-    /// counts once, so the tally does not depend on the pairing.
+    /// counts once, so the tally does not depend on the pairing. A
+    /// multi-query scan that the ball index prunes counts only the pairs
+    /// its bounds left open, so the pruned share shows up as the fall in
+    /// this tally (`mpc_metric::ball`).
     pub run_pairs: u64,
     /// Pairs classified by the indexed kernel
     /// (`classify_f32_indexed`): the scattered tiles of single-query

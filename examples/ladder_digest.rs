@@ -34,16 +34,25 @@ impl Fnv {
 }
 
 fn main() {
-    // The dim=32 config matters for the speed tiers: wide rows engage the
+    // The dim=32 configs matter for the speed tiers: wide rows engage the
     // SoA fast path (dim ≥ 16), so diffing this output across
     // `KCENTER_SPEED` values actually exercises them; the dim=3 configs
-    // pin the narrow-row kernels.
-    for (n, dim, m, k, seed) in [
-        (900usize, 3usize, 4usize, 6usize, 42u64),
-        (600, 3, 8, 10, 7),
-        (700, 32, 4, 8, 21),
+    // pin the narrow-row kernels. The last config is clustered embeddings
+    // large enough that Alg 3's sampled-neighbour scans use the ball
+    // index, so the diff also covers the pruned scans against the exact
+    // oracle, which never prunes.
+    for (n, dim, m, k, seed, embeddings) in [
+        (900usize, 3usize, 4usize, 6usize, 42u64, false),
+        (600, 3, 8, 10, 7, false),
+        (700, 32, 4, 8, 21, false),
+        (4000, 32, 8, 32, 5, true),
     ] {
-        let space = EuclideanSpace::new(datasets::gaussian_clusters(n, dim, k, 0.05, seed));
+        let points = if embeddings {
+            datasets::user_embeddings(n, dim, k, 0.03, 1e-3, seed)
+        } else {
+            datasets::gaussian_clusters(n, dim, k, 0.05, seed)
+        };
+        let space = EuclideanSpace::new(points);
         let params = Params::practical(m, 0.1, seed);
         for threads in [1usize, 2, 8] {
             let (res, ledger) = with_threads(threads, || {
