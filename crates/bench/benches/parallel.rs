@@ -1,15 +1,15 @@
-//! 1-vs-N-thread speedups (`BENCH_parallel.json`): the bulk `count_within`
-//! kernel at d ∈ {4, 32}, n ∈ {1e4, 1e5}, and one full Algorithm 5 ladder,
-//! each measured at thread counts {1, 2, default} (deduplicated — on a
+//! 1-vs-N-thread speedups (`BENCH_parallel.json`): one full Algorithm 5
+//! ladder, measured at thread counts {1, 2, default} (deduplicated — on a
 //! 1-core host only `t1` and `t2` run). Ids embed the thread count, e.g.
-//! `parallel/count-d32-n100000/t2`, so the JSON is self-describing; the
-//! determinism suite (`crates/core/tests/parallel_determinism.rs`)
-//! separately pins that every variant computes identical outputs.
+//! `parallel/kcenter-ladder-n10000-k16-m8/t2`, so the JSON is
+//! self-describing; the determinism suite
+//! (`crates/core/tests/parallel_determinism.rs`) separately pins that
+//! every variant computes identical outputs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mpc_core::kcenter::mpc_kcenter;
 use mpc_core::Params;
-use mpc_metric::{datasets, EuclideanSpace, MetricSpace, PointId};
+use mpc_metric::{datasets, EuclideanSpace};
 use rayon::with_threads;
 
 /// Sorted, deduplicated thread counts to measure: sequential baseline,
@@ -20,30 +20,6 @@ fn thread_variants() -> Vec<usize> {
     v.sort_unstable();
     v.dedup();
     v
-}
-
-fn bench_count_within(c: &mut Criterion) {
-    let mut group = c.benchmark_group("parallel");
-    group.sample_size(20);
-    for dim in [4usize, 32] {
-        for n in [10_000usize, 100_000] {
-            let metric = EuclideanSpace::new(datasets::uniform_cube(n, dim, 7));
-            let tau = mpc_bench::distance_quantile(&metric, 0.2, 7);
-            let candidates: Vec<u32> = (0..n as u32).collect();
-            for t in thread_variants() {
-                group.bench_with_input(
-                    BenchmarkId::new(format!("count-d{dim}-n{n}"), format!("t{t}")),
-                    &t,
-                    |b, &t| {
-                        b.iter(|| {
-                            with_threads(t, || metric.count_within(PointId(0), &candidates, tau))
-                        })
-                    },
-                );
-            }
-        }
-    }
-    group.finish();
 }
 
 fn bench_ladder(c: &mut Criterion) {
@@ -62,5 +38,5 @@ fn bench_ladder(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_count_within, bench_ladder);
+criterion_group!(benches, bench_ladder);
 criterion_main!(benches);

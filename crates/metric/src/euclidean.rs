@@ -66,7 +66,6 @@ pub struct EuclideanSpace {
 #[derive(Debug, Default)]
 struct KernelCounters {
     run_pairs: AtomicU64,
-    indexed_pairs: AtomicU64,
     exact_fallbacks: AtomicU64,
 }
 
@@ -77,7 +76,6 @@ impl Clone for KernelCounters {
         let s = self.snapshot();
         let c = Self::default();
         c.run_pairs.store(s.run_pairs, Ordering::Relaxed);
-        c.indexed_pairs.store(s.indexed_pairs, Ordering::Relaxed);
         c.exact_fallbacks
             .store(s.exact_fallbacks, Ordering::Relaxed);
         c
@@ -88,16 +86,14 @@ impl KernelCounters {
     fn snapshot(&self) -> KernelStats {
         KernelStats {
             run_pairs: self.run_pairs.load(Ordering::Relaxed),
-            indexed_pairs: self.indexed_pairs.load(Ordering::Relaxed),
             exact_fallbacks: self.exact_fallbacks.load(Ordering::Relaxed),
             ..KernelStats::default()
         }
     }
 
     /// Folds one chunk scan into the tally.
-    fn record(&self, run: usize, indexed: usize, exact: usize) {
+    fn record(&self, run: usize, exact: usize) {
         bump(&self.run_pairs, run);
-        bump(&self.indexed_pairs, indexed);
         bump(&self.exact_fallbacks, exact);
     }
 }
@@ -130,10 +126,7 @@ struct ChunkScan {
     keep: Vec<u64>,
     band: Vec<u64>,
     words: usize,
-    /// `CLASS_*` bytes of the indexed kernel (scattered single-query tiles).
-    classes: Vec<u8>,
     run_pairs: usize,
-    indexed_pairs: usize,
     exact: usize,
 }
 
@@ -174,7 +167,7 @@ impl ChunkScan {
 
     /// Folds this chunk's tallies into the space's counters.
     fn record(&self, counters: &KernelCounters) {
-        counters.record(self.run_pairs, self.indexed_pairs, self.exact);
+        counters.record(self.run_pairs, self.exact);
     }
 }
 
@@ -256,47 +249,6 @@ impl Fast<'_> {
             let q = q as usize;
             scan.resolve(j, &data[q * dim..(q + 1) * dim], tile, t2, data, dim);
         }
-    }
-
-    /// A single-query tile's final verdicts into `scan.keep`: contiguous
-    /// tiles through [`Fast::run_verdicts`] on the mirror, scattered ones
-    /// through the 4-blocked gather kernel, whose class bytes are packed
-    /// into the same bit words before the exact re-decide.
-    fn tile_verdicts(
-        &self,
-        scan: &mut ChunkScan,
-        q: u32,
-        tile: &[u32],
-        t2: f64,
-        data: &[f64],
-        dim: usize,
-    ) {
-        if is_contiguous_run(tile) {
-            let first = tile[0] as usize;
-            self.run_verdicts(scan, &[q], self.soa, first, tile, t2, data, dim);
-            return;
-        }
-        let fq = self.query(q as usize);
-        scan.reset(1, tile.len());
-        scan.classes.resize(tile.len(), 0);
-        simd::classify_f32_indexed(
-            fq.0,
-            self.soa.raw(),
-            self.soa.norms(),
-            dim,
-            tile,
-            fq.1,
-            t2,
-            self.band_scale,
-            &mut scan.classes,
-        );
-        for (i, &cl) in scan.classes.iter().enumerate() {
-            scan.keep[i / 64] |= ((cl == simd::CLASS_KEEP) as u64) << (i % 64);
-            scan.band[i / 64] |= ((cl == simd::CLASS_EXACT) as u64) << (i % 64);
-        }
-        scan.indexed_pairs += tile.len();
-        let q = q as usize;
-        scan.resolve(0, &data[q * dim..(q + 1) * dim], tile, t2, data, dim);
     }
 }
 
@@ -493,7 +445,8 @@ impl EuclideanSpace {
     }
 
     /// Multi-query threshold scan behind [`MetricSpace::count_within_many`]
-    /// / [`MetricSpace::neighbors_within_many`] at threshold `tau ≥ 0`:
+    /// / [`MetricSpace::neighbors_within_many`] at threshold `tau ≥ 0`, and
+    /// behind the single-query kernels at the `soa` tier (one query):
     /// resolves the fast path, lays the candidates out for the run kernel,
     /// then fans fixed query chunks across the worker pool (whole queries
     /// never straddle a chunk and rows concatenate in query order, so the
@@ -511,9 +464,8 @@ impl EuclideanSpace {
     /// mirror; any other list — a `RoundRobin` share, a broadcast sample —
     /// is packed **once per call**, before the fan-out, into a
     /// [`SoaStorage::gather`]ed slab that every query chunk shares.
-    /// Packing costs one pass over the candidates' f32 rows, where the
-    /// gather kernel would pay an index gather and a horizontal sum on
-    /// every pair of every query.
+    /// Packing costs one pass over the candidates' f32 rows; the run
+    /// kernel then reads every pair from contiguous columns.
     fn scan_many<R: ScanRow>(&self, vs: &[u32], candidates: &[u32], tau: f64) -> Vec<R> {
         if vs.is_empty() {
             return Vec::new();
@@ -713,8 +665,8 @@ impl EuclideanSpace {
     /// every candidate against `t2 = τ²` and folds the per-candidate
     /// verdicts into its [`ScanRow`]. Candidates stream in [`tile_len`]-row tiles so
     /// a tile is loaded from memory once and reused from cache by all
-    /// queries (the whole point — the one-query kernels are memory-bound
-    /// at d=32, see DESIGN.md §6.2).
+    /// queries (the whole point — one query alone is memory-bound at
+    /// d=32, see DESIGN.md §6.2).
     ///
     /// On the fast path, `slab` carries the fast-path context, the
     /// candidates' run slab and the slab row of `candidates[0]` (see
@@ -804,88 +756,45 @@ impl MetricSpace for EuclideanSpace {
         tau >= 0.0 && self.dist_sq(i, j) <= tau * tau
     }
 
-    /// Batched kernel over the flat coordinate buffer: one slice borrow for
-    /// the query row, direct row offsets for candidates (no `PointId`
-    /// indirection or per-pair slice setup), squared-threshold comparison
-    /// with no sqrt — the bulk extension of the [`EuclideanSpace::dist_sq`]
-    /// trick above. The `zip` keeps the inner loop bounds-check-free so it
-    /// vectorizes. Batches whose total work passes the weighted gate split
-    /// into fixed candidate chunks across the worker pool; the integer
-    /// chunk counts sum to exactly the sequential count.
+    /// Single-query threshold count. At the `soa` tier (`d ≥ 16`) it is a
+    /// one-query `EuclideanSpace::scan_many`: a contiguous id run reads
+    /// the space's mirror, any other list is packed by
+    /// [`SoaStorage::gather`], and both go through the run kernel and its
+    /// exact re-decide, exactly as a multi-query scan does. The `exact`
+    /// tier and narrow rows keep the plain sequential f64 diff loop
+    /// against τ² (no tiles, no sqrt).
     fn count_within(&self, v: PointId, candidates: &[u32], tau: f64) -> usize {
         if tau < 0.0 {
             return 0;
         }
-        let t2 = tau * tau;
-        let dim = self.points.dim();
-        let data = self.points.raw();
-        let a = &data[v.idx() * dim..(v.idx() + 1) * dim];
-        let fast = self.fast();
-        let scan = |chunk: &[u32]| {
-            if let Some(fast) = &fast {
-                let mut scan = ChunkScan::default();
-                let mut count = 0usize;
-                for tile in chunk.chunks(tile_len(dim, 4)) {
-                    fast.tile_verdicts(&mut scan, v.0, tile, t2, data, dim);
-                    count += popcount(scan.verdicts(0));
-                }
-                scan.record(fast.counters);
-                return count;
-            }
-            chunk
-                .iter()
-                .filter(|&&c| {
-                    let b = &data[c as usize * dim..c as usize * dim + dim];
-                    Self::row_dist_sq(a, b) <= t2
-                })
-                .count()
-        };
-        if space::par_bulk_weighted(candidates.len(), dim) {
-            space::par_count_chunks_weighted(candidates, dim, scan)
-        } else {
-            scan(candidates)
+        if self.fast().is_some() {
+            return self.scan_many::<usize>(&[v.0], candidates, tau)[0];
         }
+        let (a, t2) = (self.points.coords(v), tau * tau);
+        candidates
+            .iter()
+            .filter(|&&c| Self::row_dist_sq(a, self.points.coords(PointId(c))) <= t2)
+            .count()
     }
 
-    /// Batched filter twin of [`MetricSpace::count_within`]; same kernel,
-    /// collecting ids instead of counting. The parallel path concatenates
-    /// per-chunk survivors in chunk order, so candidate order is preserved
-    /// exactly as in the sequential filter.
+    /// Filter twin of [`MetricSpace::count_within`] on the same two paths;
+    /// both keep candidate order, duplicates included.
     fn neighbors_within(&self, v: PointId, candidates: &[u32], tau: f64, out: &mut Vec<u32>) {
         out.clear();
         if tau < 0.0 {
             return;
         }
-        let t2 = tau * tau;
-        let dim = self.points.dim();
-        let data = self.points.raw();
-        let a = &data[v.idx() * dim..(v.idx() + 1) * dim];
-        let fast = self.fast();
-        let filter_chunk = |chunk: &[u32]| -> Vec<u32> {
-            if let Some(fast) = &fast {
-                let mut scan = ChunkScan::default();
-                let mut out = Vec::new();
-                for tile in chunk.chunks(tile_len(dim, 4)) {
-                    fast.tile_verdicts(&mut scan, v.0, tile, t2, data, dim);
-                    for_each_bit(scan.verdicts(0), |i| out.push(tile[i]));
-                }
-                scan.record(fast.counters);
-                return out;
-            }
-            chunk
+        if self.fast().is_some() {
+            out.append(&mut self.scan_many::<Vec<u32>>(&[v.0], candidates, tau)[0]);
+            return;
+        }
+        let (a, t2) = (self.points.coords(v), tau * tau);
+        out.extend(
+            candidates
                 .iter()
                 .copied()
-                .filter(|&c| {
-                    let b = &data[c as usize * dim..c as usize * dim + dim];
-                    Self::row_dist_sq(a, b) <= t2
-                })
-                .collect()
-        };
-        if space::par_bulk_weighted(candidates.len(), dim) {
-            space::par_filter_chunks_weighted(candidates, dim, out, filter_chunk);
-        } else {
-            out.extend(filter_chunk(candidates));
-        }
+                .filter(|&c| Self::row_dist_sq(a, self.points.coords(PointId(c))) <= t2),
+        );
     }
 
     /// Tiled multi-query kernel (see `EuclideanSpace::scan_many`): the
@@ -1045,8 +954,8 @@ mod tests {
 
     /// A multi-query scan over a strided candidate list (one `RoundRobin`
     /// share) packs the list and runs every pair on the dimension-major
-    /// run kernel: `run_pairs` grows by `|qs|·|cands|` per call and the
-    /// gather kernel's tally does not move.
+    /// run kernel: `run_pairs` grows by `|qs|·|cands|` per call and
+    /// `indexed_pairs` stays 0.
     #[test]
     fn strided_multi_query_scan_runs_on_the_run_kernel() {
         let points = crate::datasets::uniform_cube(400, 32, 5);
@@ -1063,9 +972,27 @@ mod tests {
         let pairs = (qs.len() * cands.len()) as u64;
         assert_eq!(mid.run_pairs - before.run_pairs, pairs);
         assert_eq!(after.run_pairs - mid.run_pairs, pairs);
-        assert_eq!(after.indexed_pairs, before.indexed_pairs);
+        assert_eq!(after.indexed_pairs, 0);
         assert_eq!(counts, exact.count_within_many(&qs, &cands, tau));
         assert_eq!(lists, exact.neighbors_within_many(&qs, &cands, tau));
+    }
+
+    /// One single-query `count_within` on a fresh `soa` space at d = 32
+    /// builds the f32 mirror, so a caller can pay for the build up front;
+    /// at the `exact` tier, or below [`GRAM_MIN_DIM`], it builds nothing.
+    #[test]
+    fn single_query_count_builds_the_mirror_only_on_the_fast_path() {
+        for (dim, tier, builds) in [
+            (32, SpeedTier::Soa, true),
+            (32, SpeedTier::Exact, false),
+            (4, SpeedTier::Soa, false),
+        ] {
+            let points = crate::datasets::uniform_cube(50, dim, 3);
+            let m = EuclideanSpace::new(points).with_speed_tier(tier);
+            assert!(m.soa.get().is_none());
+            m.count_within(PointId(0), &[1, 2, 3], 0.5);
+            assert_eq!(m.soa.get().is_some(), builds, "d={dim} {tier:?}");
+        }
     }
 
     #[test]

@@ -53,7 +53,6 @@ pub use point::{PointId, PointSet};
 pub use soa::SpeedTier;
 pub use space::{
     dist_point_to_set, dist_set_to_set, min_pairwise_distance, par_bulk, par_bulk_pairs,
-    par_bulk_weighted, par_chunk_size, par_chunk_size_weighted, par_count_chunks,
-    par_count_chunks_weighted, par_filter_chunks, par_filter_chunks_weighted, par_query_chunks,
-    KernelStats, MetricSpace, PAR_MIN_BULK,
+    par_bulk_weighted, par_chunk_size, par_chunk_size_weighted, par_query_chunks, KernelStats,
+    MetricSpace, PAR_MIN_BULK,
 };

@@ -165,51 +165,35 @@ impl MetricSpace for MatrixSpace {
     }
 
     /// Batched kernel: borrow `v`'s matrix row once and scan it
-    /// contiguously, instead of recomputing the row offset per pair. Large
-    /// batches fan candidate chunks out across the worker pool (see
-    /// [`space::par_bulk`]); integer chunk counts sum exactly, so the
-    /// parallel and sequential answers coincide.
+    /// contiguously, instead of recomputing the row offset per pair.
     fn count_within(&self, v: PointId, candidates: &[u32], tau: f64) -> usize {
         MatrixCounters::add(&self.counters.run_pairs, candidates.len() as u64);
         let row = &self.d[v.idx() * self.n..(v.idx() + 1) * self.n];
-        let scan = |chunk: &[u32]| chunk.iter().filter(|&&c| row[c as usize] <= tau).count();
-        if space::par_bulk(candidates.len()) {
-            space::par_count_chunks(candidates, scan)
-        } else {
-            scan(candidates)
-        }
+        candidates
+            .iter()
+            .filter(|&&c| row[c as usize] <= tau)
+            .count()
     }
 
     /// Batched filter twin of [`MetricSpace::count_within`] over the same
-    /// contiguous row slice; per-chunk survivors concatenate in chunk
-    /// order, preserving the sequential output order.
+    /// contiguous row slice, in candidate order.
     fn neighbors_within(&self, v: PointId, candidates: &[u32], tau: f64, out: &mut Vec<u32>) {
         MatrixCounters::add(&self.counters.run_pairs, candidates.len() as u64);
         out.clear();
         let row = &self.d[v.idx() * self.n..(v.idx() + 1) * self.n];
-        if space::par_bulk(candidates.len()) {
-            space::par_filter_chunks(candidates, out, |chunk| {
-                chunk
-                    .iter()
-                    .copied()
-                    .filter(|&c| row[c as usize] <= tau)
-                    .collect()
-            });
-        } else {
-            out.extend(
-                candidates
-                    .iter()
-                    .copied()
-                    .filter(|&c| row[c as usize] <= tau),
-            );
-        }
+        out.extend(
+            candidates
+                .iter()
+                .copied()
+                .filter(|&c| row[c as usize] <= tau),
+        );
     }
 
     /// Row-sliced multi-query kernel: each query borrows its matrix row
     /// once and scans candidates against it, skipping the per-call row
-    /// offset and `par_bulk` gating the single-query kernel would redo per
-    /// query. Large query batches fan fixed query chunks across the worker
-    /// pool; rows concatenate in query order.
+    /// offset the single-query kernel would redo per query. Large query
+    /// batches fan fixed query chunks across the worker pool; rows
+    /// concatenate in query order.
     fn count_within_many(&self, vs: &[u32], candidates: &[u32], tau: f64) -> Vec<usize> {
         MatrixCounters::add(
             &self.counters.indexed_pairs,

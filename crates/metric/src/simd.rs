@@ -39,15 +39,16 @@
 //! Both lanes of a kernel honour one output contract, so callers never
 //! branch on the lane.
 //!
-//! The single-τ f32 run kernel, [`classify_f32_run_bits`], is the hot
-//! estimate: every multi-query threshold scan goes through it. It takes
-//! **one or two queries** per call and loads each dimension-major column
-//! vector once for both, so a query pair halves the loads per FMA and
-//! keeps eight FMA chains in flight. Its verdicts come out as **bit
-//! words** — a keep word and a band word per 64 candidates and query —
-//! which callers popcount, walk in candidate order, or re-decide band bit
-//! by band bit, with no per-pair byte or bool pass. The indexed kernel
-//! still writes one class byte per pair.
+//! The f32 run kernel, [`classify_f32_run_bits`], is the one threshold
+//! classifier: every `soa` threshold scan, single- or multi-query, goes
+//! through it. It takes **one or two queries** per call and loads each
+//! dimension-major column vector once for both, so a query pair halves
+//! the loads per FMA and keeps eight FMA chains in flight. Its verdicts
+//! come out as **bit words** — a keep word and a band word per 64
+//! candidates and query — which callers popcount, walk in candidate
+//! order, or re-decide band bit by band bit, with no per-pair byte or
+//! bool pass. The one other f32 estimate, [`dots_f32_indexed`], only
+//! scores points against the ball index's pivots.
 
 use std::sync::OnceLock;
 
@@ -80,10 +81,11 @@ pub fn lane() -> Lane {
 }
 
 /// Batched indexed f32 dot products: `out[i] = ⟨q, rows[idx[i]]⟩` where
-/// `rows` is a row-major slab of `dim`-wide rows. The debug-build
-/// reference for the indexed classifiers: the AVX2 path blocks four
-/// candidates per iteration exactly as they do, so it reproduces their
-/// dots bit-for-bit. Estimate-only, like every dot in this module.
+/// `rows` is a row-major slab of `dim`-wide rows. The ball index's owner
+/// score (`crate::ball`): it scores every point against the pivots, four
+/// pivots per step on AVX2, and only picks the nearest one, whose exact
+/// f64 distance the bounds then read. Estimate-only, like every dot in
+/// this module.
 #[inline]
 pub fn dots_f32_indexed(q: &[f32], rows: &[f32], dim: usize, idx: &[u32], out: &mut [f32]) {
     debug_assert_eq!(idx.len(), out.len());
@@ -107,79 +109,15 @@ pub fn dots_f32_indexed(q: &[f32], rows: &[f32], dim: usize, idx: &[u32], out: &
     }
 }
 
-/// [`classify_f32_indexed`] verdict: the estimate certifies the pair is
-/// within the threshold.
-pub const CLASS_KEEP: u8 = 1;
-/// [`classify_f32_indexed`] verdict: the estimate certifies the pair is
-/// beyond the threshold.
-pub const CLASS_REJECT: u8 = 0;
-/// [`classify_f32_indexed`] verdict: inside the error band — the caller
-/// must re-decide with the exact f64 evaluation.
-pub const CLASS_EXACT: u8 = 2;
-
-/// Batched banded classification — the SoA tiers' whole per-pair decision
-/// in one tile call: for each candidate `c = idx[i]`, computes the f32 dot
-/// `d`, widens, and classifies the Gram estimate
-/// `est = (na + nb) − 2·d` against the band `band_scale · (na + nb + t2)`
-/// exactly as the scalar judgment does (same f64 operation sequence, so
-/// the verdicts are bit-identical to a scalar re-evaluation with the same
-/// dot): `est ≤ t2 − band` → [`CLASS_KEEP`], `est > t2 + band` →
-/// [`CLASS_REJECT`], else [`CLASS_EXACT`]. `na` is the query's f32 norm
-/// widened to f64; `norms[c]` are the candidates' f32 norms.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-pub fn classify_f32_indexed(
-    q: &[f32],
-    rows: &[f32],
-    norms: &[f32],
-    dim: usize,
-    idx: &[u32],
-    na: f64,
-    t2: f64,
-    band_scale: f64,
-    out: &mut [u8],
-) {
-    debug_assert_eq!(idx.len(), out.len());
-    match lane() {
-        #[cfg(target_arch = "x86_64")]
-        Lane::Avx2Fma => {
-            // SAFETY: `lane()` only returns `Avx2Fma` after runtime detection
-            // of AVX2 + FMA on this host.
-            unsafe {
-                x86::classify_f32_indexed_avx2_fma(
-                    q, rows, norms, dim, idx, na, t2, band_scale, out,
-                )
-            }
-        }
-        _ => {
-            for (o, &c) in out.iter_mut().zip(idx) {
-                let r = &rows[c as usize * dim..c as usize * dim + dim];
-                *o = classify_one(
-                    dot_f32_baseline(q, r),
-                    norms[c as usize],
-                    na,
-                    t2,
-                    band_scale,
-                );
-            }
-        }
-    }
-    #[cfg(debug_assertions)]
-    {
-        // The classes must equal a scalar re-judgment of the *same* dot
-        // values (`dots_f32_indexed` reproduces them exactly: same lane,
-        // same blocking by position).
-        let mut dots = vec![0.0f32; idx.len()];
-        dots_f32_indexed(q, rows, dim, idx, &mut dots);
-        for ((&o, &d), &c) in out.iter().zip(&dots).zip(idx) {
-            let want = classify_one(d, norms[c as usize], na, t2, band_scale);
-            assert_eq!(
-                o, want,
-                "classify_f32_indexed diverged from scalar judgment (candidate {c})"
-            );
-        }
-    }
-}
+/// `classify_one` verdict: the estimate certifies the pair is within the
+/// threshold.
+const CLASS_KEEP: u8 = 1;
+/// `classify_one` verdict: the estimate certifies the pair is beyond the
+/// threshold.
+const CLASS_REJECT: u8 = 0;
+/// `classify_one` verdict: inside the error band — the caller must
+/// re-decide with the exact f64 evaluation.
+const CLASS_EXACT: u8 = 2;
 
 /// Bit words covering `len` candidates in [`classify_f32_run_bits`]'s
 /// output: one `u64` per 64 candidates, candidate `i` at bit `i % 64` of
@@ -189,18 +127,20 @@ pub fn run_words(len: usize) -> usize {
     len.div_ceil(64)
 }
 
-/// The run kernel: [`classify_f32_indexed`]'s banded judgment for up to
-/// **two queries** against a **contiguous** candidate run
-/// `first..first + len`, fed from the dimension-major mirror
-/// (`cols[d * n + i]`), with the verdicts written as bit words instead of
-/// class bytes.
+/// The run kernel, the one f32 classifier: the banded judgment of the Gram
+/// estimate `est = (na + nb) − 2·dot` against the band
+/// `band_scale · (na + nb + t2)`, for up to **two queries** against a
+/// **contiguous** candidate run `first..first + len`, fed from the
+/// dimension-major mirror (`cols[d * n + i]`), with the verdicts written
+/// as bit words.
 ///
 /// Each query `qs[j] = (row, norm)` is its f32 mirror row and its f32 norm
 /// widened to f64. Query `j`'s words are `keep[j * w..(j + 1) * w]` and
-/// `band[j * w..(j + 1) * w]` with `w = run_words(len)`: a set keep bit is
-/// [`CLASS_KEEP`], a set band bit is [`CLASS_EXACT`] (the caller must
-/// re-decide the pair exactly), neither is [`CLASS_REJECT`]. Bits past
-/// `len` are zero; the kernel overwrites every word it is given.
+/// `band[j * w..(j + 1) * w]` with `w = run_words(len)`: a set keep bit
+/// certifies `est ≤ t2 − band`, a set band bit means the pair is inside
+/// the band (the caller must re-decide it exactly), and neither certifies
+/// `est > t2 + band`. Bits past `len` are zero; the kernel overwrites
+/// every word it is given.
 ///
 /// The AVX2 kernel loads each column vector once per coordinate and FMAs
 /// it into both queries' accumulators (2 queries × 32 candidates, eight
@@ -580,8 +520,8 @@ fn exact_within_run_portable(
     }
 }
 
-/// The scalar banded judgment shared by [`classify_f32_indexed`]'s
-/// baseline path and debug assertions. Must mirror the vector path's f64
+/// The scalar banded judgment shared by the run kernel's portable body,
+/// scalar tail and debug assertions. Must mirror the vector path's f64
 /// operation sequence exactly.
 #[inline(always)]
 fn classify_one(dot: f32, nb32: f32, na: f64, t2: f64, band_scale: f64) -> u8 {
@@ -731,85 +671,6 @@ mod x86 {
         while i < idx.len() {
             let c = idx[i] as usize;
             out[i] = dot_f32_avx2_fma(q, &rows[c * dim..c * dim + dim]);
-            i += 1;
-        }
-    }
-
-    /// # Safety
-    /// Caller must ensure the host supports AVX2 and FMA (see
-    /// [`super::lane`]).
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn classify_f32_indexed_avx2_fma(
-        q: &[f32],
-        rows: &[f32],
-        norms: &[f32],
-        dim: usize,
-        idx: &[u32],
-        na: f64,
-        t2: f64,
-        band_scale: f64,
-        out: &mut [u8],
-    ) {
-        use std::arch::x86_64::*;
-        let na_v = _mm256_set1_pd(na);
-        let t2_v = _mm256_set1_pd(t2);
-        let two = _mm256_set1_pd(2.0);
-        let scale_v = _mm256_set1_pd(band_scale);
-        let mut i = 0;
-        if dim >= 8 && dim.is_multiple_of(8) {
-            while i + 4 <= idx.len() {
-                let c0 = idx[i] as usize;
-                let c1 = idx[i + 1] as usize;
-                let c2 = idx[i + 2] as usize;
-                let c3 = idx[i + 3] as usize;
-                let r0 = rows.as_ptr().add(c0 * dim);
-                let r1 = rows.as_ptr().add(c1 * dim);
-                let r2 = rows.as_ptr().add(c2 * dim);
-                let r3 = rows.as_ptr().add(c3 * dim);
-                let mut a0 = _mm256_setzero_ps();
-                let mut a1 = _mm256_setzero_ps();
-                let mut a2 = _mm256_setzero_ps();
-                let mut a3 = _mm256_setzero_ps();
-                let mut d = 0;
-                while d < dim {
-                    let qv = _mm256_loadu_ps(q.as_ptr().add(d));
-                    a0 = _mm256_fmadd_ps(_mm256_loadu_ps(r0.add(d)), qv, a0);
-                    a1 = _mm256_fmadd_ps(_mm256_loadu_ps(r1.add(d)), qv, a1);
-                    a2 = _mm256_fmadd_ps(_mm256_loadu_ps(r2.add(d)), qv, a2);
-                    a3 = _mm256_fmadd_ps(_mm256_loadu_ps(r3.add(d)), qv, a3);
-                    d += 8;
-                }
-                // Widen the four dots and candidate norms to f64 and run
-                // the *same* operation sequence as `super::classify_one`,
-                // four lanes at once: nsum = na + nb; est = nsum − 2·dot;
-                // band = scale · (nsum + t2). The ordered non-signaling
-                // compares match scalar `<=` / `>` on NaNs (false → the
-                // pair classifies EXACT and is re-decided exactly).
-                let dots = _mm_set_ps(hsum_ps(a3), hsum_ps(a2), hsum_ps(a1), hsum_ps(a0));
-                let nb = _mm_set_ps(norms[c3], norms[c2], norms[c1], norms[c0]);
-                let dots_pd = _mm256_cvtps_pd(dots);
-                let nsum = _mm256_add_pd(na_v, _mm256_cvtps_pd(nb));
-                let est = _mm256_sub_pd(nsum, _mm256_mul_pd(two, dots_pd));
-                let band = _mm256_mul_pd(scale_v, _mm256_add_pd(nsum, t2_v));
-                let keep = _mm256_cmp_pd::<_CMP_LE_OQ>(est, _mm256_sub_pd(t2_v, band));
-                let rej = _mm256_cmp_pd::<_CMP_GT_OQ>(est, _mm256_add_pd(t2_v, band));
-                let km = _mm256_movemask_pd(keep) as u32;
-                let rm = _mm256_movemask_pd(rej) as u32;
-                for l in 0..4 {
-                    let k = (km >> l) & 1;
-                    let r = (rm >> l) & 1;
-                    // keep → 1, reject → 0, unclassified → 2 (see the
-                    // CLASS_* constants).
-                    out[i + l] = (k + 2 * (1 - k) * (1 - r)) as u8;
-                }
-                i += 4;
-            }
-        }
-        while i < idx.len() {
-            let c = idx[i] as usize;
-            let dot = dot_f32_avx2_fma(q, &rows[c * dim..c * dim + dim]);
-            out[i] = super::classify_one(dot, norms[c], na, t2, band_scale);
             i += 1;
         }
     }
@@ -1165,9 +1026,9 @@ mod tests {
         assert_eq!(lane(), lane());
     }
 
-    /// The batched f32 dots (the indexed classifiers' debug reference)
-    /// match a widened serial fold on every lane, including the sub-8
-    /// and sub-4-candidate remainders.
+    /// The batched f32 dots (the ball index's owner score) match a
+    /// widened serial fold on every lane, including the sub-8 and
+    /// sub-4-candidate remainders.
     #[test]
     fn dots_f32_indexed_match_widened_serial_fold() {
         for n in [0, 1, 7, 8, 9, 16, 17, 31, 32, 33, 64, 100] {

@@ -36,23 +36,23 @@
 //!
 //! The mirror keeps **both** orientations of the f32 coordinates:
 //!
-//! * **row-major** (`rows`) for the single-query kernels' scattered tiles
-//!   — round-robin partitions hand the kernels strided id sets, where
-//!   dimension-major storage would gather every candidate across `dim`
-//!   cache lines — and for the run kernel's sub-8 tail;
-//! * **dimension-major** (`cols`, the transpose of `rows`) for
-//!   *contiguous* candidate runs. There the run kernel broadcasts one
+//! * **dimension-major** (`cols`, the transpose of `rows`) for every
+//!   candidate run the classifier reads. The run kernel broadcasts one
 //!   query coordinate and FMA-accumulates eight consecutive candidates per
 //!   register with **no horizontal sums and no index gather**, which is
 //!   the difference between a load-port-bound and an FMA-throughput-bound
-//!   loop.
+//!   loop;
+//! * **row-major** (`rows`) for what reads one point at a time: the query
+//!   rows, the run kernel's sub-8 tail and its portable body, the source
+//!   rows [`SoaStorage::gather`] copies, and the ball index's owner score
+//!   (`crate::ball`).
 //!
 //! Both are derived from the same f64 truth in one pass; the duplication
-//! costs `4·n·d` extra bytes (half the f64 input) and buys the fastest
-//! kernel shape for each access pattern. A multi-query scan over a
-//! scattered list [`SoaStorage::gather`]s its rows into a packed
-//! sub-mirror once per call, so it reads a contiguous run too. See
-//! DESIGN.md §6.2 and §6.4.
+//! costs `4·n·d` extra bytes (half the f64 input). A contiguous id run
+//! reads the space's own mirror; a scan over any other list, single- or
+//! multi-query, [`SoaStorage::gather`]s its rows into a packed sub-mirror
+//! once per call, so it reads a contiguous run too. See DESIGN.md §6.2
+//! and §6.4.
 
 use std::sync::OnceLock;
 

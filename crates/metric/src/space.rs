@@ -57,69 +57,7 @@ pub fn par_chunk_size(n_candidates: usize) -> usize {
     n_candidates.div_ceil(rayon::pool::MAX_CHUNKS).max(1024)
 }
 
-/// Runs `chunk_kernel` over fixed-size chunks of `candidates` on the
-/// worker pool and sums the per-chunk counts. Counts are exact integers,
-/// so the chunked sum equals the sequential count no matter how chunks
-/// were scheduled. Callers gate on [`par_bulk`] first.
-pub fn par_count_chunks(
-    candidates: &[u32],
-    chunk_kernel: impl Fn(&[u32]) -> usize + Sync,
-) -> usize {
-    candidates
-        .par_chunks(par_chunk_size(candidates.len()))
-        .map(chunk_kernel)
-        .sum()
-}
-
-/// [`par_count_chunks`] with the work-weighted split of
-/// [`par_chunk_size_weighted`]; callers gate on [`par_bulk_weighted`].
-pub fn par_count_chunks_weighted(
-    candidates: &[u32],
-    words_per_item: usize,
-    chunk_kernel: impl Fn(&[u32]) -> usize + Sync,
-) -> usize {
-    candidates
-        .par_chunks(par_chunk_size_weighted(candidates.len(), words_per_item))
-        .map(chunk_kernel)
-        .sum()
-}
-
-/// Filter twin of [`par_count_chunks`]: runs `chunk_kernel` over fixed
-/// chunks and concatenates the surviving ids in chunk order, preserving
-/// candidate order exactly as the sequential filter would.
-pub fn par_filter_chunks(
-    candidates: &[u32],
-    out: &mut Vec<u32>,
-    chunk_kernel: impl Fn(&[u32]) -> Vec<u32> + Sync,
-) {
-    let parts: Vec<Vec<u32>> = candidates
-        .par_chunks(par_chunk_size(candidates.len()))
-        .map(chunk_kernel)
-        .collect();
-    for part in parts {
-        out.extend(part);
-    }
-}
-
-/// [`par_filter_chunks`] with the work-weighted split of
-/// [`par_chunk_size_weighted`]; callers gate on [`par_bulk_weighted`].
-pub fn par_filter_chunks_weighted(
-    candidates: &[u32],
-    words_per_item: usize,
-    out: &mut Vec<u32>,
-    chunk_kernel: impl Fn(&[u32]) -> Vec<u32> + Sync,
-) {
-    let parts: Vec<Vec<u32>> = candidates
-        .par_chunks(par_chunk_size_weighted(candidates.len(), words_per_item))
-        .map(chunk_kernel)
-        .collect();
-    for part in parts {
-        out.extend(part);
-    }
-}
-
-/// Multi-query twin of [`par_count_chunks`] and friends: runs
-/// `chunk_kernel` over fixed-size chunks of the *query* list `vs` and
+/// Runs `chunk_kernel` over fixed-size chunks of the *query* list `vs` and
 /// concatenates the per-chunk answer rows in chunk order. The chunk split
 /// is a function of the query count and per-item weight only, and whole
 /// queries never straddle a chunk, so the concatenation is identical to
@@ -359,25 +297,25 @@ pub trait MetricSpace: Sync {
     }
 }
 
-/// Cumulative fast-path kernel hit counts for one metric space — which
-/// SIMD classifier each pair went through, and how often the banded
-/// estimate had to fall back to the exact evaluation. Pure observability: tallies never influence any
+/// Cumulative fast-path kernel hit counts for one metric space — how many
+/// pairs the classifier judged, and how often the banded estimate had to
+/// fall back to the exact evaluation. Pure observability: tallies never influence any
 /// verdict. All counts are in pairs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelStats {
     /// Pairs classified by the run kernel
-    /// (`classify_f32_run_bits`): every multi-query pair — on the space's
-    /// mirror for a contiguous id run, else on a slab the call packs once
-    /// — plus the single-query kernels' contiguous tiles. The kernel takes
+    /// (`classify_f32_run_bits`): every `soa` pair of a single- or
+    /// multi-query scan — on the space's mirror for a contiguous id run,
+    /// else on a slab the call packs once. The kernel takes
     /// queries in pairs where it can; each (query, candidate) pair still
     /// counts once, so the tally does not depend on the pairing. A
     /// multi-query scan that the ball index prunes counts only the pairs
     /// its bounds left open, so the pruned share shows up as the fall in
     /// this tally (`mpc_metric::ball`).
     pub run_pairs: u64,
-    /// Pairs classified by the indexed kernel
-    /// (`classify_f32_indexed`): the scattered tiles of single-query
-    /// scans (`count_within` / `neighbors_within`) only.
+    /// Always 0 for `EuclideanSpace`, whose one classifier counts in
+    /// [`KernelStats::run_pairs`]. `MatrixSpace` counts its multi-query
+    /// row scans here.
     pub indexed_pairs: u64,
     /// Always 0. The multi-τ run kernel that counted its pairs here is
     /// gone; the field stays so struct literals that name it keep

@@ -15,9 +15,11 @@
 //! * Thresholds placed on exact pair distances, so band hits and their
 //!   exact re-decide are exercised (`exact_fallbacks > 0`).
 //!
-//! The single-query `count_within` / `neighbors_within`, whose contiguous
-//! tiles run the same kernel with one query, are checked on the same
-//! inputs.
+//! The single-query `count_within` / `neighbors_within`, one-query calls
+//! of the same scan, are checked on the same inputs plus the short
+//! scattered lists greedy MIS sends (the query itself and a repeated id
+//! among them), with exact kernel tallies: every pair of every call goes
+//! through the run kernel once.
 
 use mpc_clustering::metric::{datasets, EuclideanSpace, MetricSpace, PointId, SpeedTier};
 use rayon::with_threads;
@@ -36,6 +38,20 @@ fn lists(len: usize) -> [Vec<u32>; 2] {
         (101..101 + len).collect(),
         (0..len).map(|i| (i * 211 + 7 * len) % N).collect(),
     ]
+}
+
+/// Scattered lists of at most 32 ids that hold `q` itself and repeat an
+/// id — the shape greedy MIS sends over a light pool.
+fn mis_lists(q: u32) -> Vec<Vec<u32>> {
+    [2u32, 3, 8, 9, 17, 32]
+        .into_iter()
+        .map(|len| {
+            let mut ids: Vec<u32> = (0..len - 2).map(|i| (i * 97 + 31 * len) % N).collect();
+            ids.insert(ids.len() / 2, q);
+            ids.push(ids[0]);
+            ids
+        })
+        .collect()
 }
 
 /// Thresholds on exact pair distances — a query against the middle and
@@ -104,32 +120,34 @@ fn single_query_scans_match_the_exact_oracle_at_every_edge() {
         let exact = EuclideanSpace::new(points.clone()).with_speed_tier(SpeedTier::Exact);
         let soa = EuclideanSpace::new(points).with_speed_tier(SpeedTier::Soa);
         let qs: Vec<u32> = vec![3, 56];
-        for len in LENS {
-            for cands in lists(len) {
-                for tau in taus(&exact, &qs, &cands) {
-                    for &q in &qs {
-                        let (mut want, mut got) = (Vec::new(), Vec::new());
-                        exact.neighbors_within(PointId(q), &cands, tau, &mut want);
-                        soa.neighbors_within(PointId(q), &cands, tau, &mut got);
-                        let label = format!("d={dim} q={q} |cands|={len} first={}", cands[0]);
-                        assert_eq!(got, want, "{label} tau={tau}");
-                        assert_eq!(
-                            soa.count_within(PointId(q), &cands, tau),
-                            want.len(),
-                            "{label} tau={tau}"
-                        );
-                    }
+        let mut cand_lists: Vec<Vec<u32>> = LENS.into_iter().flat_map(lists).collect();
+        cand_lists.extend(qs.iter().flat_map(|&q| mis_lists(q)));
+        for cands in &cand_lists {
+            for tau in taus(&exact, &qs, cands) {
+                for &q in &qs {
+                    let (mut want, mut got) = (Vec::new(), Vec::new());
+                    exact.neighbors_within(PointId(q), cands, tau, &mut want);
+                    let label = format!("d={dim} q={q} |cands|={} first={}", cands.len(), cands[0]);
+                    let before = soa.kernel_stats().unwrap();
+                    soa.neighbors_within(PointId(q), cands, tau, &mut got);
+                    let mid = soa.kernel_stats().unwrap();
+                    assert_eq!(got, want, "{label} tau={tau}");
+                    assert_eq!(
+                        soa.count_within(PointId(q), cands, tau),
+                        want.len(),
+                        "{label} tau={tau}"
+                    );
+                    let after = soa.kernel_stats().unwrap();
+                    let pairs = cands.len() as u64;
+                    assert_eq!(mid.run_pairs - before.run_pairs, pairs, "{label}");
+                    assert_eq!(after.run_pairs - mid.run_pairs, pairs, "{label}");
                 }
             }
         }
         let ks = soa.kernel_stats().unwrap();
-        assert!(
-            ks.run_pairs > 0,
-            "d={dim}: contiguous tiles skipped the run kernel"
-        );
-        assert!(
-            ks.indexed_pairs > 0,
-            "d={dim}: scattered tiles skipped the gather kernel"
+        assert_eq!(
+            ks.indexed_pairs, 0,
+            "d={dim}: single-query scans run on the run kernel only"
         );
         assert!(
             ks.exact_fallbacks > 0,
