@@ -15,9 +15,7 @@ use mpc_baselines::indyk::indyk_diversity;
 use mpc_baselines::malkomes::malkomes_kcenter;
 use mpc_core::diversity::mpc_diversity;
 use mpc_core::kcenter::{mpc_kcenter, sequential_gmm_kcenter};
-use mpc_core::memo::MemoizedSpace;
 use mpc_core::Params;
-use mpc_metric::{datasets, EuclideanSpace, MetricSpace};
 
 use crate::table::{fnum, Table};
 use crate::workloads::Workload;
@@ -117,59 +115,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
         });
     }
 
-    // E8-L: the warm-ladder rung re-probe. Both memos hold the identical
-    // cached distance vectors; the sorted variant answers each rung with a
-    // `partition_point` prefix, the plain variant (the PR-4 behavior)
-    // re-scans every cached vector per rung. Answers are bit-identical —
-    // only the time differs. `BENCH_ladder.json` carries the Criterion
-    // version of this series.
-    let mut tl = Table::new(
-        "E8-L",
-        "warm-memo ladder rung re-probe (ms, best of 3): sorted companion rows vs per-τ re-scan of the cached distance vectors",
-        &["n", "d", "queries", "rungs", "sorted ms", "re-scan ms", "speedup"],
-    );
-    let (ln, ld, lq) = scale.pick((2_000usize, 16usize, 8u32), (100_000, 32, 32));
-    let lmetric = EuclideanSpace::new(datasets::uniform_cube(ln, ld, seed));
-    let candidates: Vec<u32> = (0..ln as u32).collect();
-    let queries: Vec<u32> = (0..lq).map(|i| (i as usize * 7919 % ln) as u32).collect();
-    let base = crate::distance_quantile(&lmetric, 0.2, seed);
-    let rungs: Vec<f64> = (0..6).map(|i| base * 1.1f64.powi(i)).collect();
-    // Q rows of n distances plus the sorted companions (len + len/2 words)
-    // must fit without epoch flushes, or the sorted memo spends the sweep
-    // recomputing and re-sorting evicted rows; 8M words covers the full
-    // scale (32 × 1e5 × 1.5 = 4.8M) with headroom. Same cap as the
-    // Criterion group in `benches/ladder.rs`.
-    let sorted = MemoizedSpace::with_capacity(&lmetric, 1 << 23);
-    let scan = MemoizedSpace::with_capacity(&lmetric, 1 << 23).without_sorted_rows();
-    for memo in [&sorted, &scan] {
-        // Warm pass: fill every query row.
-        let _ = memo.count_within_many(&queries, &candidates, rungs[0]);
-    }
-    // Retrofit the sorted companions outside the measured sweeps.
-    sorted.prewarm_taus(&rungs);
-    let sweep = |memo: &MemoizedSpace<'_, EuclideanSpace>| {
-        for &tau in &rungs {
-            std::hint::black_box(memo.count_within_many(&queries, &candidates, tau));
-        }
-    };
-    let best_of_3 = |memo: &MemoizedSpace<'_, EuclideanSpace>| {
-        (0..3)
-            .map(|_| time_ms(|| sweep(memo)))
-            .fold(f64::INFINITY, f64::min)
-    };
-    let t_sorted = best_of_3(&sorted);
-    let t_scan = best_of_3(&scan);
-    tl.row(vec![
-        ln.to_string(),
-        ld.to_string(),
-        lq.to_string(),
-        rungs.len().to_string(),
-        fnum(t_sorted),
-        fnum(t_scan),
-        format!("{:.2}x", t_scan / t_sorted),
-    ]);
-
-    vec![t, tt, tl]
+    vec![t, tt]
 }
 
 #[cfg(test)]
@@ -179,13 +125,11 @@ mod tests {
     #[test]
     fn quick_run_produces_rows() {
         let tables = run(Scale::Quick);
-        assert_eq!(tables.len(), 3);
+        assert_eq!(tables.len(), 2);
         assert_eq!(tables[0].len(), 2);
         // E8-T: one row per deduplicated thread count ⊆ {1, 2, max}, so
         // at least {1, 2} even on a single-core host.
         assert!(tables[1].len() >= 2);
         assert!(tables[1].len() <= 3);
-        // E8-L: the warm-ladder re-probe row.
-        assert_eq!(tables[2].len(), 1);
     }
 }

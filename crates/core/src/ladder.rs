@@ -5,8 +5,7 @@
 //! `τ_0, …, τ_t`, a monotone accept predicate over rungs (monotone because
 //! every underlying `within(τ)` answer is), and a boundary rung to locate
 //! with a binary or a linear probe schedule ([`BoundarySearch`]).
-//! [`LadderSearch`] is that search, with its rung cache, probe counts and
-//! pre-warm hook ([`RungEval::prewarm`]).
+//! [`LadderSearch`] is that search, with its rung cache and probe counts.
 //!
 //! Algorithms 2 and 5 also share the rung: [`MisLadder`], a bounded MIS of
 //! `G_{τ_i}` above a seeded coarse GMM solution. Its [`Objective`] fixes
@@ -68,15 +67,8 @@ pub trait RungEval {
     /// run.
     fn accept(&self, i: usize, rung: &Self::Rung) -> bool;
 
-    /// Called once, before the first probe, with every rung index the
-    /// schedule could still evaluate (at least two, else the hook is
-    /// skipped). Purely a local-compute hint; must not touch the cluster.
-    ///
-    /// No library ladder implements it: every library rung runs on the
-    /// metric's own threshold kernels.
-    /// The one implementor left is the end-to-end benchmark's trace
-    /// recomposition, which registers its rung thresholds with
-    /// [`crate::memo::MemoizedSpace::prewarm_taus`] on a memoized space.
+    /// Never called. It stays only because the end-to-end benchmark's
+    /// trace recomposition still implements it.
     fn prewarm(&mut self, _reachable: &[usize]) {}
 }
 
@@ -167,10 +159,6 @@ impl<R> LadderSearch<R> {
         strategy: BoundarySearch,
     ) -> usize {
         let t = self.top();
-        if t >= 2 {
-            let unevaluated: Vec<usize> = (0..=t).filter(|&i| self.cache[i].is_none()).collect();
-            eval.prewarm(&unevaluated);
-        }
         match (mode, strategy) {
             (BoundaryMode::LastAccept, BoundarySearch::Binary) => {
                 if self.accept_at(cluster, eval, t) {
@@ -326,7 +314,6 @@ mod tests {
         accept: fn(usize, usize) -> bool,
         boundary: usize,
         evaluated: Vec<usize>,
-        prewarmed: Vec<Vec<usize>>,
     }
 
     impl Stub {
@@ -335,7 +322,6 @@ mod tests {
                 accept,
                 boundary,
                 evaluated: Vec::new(),
-                prewarmed: Vec::new(),
             }
         }
     }
@@ -349,13 +335,6 @@ mod tests {
         fn accept(&self, i: usize, rung: &usize) -> bool {
             assert_eq!(i, *rung, "accept must see rung {i}'s own payload");
             (self.accept)(i, self.boundary)
-        }
-        fn prewarm(&mut self, reachable: &[usize]) {
-            assert!(
-                self.evaluated.is_empty(),
-                "prewarm must precede the first eval"
-            );
-            self.prewarmed.push(reachable.to_vec());
         }
     }
 
@@ -498,34 +477,6 @@ mod tests {
             BoundarySearch::Binary,
         );
         assert_eq!(stub.evaluated, vec![4, 6, 5]);
-    }
-
-    /// `prewarm` fires once, before any probe, with exactly the
-    /// unevaluated rung indices; ladders too short to profit (t < 2) skip
-    /// it.
-    #[test]
-    fn prewarm_reports_unevaluated_rungs_before_probing() {
-        // (Stub::prewarm itself asserts it runs before the first eval.)
-        let mut stub = Stub::new(|i, b| i <= b, 2);
-        let mut search = LadderSearch::new(4);
-        search.seed(0, 0);
-        search.search(
-            &mut cluster(),
-            &mut stub,
-            BoundaryMode::LastAccept,
-            BoundarySearch::Binary,
-        );
-        assert_eq!(stub.prewarmed, vec![vec![1, 2, 3, 4]]);
-
-        let mut stub = Stub::new(|i, b| i <= b, 0);
-        let mut search = LadderSearch::new(1);
-        search.search(
-            &mut cluster(),
-            &mut stub,
-            BoundaryMode::LastAccept,
-            BoundarySearch::Linear,
-        );
-        assert!(stub.prewarmed.is_empty(), "t=1 ladders skip the hook");
     }
 
     /// Each objective fixes the direction, the bound handed to the kernel

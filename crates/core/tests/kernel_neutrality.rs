@@ -13,7 +13,6 @@ use mpc_core::diversity::mpc_diversity_on;
 use mpc_core::kbmis::k_bounded_mis;
 use mpc_core::kcenter::mpc_kcenter_on;
 use mpc_core::ksupplier::mpc_ksupplier_on;
-use mpc_core::memo::MemoizedSpace;
 use mpc_core::Params;
 use mpc_metric::{datasets, EuclideanSpace, MetricSpace, PointId};
 use mpc_sim::{Cluster, Partition};
@@ -106,10 +105,9 @@ fn k_bounded_mis_is_unchanged_by_kernel_swap() {
 
 /// The full Algorithm 5 ladder through the batched kernels — tiled
 /// multi-query threshold scans in `ThresholdGraph::degrees_among` and
-/// `trim`, `dists_into` in GMM, the memo's batched miss fill — must
-/// produce exactly the run the scalar-oracle path produces: same centers,
-/// bitwise-same radii, same rounds, same per-machine words, same peak
-/// memory.
+/// `trim`, `dists_into` in GMM — must produce exactly the run the
+/// scalar-oracle path produces: same centers, bitwise-same radii, same
+/// rounds, same per-machine words, same peak memory.
 #[test]
 fn full_kcenter_ladder_is_unchanged_by_kernel_swap() {
     for (n, m, k, seed) in [(900, 4, 6, 42u64), (600, 8, 10, 7)] {
@@ -183,54 +181,5 @@ fn diversity_and_ksupplier_ladders_unchanged_by_kernel_swap() {
         );
         assert_eq!(fast.boundary_index, slow.boundary_index, "{ctx}: boundary");
         ck.ledger().assert_identical(cs.ledger(), &ctx);
-    }
-}
-
-/// The memo's sorted companion rows, τ-batch prewarm, and multi-τ answer
-/// path are pure local-compute caching: replaying the same kbMIS ladder
-/// through a prewarmed sorted memo, a scan-only memo, and the raw metric
-/// must produce identical independent sets and — collective by collective
-/// — identical ledgers. (The memo unit tests pin the same invariant for a
-/// single configuration; this pins the *pairwise* equality of all three.)
-#[test]
-fn sorted_rows_prewarm_and_multi_tau_are_ledger_invisible() {
-    for (n, m, k, seed) in [(240, 4, 7, 11u64), (160, 8, 5, 3)] {
-        let metric = EuclideanSpace::new(datasets::uniform_cube(n, 2, seed));
-        let params = Params::practical(m, 0.1, seed);
-        let alive = Partition::round_robin(n, m).all_items().to_vec();
-        let base = 0.35;
-        let taus: Vec<f64> = (0..5).map(|i| base / 1.3f64.powi(i)).collect();
-
-        let sorted = MemoizedSpace::new(&metric);
-        sorted.prewarm_taus(&taus);
-        let scan = MemoizedSpace::new(&metric).without_sorted_rows();
-
-        let run = |space: &dyn MetricSpace| {
-            let mut cluster = Cluster::new(m, seed);
-            let sets: Vec<Vec<u32>> = taus
-                .iter()
-                .map(|&tau| {
-                    k_bounded_mis(&mut cluster, space, &alive, tau, k, n, &params, false).set
-                })
-                .collect();
-            (sets, cluster.into_ledger())
-        };
-        let (raw_sets, raw_ledger) = run(&metric);
-        let (sorted_sets, sorted_ledger) = run(&sorted);
-        let (scan_sets, scan_ledger) = run(&scan);
-
-        let ctx = format!("memo ladder n={n} m={m} k={k}");
-        assert_eq!(sorted_sets, raw_sets, "{ctx}: sorted memo vs raw");
-        assert_eq!(scan_sets, raw_sets, "{ctx}: scan memo vs raw");
-        raw_ledger.assert_identical(&sorted_ledger, &format!("{ctx}: sorted"));
-        raw_ledger.assert_identical(&scan_ledger, &format!("{ctx}: scan"));
-        assert!(
-            sorted.sorted_rows_built() > 0,
-            "{ctx}: prewarmed memo must actually build sorted rows"
-        );
-        assert!(
-            sorted.hits() > 0 && scan.hits() > 0,
-            "{ctx}: ladder replay must hit both memos"
-        );
     }
 }

@@ -15,7 +15,6 @@
 
 use mpc_core::gmm::gmm;
 use mpc_core::kcenter::mpc_kcenter_on;
-use mpc_core::memo::MemoizedSpace;
 use mpc_core::Params;
 use mpc_graph::{GraphView, ThresholdGraph};
 use mpc_metric::{
@@ -121,33 +120,6 @@ proptest! {
     }
 
     #[test]
-    fn memoized_kernels_identical_across_thread_counts(
-        seed in 0u64..1_000,
-        tau in 0.0f64..2.0,
-    ) {
-        let n = 64u32;
-        let space = EuclideanSpace::new(datasets::uniform_cube(n as usize, 3, seed));
-        let cands = big_candidates(n, PAR_MIN_BULK + 5);
-        let run = |threads: usize| {
-            with_threads(threads, || {
-                // Fresh memo per width: the parallel chunk fill happens on
-                // the miss, so each run exercises fill *and* reuse.
-                let memo = MemoizedSpace::new(&space);
-                let mut out = Vec::new();
-                memo.neighbors_within(PointId(3), &cands, tau, &mut out);
-                let count = memo.count_within(PointId(3), &cands, tau);
-                (count, out, memo.hits(), memo.misses())
-            })
-        };
-        let baseline = run(1);
-        prop_assert_eq!(baseline.2, 1, "second bulk query must hit the memo");
-        for &t in &THREAD_COUNTS[1..] {
-            let got = run(t);
-            prop_assert_eq!(&got, &baseline, "threads={}", t);
-        }
-    }
-
-    #[test]
     fn euclidean_many_kernels_identical_across_thread_counts(
         seed in 0u64..1_000,
         tau in 0.0f64..2.0,
@@ -176,81 +148,6 @@ proptest! {
         let vs = big_candidates(n as u32, 96);
         let cands = big_candidates(n as u32, 128);
         check_many_kernels(&m, &vs, &cands, tau)?;
-    }
-
-    #[test]
-    fn memoized_many_kernels_identical_across_thread_counts(
-        seed in 0u64..1_000,
-        tau in 0.0f64..2.0,
-    ) {
-        let n = 64u32;
-        let space = EuclideanSpace::new(datasets::uniform_cube(n as usize, 3, seed));
-        // Duplicate queries in the batch: the batched miss fill must
-        // collapse them onto one computation (counted as hits) exactly
-        // like the sequential per-query loop would.
-        let mut vs = big_candidates(n, 48);
-        vs.extend_from_slice(&vs.clone()[..16]);
-        let cands = big_candidates(n, PAR_MIN_BULK / 32 + 7);
-        let run = |threads: usize| {
-            with_threads(threads, || {
-                let memo = MemoizedSpace::new(&space);
-                let counts = memo.count_within_many(&vs, &cands, tau);
-                let neighbors = memo.neighbors_within_many(&vs, &cands, tau);
-                (counts, neighbors, memo.hits(), memo.misses())
-            })
-        };
-        let baseline = run(1);
-        for &t in &THREAD_COUNTS[1..] {
-            let got = run(t);
-            prop_assert_eq!(&got, &baseline, "threads={}", t);
-        }
-    }
-
-    #[test]
-    fn memoized_sorted_paths_identical_across_thread_counts(
-        seed in 0u64..1_000,
-        base in 0.05f64..1.0,
-    ) {
-        let n = 64u32;
-        let space = EuclideanSpace::new(datasets::uniform_cube(n as usize, 3, seed));
-        let taus: Vec<f64> = (0..5).map(|i| base * 1.2f64.powi(i)).collect();
-        let vs = big_candidates(n, 48);
-        let cands = big_candidates(n, PAR_MIN_BULK / 32 + 13);
-        let run = |threads: usize| {
-            with_threads(threads, || {
-                // Fresh memo per width: the parallel batched fill happens
-                // on the first sweep, the second sweep's re-touch builds
-                // the sorted rows (prewarm then retrofits any stragglers),
-                // and the sorted `partition_point` path answers the rest.
-                // Counters pin that the hit/miss classification (and thus
-                // the sorted build schedule) is thread-count invariant.
-                let memo = MemoizedSpace::new(&space);
-                let first = memo.count_within_many(&vs, &cands, taus[0]);
-                memo.prewarm_taus(&taus);
-                let sweeps: Vec<Vec<usize>> = std::iter::once(first)
-                    .chain(taus.iter().map(|&tau| memo.count_within_many(&vs, &cands, tau)))
-                    .collect();
-                let neighbors = memo.neighbors_within_many(&vs, &cands, taus[0]);
-                let per_tau: Vec<Vec<usize>> = vs
-                    .iter()
-                    .map(|&v| memo.count_within_taus(PointId(v), &cands, &taus))
-                    .collect();
-                (
-                    sweeps,
-                    neighbors,
-                    per_tau,
-                    memo.hits(),
-                    memo.misses(),
-                    memo.sorted_rows_built(),
-                )
-            })
-        };
-        let baseline = run(1);
-        prop_assert!(baseline.5 > 0, "retouched rows must gain sorted rows");
-        for &t in &THREAD_COUNTS[1..] {
-            let got = run(t);
-            prop_assert_eq!(&got, &baseline, "threads={}", t);
-        }
     }
 
     #[test]

@@ -94,8 +94,8 @@ impl<M: MetricSpace> GraphView for ThresholdGraph<M> {
 
     /// One multi-query metric kernel call for the whole grid
     /// ([`MetricSpace::count_within_many`] — tiled on coordinate-backed
-    /// spaces, memo-served on `MemoizedSpace`), then a self-pair fixup as
-    /// in [`ThresholdGraph::degree_among`]: every occurrence of a query
+    /// spaces), then a self-pair fixup as in
+    /// [`ThresholdGraph::degree_among`]: every occurrence of a query
     /// vertex within τ of itself in `candidates` was counted, but the
     /// graph is irreflexive. Each query's multiplicity in `candidates` is
     /// read off one sorted copy of the list by two binary searches,

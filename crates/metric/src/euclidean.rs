@@ -819,7 +819,7 @@ impl MetricSpace for EuclideanSpace {
 
     /// Bulk distance fill over flat rows. Deliberately **not** the Gram
     /// trick: consumers of this method use the values themselves (GMM
-    /// radii, memo vectors), so each entry is the exact
+    /// radii, set distances), so each entry is the exact
     /// `row_dist_sq(..).sqrt()` evaluation [`MetricSpace::dist`] performs —
     /// bit-identical, just without the per-pair `PointId` indirection.
     fn dists_into(&self, v: PointId, candidates: &[u32], out: &mut Vec<f64>) {

@@ -12,8 +12,8 @@
 //! around τ²; every pair inside the band is re-decided with the exact f64
 //! evaluation. Threshold verdicts — and hence centers, radii, rounds, and
 //! ledgers — stay bit-identical to the exact oracle on every host.
-//! Distance-*returning* paths (`dist`, `dists_into`, memo fills, GMM
-//! radii) never consult the mirror.
+//! Distance-*returning* paths (`dist`, `dists_into`, GMM radii) never
+//! consult the mirror.
 //!
 //! ## f32 error band
 //!

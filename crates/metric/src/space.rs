@@ -186,10 +186,10 @@ pub trait MetricSpace: Sync {
     /// Bulk distance fill: clears `out` and appends `dist(v, c)` for every
     /// candidate `c`, in candidate order, **bit-identical** to the per-pair
     /// [`MetricSpace::dist`] loop. Distance-*returning* consumers (GMM's
-    /// relaxation, the ladder memo's miss fills, set-distance helpers) ride
-    /// this instead of the threshold kernels: they need the actual values,
-    /// so implementations must use the same floating-point evaluation as
-    /// `dist` — not an algebraic rearrangement (see DESIGN.md §6.2).
+    /// relaxation, set-distance helpers) ride this instead of the
+    /// threshold kernels: they need the actual values, so implementations
+    /// must use the same floating-point evaluation as `dist` — not an
+    /// algebraic rearrangement (see DESIGN.md §6.2).
     ///
     /// The default fills per pair, fanning fixed candidate chunks across
     /// the worker pool past the [`par_bulk`] gate; chunks concatenate in

@@ -1,15 +1,14 @@
-//! Pipeline memo- and tier-neutrality contract: Algorithms 5, 2 and 6
-//! return the same answer and the same MPC ledger whether they run on a
-//! raw `EuclideanSpace` at the default speed tier, on the same points at
-//! the `exact` oracle tier, or on a `MemoizedSpace` wrapping the default
-//! space.
+//! Pipeline tier-neutrality contract: Algorithms 5, 2 and 6 return the
+//! same answer and the same MPC ledger whether they run on a raw
+//! `EuclideanSpace` at the default speed tier or on the same points at
+//! the `exact` oracle tier.
 //!
 //! The drivers run their ladders on the caller's metric as given, so the
 //! runs differ only in which kernels answer the threshold queries: the
-//! f32 SoA classifier with its exact re-decide, the plain f64 diff loop,
-//! or the memo's cached distance rows. Ids, objective bits and the ledger
-//! transcript (labels plus per-machine traffic, FNV-hashed) must all
-//! match, at dimensions 3, 16 and 32 and at 1, 2 and 8 worker threads.
+//! f32 SoA classifier with its exact re-decide, or the plain f64 diff
+//! loop. Ids, objective bits and the ledger transcript (labels plus
+//! per-machine traffic, FNV-hashed) must all match, at dimensions 3, 16
+//! and 32 and at 1, 2 and 8 worker threads.
 //! d = 16 is the narrowest dimension on the f32 Gram path.
 //!
 //! Each case's reference digest is also hashed and compared with a
@@ -20,7 +19,6 @@
 use mpc_clustering::core::diversity::mpc_diversity_on;
 use mpc_clustering::core::kcenter::mpc_kcenter_on;
 use mpc_clustering::core::ksupplier::mpc_ksupplier_on;
-use mpc_clustering::core::memo::MemoizedSpace;
 use mpc_clustering::core::{Params, Telemetry};
 use mpc_clustering::metric::{datasets, EuclideanSpace, MetricSpace, PointId, PointSet, SpeedTier};
 use mpc_clustering::sim::{Cluster, Ledger};
@@ -159,10 +157,9 @@ fn spaces(points: PointSet) -> (EuclideanSpace, EuclideanSpace) {
 }
 
 /// Runs `run` on the exact oracle at one thread for the reference, whose
-/// hash must equal `pin`, then on the oracle, the default-tier space and
-/// a fresh memo over the default space at every thread count; all ten
-/// digests must be equal.
-fn assert_memo_neutral(
+/// hash must equal `pin`, then on the oracle and the default-tier space at
+/// every thread count; all seven digests must be equal.
+fn assert_tier_neutral(
     what: &str,
     (space, oracle): &(EuclideanSpace, EuclideanSpace),
     pin: u64,
@@ -178,50 +175,45 @@ fn assert_memo_neutral(
     for threads in THREADS {
         let exact = with_threads(threads, || run(oracle));
         let raw = with_threads(threads, || run(space));
-        let memo = with_threads(threads, || run(&MemoizedSpace::new(space)));
         assert_eq!(
             exact, reference,
             "{what}: exact oracle at {threads} threads"
         );
         assert_eq!(raw, reference, "{what}: default tier at {threads} threads");
-        assert_eq!(
-            memo, reference,
-            "{what}: memoized space at {threads} threads"
-        );
     }
 }
 
 #[test]
-fn kcenter_is_memo_neutral() {
+fn kcenter_is_tier_neutral() {
     for (dim, pin) in DIMS.into_iter().zip(KCENTER_PINS) {
         let spaces = spaces(datasets::gaussian_clusters(300, dim, 6, 0.05, 11));
         let params = Params::practical(4, 0.1, 11);
-        assert_memo_neutral(&format!("k-center d={dim}"), &spaces, pin, |m| {
+        assert_tier_neutral(&format!("k-center d={dim}"), &spaces, pin, |m| {
             kcenter(m, 6, &params)
         });
     }
 }
 
 #[test]
-fn diversity_is_memo_neutral() {
+fn diversity_is_tier_neutral() {
     for (dim, pin) in DIMS.into_iter().zip(DIVERSITY_PINS) {
         let spaces = spaces(datasets::gaussian_clusters(300, dim, 8, 0.05, 12));
         let params = Params::practical(4, 0.1, 12);
-        assert_memo_neutral(&format!("diversity d={dim}"), &spaces, pin, |m| {
+        assert_tier_neutral(&format!("diversity d={dim}"), &spaces, pin, |m| {
             diversity(m, 8, &params)
         });
     }
 }
 
 #[test]
-fn ksupplier_is_memo_neutral() {
+fn ksupplier_is_tier_neutral() {
     for (dim, pin) in DIMS.into_iter().zip(KSUPPLIER_PINS) {
         // The first 220 points are customers, the last 80 suppliers.
         let spaces = spaces(datasets::gaussian_clusters(300, dim, 6, 0.05, 13));
         let customers: Vec<u32> = (0..220).collect();
         let suppliers: Vec<u32> = (220..300).collect();
         let params = Params::practical(4, 0.1, 13);
-        assert_memo_neutral(&format!("k-supplier d={dim}"), &spaces, pin, |m| {
+        assert_tier_neutral(&format!("k-supplier d={dim}"), &spaces, pin, |m| {
             ksupplier(m, &customers, &suppliers, 6, &params)
         });
     }
