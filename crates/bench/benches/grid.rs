@@ -14,8 +14,10 @@
 //! The `d4-n1e6` pair is the acceptance read-off (grid must be ≥ 5×
 //! faster); the `d4-n1e5` pair gives CI a fast regression signal on both
 //! engines, and `grid/build/…` isolates the per-rung `GridIndex`
-//! construction the grid arm pays. `grid/solve/d4-n1e5` runs the whole
-//! grid-engine Algorithm 5 (`mpc_kcenter_grid_on`): the shard gather, the
+//! construction the grid arm pays: `GridIndex::build_cols` on machine 0's
+//! rows, gathered dimension-major outside the timed loop, as each
+//! machine's rung grid builds on its shard. `grid/solve/d4-n1e5` runs the
+//! whole grid-engine Algorithm 5 (`mpc_kcenter_grid_on`): the shard gather, the
 //! coreset GMM and covering radius of the coarse phase, the ladder, and
 //! the finalize radius — the phases no rung-level id sees. The workload
 //! is the drifting user-embedding stream shared with the serving
@@ -26,7 +28,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use mpc_core::grid::{grid_k_bounded_mis, mpc_kcenter_grid_on};
 use mpc_core::kbmis::k_bounded_mis;
 use mpc_core::Params;
-use mpc_metric::{datasets, EuclideanSpace, GridIndex, KernelStats};
+use mpc_metric::{datasets, EuclideanSpace, GridIndex, KernelStats, PointId};
 use mpc_sim::Cluster;
 
 const DIM: usize = 4;
@@ -46,6 +48,18 @@ fn round_robin(n: usize, m: usize) -> Vec<Vec<u32>> {
         sets[id as usize % m].push(id);
     }
     sets
+}
+
+/// The rows `ids` of `space`, dimension-major (`cols[a * n + j]` is row
+/// `j`'s coordinate on axis `a`): the slab a grid-engine machine holds.
+fn dimension_major(space: &EuclideanSpace, ids: &[u32]) -> Vec<f64> {
+    let mut cols = vec![0.0; ids.len() * DIM];
+    for (j, &id) in ids.iter().enumerate() {
+        for (a, &x) in space.points().coords(PointId(id)).iter().enumerate() {
+            cols[a * ids.len() + j] = x;
+        }
+    }
+    cols
 }
 
 fn bench_grid(c: &mut Criterion) {
@@ -86,8 +100,9 @@ fn bench_grid(c: &mut Criterion) {
             })
         });
 
+        let shard = dimension_major(&space, &local_sets[0]);
         group.bench_function(format!("build/d{DIM}-{label}").as_str(), |b| {
-            b.iter(|| GridIndex::build(space.points(), &local_sets[0], tau))
+            b.iter(|| GridIndex::build_cols(&shard, DIM, tau))
         });
 
         if n == 100_000 {

@@ -16,9 +16,11 @@ pub fn to_point_ids(ids: &[u32]) -> Vec<PointId> {
     ids.iter().map(|&v| PointId(v)).collect()
 }
 
-/// The cluster a top-level driver runs on: `params.m` machines seeded
-/// with `params.seed`, on the `KCENTER_TRANSPORT` backend, with
-/// `params.budget_words` as the per-round budget when set.
+/// The cluster a top-level algorithm runs on: `params.m` machines seeded
+/// with `params.seed`, on the `sim` transport, with `params.budget_words`
+/// as the per-round budget when set. Callers that want another transport
+/// build a [`Cluster::with_transport`] and call the algorithm's `_on`
+/// form.
 pub(crate) fn new_cluster(params: &Params) -> Cluster {
     match params.budget_words {
         Some(b) => Cluster::with_budget(params.m, params.seed, b),

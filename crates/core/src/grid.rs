@@ -46,14 +46,12 @@
 //! each iteration (an unaccepted candidate is only known to be within τ
 //! of a *center*, not its markees), so maximality never leaks.
 //!
-//! Engine selection is explicit ([`KCenterEngine`]) with an environment
-//! override: `KCENTER_ENGINE=allpairs|grid|auto`, where `auto` picks the
-//! grid for Euclidean inputs of dimension ≤ [`KCenterEngine::GRID_MAX_DIM`]
-//! (the 3^d stencil is the budget) and all-pairs otherwise. The default
-//! stays all-pairs so existing digests are unchanged.
+//! A caller picks the engine by its entry point: [`mpc_kcenter_grid`] /
+//! [`mpc_kcenter_grid_on`] here, or [`crate::kcenter::mpc_kcenter`] for
+//! all-pairs. The stencil visits 3^d cells per query, so the grid pays
+//! off at low dimension only.
 
 use std::ops::Range;
-use std::sync::OnceLock;
 
 use mpc_metric::{simd, EuclideanSpace, GridIndex, KernelStats, MetricSpace, PointId, PointSet};
 use mpc_sim::Cluster;
@@ -76,83 +74,18 @@ pub enum KCenterEngine {
 }
 
 impl KCenterEngine {
-    /// Largest dimension the grid engine auto-selects for (and the cap
-    /// [`mpc_kcenter_euclidean`] enforces even when forced): the stencil
-    /// visits 3^d cells per query, which at d = 8 is 6 561 — past that the
-    /// stencil itself rivals an all-pairs scan on realistic candidate
-    /// counts.
-    pub const GRID_MAX_DIM: usize = 8;
-
-    /// Parses an engine name: `allpairs` (or `all-pairs`) or `grid`,
-    /// ignoring surrounding whitespace. Anything else yields `None` —
-    /// including `auto`, which `KCENTER_ENGINE` accepts but which is a
-    /// per-input selection rule rather than an engine (see
-    /// [`KCenterEngine::from_env`]).
-    pub fn parse(s: &str) -> Option<KCenterEngine> {
-        match s.trim() {
-            "allpairs" | "all-pairs" => Some(KCenterEngine::AllPairs),
-            "grid" => Some(KCenterEngine::Grid),
-            _ => None,
-        }
+    /// Always [`KCenterEngine::AllPairs`], the engine serving snapshots
+    /// run, whatever `dim` is. It reads no environment variable; callers
+    /// choose the grid engine by calling [`mpc_kcenter_grid`].
+    pub fn from_env(_dim: usize) -> KCenterEngine {
+        KCenterEngine::AllPairs
     }
 
-    /// The engine for a `dim`-dimensional Euclidean input: the
-    /// `KCENTER_ENGINE` choice if set (`auto` selects by dimension), else
-    /// all-pairs. The env var is read once and cached, mirroring
-    /// `KCENTER_SPEED`. Any selection is clamped to all-pairs above
-    /// [`KCenterEngine::GRID_MAX_DIM`].
-    ///
-    /// # Panics
-    /// On a `KCENTER_ENGINE` value other than `allpairs`, `grid` or
-    /// `auto`, so a typo fails loudly instead of silently running the
-    /// default engine.
-    pub fn from_env(dim: usize) -> KCenterEngine {
-        static CHOICE: OnceLock<EngineChoice> = OnceLock::new();
-        let choice = *CHOICE.get_or_init(|| {
-            EngineChoice::parse_env(std::env::var("KCENTER_ENGINE").ok().as_deref())
-                .unwrap_or_else(|e| panic!("{e}"))
-        });
-        let picked = match choice {
-            EngineChoice::Fixed(e) => e,
-            EngineChoice::Auto => KCenterEngine::Grid,
-        };
-        if dim > Self::GRID_MAX_DIM {
-            KCenterEngine::AllPairs
-        } else {
-            picked
-        }
-    }
-
-    /// The `KCENTER_ENGINE` spelling of this engine.
+    /// The lowercase name of this engine.
     pub fn name(self) -> &'static str {
         match self {
             KCenterEngine::AllPairs => "allpairs",
             KCenterEngine::Grid => "grid",
-        }
-    }
-}
-
-/// What a `KCENTER_ENGINE` setting asks for: one engine everywhere, or
-/// the per-dimension `auto` rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EngineChoice {
-    Fixed(KCenterEngine),
-    Auto,
-}
-
-impl EngineChoice {
-    /// Parses the raw `KCENTER_ENGINE` value (`None` when unset, which
-    /// selects all-pairs). Surrounding whitespace is ignored; any other
-    /// value is an error naming the accepted spellings.
-    fn parse_env(raw: Option<&str>) -> Result<EngineChoice, String> {
-        match raw {
-            None => Ok(EngineChoice::Fixed(KCenterEngine::AllPairs)),
-            Some(s) if s.trim() == "auto" => Ok(EngineChoice::Auto),
-            Some(s) => KCenterEngine::parse(s)
-                .map(EngineChoice::Fixed)
-                .ok_or_else(|| {
-                    format!("unknown KCENTER_ENGINE {s:?} (expected allpairs|grid|auto)")
-                }),
         }
     }
 }
@@ -564,17 +497,6 @@ pub fn mpc_kcenter_grid_on(
     kcenter_with(cluster, run, k, params, engine)
 }
 
-/// Engine-dispatched MPC k-center for Euclidean inputs: routes to the
-/// grid or all-pairs engine per [`KCenterEngine::from_env`] (explicit
-/// callers pick an engine with [`mpc_kcenter_grid`] /
-/// [`crate::kcenter::mpc_kcenter`] directly).
-pub fn mpc_kcenter_euclidean(space: &EuclideanSpace, k: usize, params: &Params) -> KCenterResult {
-    match KCenterEngine::from_env(space.points().dim()) {
-        KCenterEngine::Grid => mpc_kcenter_grid(space, k, params),
-        KCenterEngine::AllPairs => crate::kcenter::mpc_kcenter(space, k, params),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -657,36 +579,5 @@ mod tests {
         let space = EuclideanSpace::new(PointSet::from_rows(&rows));
         let res = mpc_kcenter_grid(&space, 3, &Params::practical(2, 0.1, 1));
         assert!(res.radius <= 1e-12);
-    }
-
-    #[test]
-    fn engine_env_parsing_and_clamp() {
-        assert_eq!(KCenterEngine::parse("grid"), Some(KCenterEngine::Grid));
-        assert_eq!(
-            KCenterEngine::parse("allpairs"),
-            Some(KCenterEngine::AllPairs)
-        );
-        assert_eq!(KCenterEngine::parse("quantum"), None);
-        assert_eq!(KCenterEngine::parse("auto"), None, "a rule, not an engine");
-        assert_eq!(KCenterEngine::default(), KCenterEngine::AllPairs);
-        assert_eq!(KCenterEngine::Grid.name(), "grid");
-    }
-
-    #[test]
-    fn engine_env_values_parse_or_fail_loudly() {
-        use EngineChoice::{Auto, Fixed};
-        let ok = |raw| EngineChoice::parse_env(raw).unwrap();
-        assert_eq!(ok(None), Fixed(KCenterEngine::AllPairs));
-        assert_eq!(ok(Some("allpairs")), Fixed(KCenterEngine::AllPairs));
-        assert_eq!(ok(Some("all-pairs")), Fixed(KCenterEngine::AllPairs));
-        assert_eq!(ok(Some("grid")), Fixed(KCenterEngine::Grid));
-        assert_eq!(ok(Some("auto")), Auto);
-        assert_eq!(ok(Some("  grid\n")), Fixed(KCenterEngine::Grid));
-        assert_eq!(ok(Some("\tauto ")), Auto);
-        for bad in ["gird", "Grid", "", "  ", "all pairs", "grid,auto"] {
-            let err = EngineChoice::parse_env(Some(bad)).unwrap_err();
-            assert!(err.contains("allpairs|grid|auto"), "{bad:?}: {err}");
-            assert!(err.contains(&format!("{bad:?}")), "{bad:?}: {err}");
-        }
     }
 }

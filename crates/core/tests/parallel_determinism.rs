@@ -18,7 +18,8 @@ use mpc_core::kcenter::mpc_kcenter_on;
 use mpc_core::Params;
 use mpc_graph::{GraphView, ThresholdGraph};
 use mpc_metric::{
-    datasets, dist_set_to_set, EuclideanSpace, MatrixSpace, MetricSpace, PointId, PAR_MIN_BULK,
+    datasets, dist_set_to_set, EuclideanSpace, MatrixSpace, MetricSpace, PointId, SpeedTier,
+    PAR_MIN_BULK,
 };
 use mpc_sim::Cluster;
 use proptest::prelude::*;
@@ -126,10 +127,11 @@ proptest! {
     ) {
         let n = 64u32;
         // dim 3 exercises the tiled diff path, dim 18 (≥ GRAM_MIN_DIM) the
-        // f32 SoA path of the default tier; both must be thread-count
-        // invariant.
-        for dim in [3usize, 18] {
-            let space = EuclideanSpace::new(datasets::uniform_cube(n as usize, dim, seed));
+        // f32 SoA path of the `soa` tier and the diff loop of `exact`; all
+        // must be thread-count invariant.
+        for (dim, tier) in [(3usize, SpeedTier::Soa), (18, SpeedTier::Soa), (18, SpeedTier::Exact)] {
+            let space = EuclideanSpace::new(datasets::uniform_cube(n as usize, dim, seed))
+                .with_speed_tier(tier);
             let vs = big_candidates(n, 96);
             let cands = big_candidates(n, 128);
             check_many_kernels(&space, &vs, &cands, tau)?;

@@ -335,12 +335,12 @@ fn is_contiguous_run(ids: &[u32]) -> bool {
 }
 
 impl EuclideanSpace {
-    /// Wraps a point set with the L2 metric. The speed tier defaults to
-    /// the process-wide `KCENTER_SPEED` setting ([`SpeedTier::from_env`]).
+    /// Wraps a point set with the L2 metric at the default speed tier,
+    /// [`SpeedTier::Soa`].
     pub fn new(points: PointSet) -> Self {
         Self {
             points,
-            tier: SpeedTier::from_env(),
+            tier: SpeedTier::default(),
             soa: OnceLock::new(),
             balls: OnceLock::new(),
             counters: KernelCounters::default(),

@@ -22,13 +22,13 @@
 //!
 //! ## Deterministic build
 //!
-//! Construction keys every member (fixed size chunks on the worker pool
-//! when the member list is large — the split is a function of the member
-//! count only, see [`crate::space::par_chunk_size`]), then buckets the
-//! members by cell: a small hash table collects the distinct occupied
-//! keys — a few hundred at most on clustered data, against thousands of
-//! members — which are sorted, and one counting pass places every member,
-//! in ascending id order, at its cell's next slot. No step depends on the
+//! Construction keys every row (fixed size chunks on the worker pool when
+//! the slab is large — the split is a function of the row count only, see
+//! [`crate::space::par_chunk_size`]), then buckets the rows by cell: a
+//! small hash table collects the distinct occupied keys — a few hundred
+//! at most on clustered data, against thousands of rows — which are
+//! sorted, and one counting pass places every row, in ascending order, at
+//! its cell's next slot. No step depends on the
 //! thread count, so the index — like every other structure in this
 //! codebase — is bit-identical across `KCENTER_THREADS` settings.
 
@@ -36,7 +36,6 @@ use std::ops::Range;
 
 use rayon::prelude::*;
 
-use crate::point::PointSet;
 use crate::space;
 
 /// Largest dimension a [`GridIndex`] packs: each axis needs at least one
@@ -53,13 +52,14 @@ pub struct GridScan {
     pub points: usize,
 }
 
-/// A flat spatial hash over a subset of a [`PointSet`]: cells of side
-/// `side`, stored as a CSR over the sorted distinct occupied cell keys.
+/// A flat spatial hash over the rows of a dimension-major slab: cells of
+/// side `side`, stored as a CSR over the sorted distinct occupied cell
+/// keys.
 #[derive(Debug, Clone)]
 pub struct GridIndex {
     dim: usize,
     side: f64,
-    /// Per-axis minimum over the indexed members — the grid origin.
+    /// Per-axis minimum over the indexed rows — the grid origin.
     origin: Vec<f64>,
     /// Bits of packed key budget per axis (`⌊64/d⌋`, clamped to [1, 63]).
     bits: u32,
@@ -68,112 +68,71 @@ pub struct GridIndex {
     keys: Vec<u64>,
     /// CSR offsets into `ids`; `keys.len() + 1` entries.
     starts: Vec<u32>,
-    /// Member point ids grouped by cell, ascending id within a cell.
+    /// Row ids grouped by cell, ascending within a cell.
     ids: Vec<u32>,
-    /// `slots[i]` = position in `ids` of the i-th input member, so callers
-    /// can keep per-member state (e.g. domination flags) in scan order.
+    /// `slots[i]` = position in `ids` of row `i`, so callers can keep
+    /// per-member state (e.g. domination flags) in scan order.
     slots: Vec<u32>,
 }
 
 impl GridIndex {
-    /// Builds the index over `members` (distinct ids into `points`) with
-    /// cell side `side`. Deterministic at every thread count.
+    /// Builds the index over every row `0..n` of a dimension-major slab
+    /// (`cols[a * n + j]` is row `j`'s coordinate on axis `a`) with cell
+    /// side `side`; the rows' positions are the member ids. Deterministic
+    /// at every thread count.
     ///
-    /// Panics if `side` is not a positive finite number, or if the points
-    /// have more than [`MAX_DIM`] dimensions.
-    pub fn build(points: &PointSet, members: &[u32], side: f64) -> Self {
-        let (data, dim) = (points.raw(), points.dim().max(1));
-        Self::build_by(dim, members, side, |id, a| data[id as usize * dim + a])
-    }
-
-    /// [`GridIndex::build`] over every row `0..n` of a dimension-major
-    /// slab (`cols[a * n + j]` is row `j`'s coordinate on axis `a`): the
-    /// same index the row-major rows would give, with the rows' positions
-    /// as ids.
+    /// Panics if `side` is not a positive finite number, or if `dim`
+    /// exceeds [`MAX_DIM`].
     pub fn build_cols(cols: &[f64], dim: usize, side: f64) -> Self {
-        let n = cols.len() / dim.max(1);
-        let members: Vec<u32> = (0..n as u32).collect();
-        Self::build_by(dim.max(1), &members, side, |id, a| {
-            cols[a * n + id as usize]
-        })
-    }
-
-    /// The build behind both constructors; `coord(id, a)` is point `id`'s
-    /// coordinate on axis `a`.
-    fn build_by(
-        dim: usize,
-        members: &[u32],
-        side: f64,
-        coord: impl Fn(u32, usize) -> f64 + Sync,
-    ) -> Self {
         assert!(
             side.is_finite() && side > 0.0,
             "grid cell side must be positive and finite, got {side}"
         );
+        let dim = dim.max(1);
         assert!(
             dim <= MAX_DIM,
             "grid index supports at most {MAX_DIM} dimensions, got {dim}"
         );
         let bits = ((64 / dim) as u32).clamp(1, 63);
         let mask = (1u64 << bits) - 1;
-        let n = members.len();
+        let n = cols.len() / dim;
+        // One slab column per axis (`max(1)`: an empty slab has none).
+        let columns = || cols.chunks_exact(n.max(1));
 
         // Per-axis minima — the grid origin. min is exact and
-        // order-independent on finite coordinates, so the chunked fold
-        // equals the sequential one.
-        let minima = |chunk: &[u32]| -> Vec<f64> {
-            let mut mins = vec![f64::INFINITY; dim];
-            for &id in chunk {
-                for (a, m) in mins.iter_mut().enumerate() {
-                    *m = m.min(coord(id, a));
-                }
-            }
-            mins
-        };
-        let origin = if n == 0 {
+        // order-independent on finite coordinates.
+        let origin: Vec<f64> = if n == 0 {
             vec![0.0; dim]
-        } else if space::par_bulk(n) {
-            members
-                .par_chunks(space::par_chunk_size(n))
-                .map(minima)
-                .collect::<Vec<_>>()
-                .into_iter()
-                .reduce(|mut a, b| {
-                    for (x, y) in a.iter_mut().zip(&b) {
-                        *x = x.min(*y);
-                    }
-                    a
-                })
-                .unwrap()
         } else {
-            minima(members)
-        };
-
-        // Every member's packed cell key, in input order.
-        let key_chunk = |chunk: &[u32]| -> Vec<u64> {
-            chunk
-                .iter()
-                .map(|&id| {
-                    (0..dim).fold(0u64, |key, a| {
-                        let cell = axis_cell(coord(id, a), origin[a], side) & mask;
-                        key | cell << (a as u32 * bits)
-                    })
-                })
+            columns()
+                .map(|col| col.iter().fold(f64::INFINITY, |m, &x| m.min(x)))
                 .collect()
         };
-        let member_keys: Vec<u64> = if space::par_bulk(n) {
-            members
-                .par_chunks(space::par_chunk_size(n))
-                .map(key_chunk)
+
+        // Every row's packed cell key, one axis's bit field at a time.
+        let key_rows = |rows: Range<usize>| -> Vec<u64> {
+            let mut keys = vec![0u64; rows.len()];
+            for (a, col) in columns().enumerate() {
+                for (key, &x) in keys.iter_mut().zip(&col[rows.clone()]) {
+                    *key |= (axis_cell(x, origin[a], side) & mask) << (a as u32 * bits);
+                }
+            }
+            keys
+        };
+        let row_keys: Vec<u64> = if space::par_bulk(n) {
+            let size = space::par_chunk_size(n);
+            (0..n.div_ceil(size))
+                .into_par_iter()
+                .map(|c| key_rows(c * size..n.min((c + 1) * size)))
                 .collect::<Vec<_>>()
                 .concat()
         } else {
-            key_chunk(members)
+            key_rows(0..n)
         };
 
         // Bucket by cell: distinct keys in first-seen order, then sorted,
         // and a counting pass for the CSR offsets.
-        let (seen, cell_of) = distinct_keys(&member_keys);
+        let (seen, cell_of) = distinct_keys(&row_keys);
         let mut by_key: Vec<u32> = (0..seen.len() as u32).collect();
         by_key.sort_unstable_by_key(|&c| seen[c as usize]);
         let mut rank = vec![0u32; seen.len()];
@@ -189,24 +148,16 @@ impl GridIndex {
             starts[c + 1] += starts[c];
         }
 
-        // Place members in ascending id order, so each cell lists its ids
-        // ascending; `slots` maps input positions to their places.
+        // Place rows in ascending order, so each cell lists its ids
+        // ascending; `slots` maps rows to their places.
         let mut next: Vec<u32> = starts[..keys.len()].to_vec();
         let mut ids = vec![0u32; n];
         let mut slots = vec![0u32; n];
-        let mut place = |pos: usize| {
-            let c = rank[cell_of[pos] as usize] as usize;
-            let slot = next[c];
+        for (row, &c) in cell_of.iter().enumerate() {
+            let c = rank[c as usize] as usize;
+            ids[next[c] as usize] = row as u32;
+            slots[row] = next[c];
             next[c] += 1;
-            ids[slot as usize] = members[pos];
-            slots[pos] = slot;
-        };
-        if members.windows(2).all(|w| w[0] < w[1]) {
-            (0..n).for_each(&mut place);
-        } else {
-            let mut order: Vec<u32> = (0..n as u32).collect();
-            order.sort_unstable_by_key(|&pos| members[pos as usize]);
-            order.iter().for_each(|&pos| place(pos as usize));
         }
 
         Self {
@@ -251,9 +202,8 @@ impl GridIndex {
                 .div_ceil(2)
     }
 
-    /// Position in scan order of the `i`-th input member (the id at
-    /// `members[i]` during [`GridIndex::build`]). Callers index per-member
-    /// state (domination flags) by this slot.
+    /// Position in scan order of row `i`. Callers index per-member state
+    /// (domination flags) by this slot.
     pub fn slot_of(&self, i: usize) -> usize {
         self.slots[i] as usize
     }
@@ -371,17 +321,26 @@ fn distinct_keys(keys: &[u64]) -> (Vec<u64>, Vec<u32>) {
 mod tests {
     use super::*;
     use crate::datasets;
-    use crate::point::PointId;
+    use crate::point::{PointId, PointSet};
     use crate::space::MetricSpace;
     use crate::EuclideanSpace;
     use rayon::with_threads;
 
-    fn brute_neighbors(space: &EuclideanSpace, members: &[u32], p: u32, tau: f64) -> Vec<u32> {
-        members
-            .iter()
-            .copied()
-            .filter(|&q| space.dist(PointId(p), PointId(q)) <= tau)
-            .collect()
+    /// The rows `ids` of `points`, dimension-major, as a machine gathers
+    /// its shard.
+    fn slab(points: &PointSet, ids: &[u32]) -> Vec<f64> {
+        let (n, dim) = (ids.len(), points.dim());
+        let mut cols = vec![0.0; n * dim];
+        for (j, &id) in ids.iter().enumerate() {
+            for (a, &x) in points.coords(PointId(id)).iter().enumerate() {
+                cols[a * n + j] = x;
+            }
+        }
+        cols
+    }
+
+    fn all_rows(points: &PointSet) -> Vec<f64> {
+        slab(points, &(0..points.len() as u32).collect::<Vec<_>>())
     }
 
     #[test]
@@ -389,15 +348,14 @@ mod tests {
         for (n, dim, seed) in [(300usize, 2usize, 7u64), (200, 3, 11), (150, 5, 13)] {
             let points = datasets::uniform_cube(n, dim, seed);
             let space = EuclideanSpace::new(points.clone());
-            let members: Vec<u32> = (0..n as u32).collect();
             let tau = 0.25;
-            let grid = GridIndex::build(&points, &members, tau);
-            for &p in members.iter().step_by(17) {
+            let grid = GridIndex::build_cols(&all_rows(&points), dim, tau);
+            for p in (0..n as u32).step_by(17) {
                 let mut found = Vec::new();
                 grid.stencil(points.coords(PointId(p)), |run| {
                     found.extend(run.map(|s| grid.member(s)))
                 });
-                for q in brute_neighbors(&space, &members, p, tau) {
+                for q in (0..n as u32).filter(|&q| space.dist(PointId(p), PointId(q)) <= tau) {
                     assert!(
                         found.contains(&q),
                         "point {q} within τ of {p} missed by stencil (d={dim})"
@@ -408,48 +366,38 @@ mod tests {
     }
 
     /// The previous build, kept as the reference the bucketing build must
-    /// reproduce: key every member, sort the `(key, id, input position)`
-    /// entries, and read the CSR and the slot map off the sorted order.
-    fn sorted_reference(points: &PointSet, members: &[u32], side: f64) -> GridIndex {
-        let empty = GridIndex::build(points, &[], side);
-        let (dim, data) = (empty.dim, points.raw());
+    /// reproduce: key every row, sort the `(key, row)` entries, and read
+    /// the CSR and the slot map off the sorted order.
+    fn sorted_reference(cols: &[f64], dim: usize, side: f64) -> GridIndex {
+        let empty = GridIndex::build_cols(&[], dim, side);
+        let n = cols.len() / dim;
+        let coord = |j: usize, a: usize| cols[a * n + j];
         let origin = (0..dim)
-            .map(|a| {
-                members
-                    .iter()
-                    .map(|&id| data[id as usize * dim + a])
-                    .fold(f64::INFINITY, f64::min)
-            })
+            .map(|a| (0..n).map(|j| coord(j, a)).fold(f64::INFINITY, f64::min))
             .collect::<Vec<_>>();
-        let mut entries: Vec<(u64, u32, u32)> = members
-            .iter()
-            .enumerate()
-            .map(|(pos, &id)| {
+        let mut entries: Vec<(u64, u32)> = (0..n)
+            .map(|j| {
                 let key = (0..dim).fold(0u64, |key, a| {
-                    let c = axis_cell(data[id as usize * dim + a], origin[a], side);
+                    let c = axis_cell(coord(j, a), origin[a], side);
                     key | (c & empty.mask) << (a as u32 * empty.bits)
                 });
-                (key, id, pos as u32)
+                (key, j as u32)
             })
             .collect();
         entries.sort_unstable();
         let (mut keys, mut starts, mut ids) = (Vec::new(), Vec::new(), Vec::new());
-        let mut slots = vec![0u32; members.len()];
-        for (slot, &(key, id, pos)) in entries.iter().enumerate() {
+        let mut slots = vec![0u32; n];
+        for (slot, &(key, row)) in entries.iter().enumerate() {
             if keys.last() != Some(&key) {
                 keys.push(key);
                 starts.push(slot as u32);
             }
-            ids.push(id);
-            slots[pos as usize] = slot as u32;
+            ids.push(row);
+            slots[row as usize] = slot as u32;
         }
-        starts.push(members.len() as u32);
+        starts.push(n as u32);
         GridIndex {
-            origin: if members.is_empty() {
-                empty.origin
-            } else {
-                origin
-            },
+            origin: if n == 0 { empty.origin } else { origin },
             keys,
             starts,
             ids,
@@ -472,9 +420,9 @@ mod tests {
     }
 
     /// The bucketing build equals the sorted reference field for field, at
-    /// every thread count, for member lists in and out of id order, above
-    /// and below the parallel threshold, with few cells and with one cell
-    /// per point.
+    /// every thread count, for slabs gathered in and out of id order,
+    /// above and below the parallel threshold, with few cells and with one
+    /// cell per point.
     #[test]
     fn build_matches_the_sorted_reference_at_every_thread_count() {
         let n = 6000; // above PAR_MIN_BULK so the parallel path engages
@@ -482,55 +430,25 @@ mod tests {
         let ascending: Vec<u32> = (0..n as u32).collect();
         let descending: Vec<u32> = ascending.iter().rev().copied().collect();
         // A scrambled order (multiplication by a unit mod n) and a sparse
-        // subset out of id order: positions and ids disagree everywhere.
+        // subset out of id order: rows and ids disagree everywhere.
         let scrambled: Vec<u32> = (0..n as u64)
             .map(|i| (i * 2423 % n as u64) as u32)
             .collect();
         let sparse: Vec<u32> = scrambled.iter().copied().filter(|id| id % 3 != 0).collect();
         let small: Vec<u32> = scrambled[..700].to_vec();
-        for members in [&ascending, &descending, &scrambled, &sparse, &small] {
+        for ids in [&ascending, &descending, &scrambled, &sparse, &small] {
+            let cols = slab(&points, ids);
             for side in [0.1, 1e-4, 10.0] {
-                let want = sorted_reference(&points, members, side);
-                for (i, &id) in members.iter().enumerate() {
-                    assert_eq!(want.member(want.slot_of(i)), id);
+                let want = sorted_reference(&cols, 3, side);
+                for row in 0..ids.len() {
+                    assert_eq!(want.member(want.slot_of(row)) as usize, row);
                 }
                 for threads in [1usize, 2, 8] {
-                    let got = with_threads(threads, || GridIndex::build(&points, members, side));
-                    let what = format!("|members|={} side={side} t={threads}", members.len());
+                    let got = with_threads(threads, || GridIndex::build_cols(&cols, 3, side));
+                    let what = format!("|rows|={} side={side} t={threads}", ids.len());
                     assert_same_index(&got, &want, &what);
                 }
             }
-        }
-    }
-
-    /// The slab constructor indexes rows `0..n` exactly as the row-major
-    /// build over the same rows does.
-    #[test]
-    fn build_cols_matches_the_row_major_build() {
-        for (n, dim) in [(5000usize, 4usize), (300, 8), (1, 2)] {
-            let points = datasets::gaussian_clusters(n, dim, 6, 0.05, 7);
-            let mut cols = vec![0.0; n * dim];
-            for (j, row) in points.raw().chunks_exact(dim).enumerate() {
-                for (a, &x) in row.iter().enumerate() {
-                    cols[a * n + j] = x;
-                }
-            }
-            let members: Vec<u32> = (0..n as u32).collect();
-            for threads in [1usize, 2] {
-                let want = with_threads(threads, || GridIndex::build(&points, &members, 0.05));
-                let got = with_threads(threads, || GridIndex::build_cols(&cols, dim, 0.05));
-                assert_same_index(&got, &want, &format!("n={n} d={dim} t={threads}"));
-            }
-        }
-    }
-
-    #[test]
-    fn slots_invert_scan_order() {
-        let points = datasets::uniform_cube(100, 2, 5);
-        let members: Vec<u32> = (0..100u32).rev().collect(); // arbitrary order
-        let grid = GridIndex::build(&points, &members, 0.3);
-        for (i, &id) in members.iter().enumerate() {
-            assert_eq!(grid.member(grid.slot_of(i)), id);
         }
     }
 
@@ -539,8 +457,8 @@ mod tests {
         let points = datasets::uniform_cube(500, 2, 9);
         let ascending: Vec<u32> = (0..500u32).collect();
         let descending: Vec<u32> = (0..500u32).rev().collect();
-        for members in [ascending, descending] {
-            let grid = GridIndex::build(&points, &members, 0.2);
+        for ids in [ascending, descending] {
+            let grid = GridIndex::build_cols(&slab(&points, &ids), 2, 0.2);
             assert!(grid.keys.windows(2).all(|w| w[0] < w[1]));
             for ci in 0..grid.n_cells() {
                 let cell = &grid.ids[grid.starts[ci] as usize..grid.starts[ci + 1] as usize];
@@ -557,9 +475,8 @@ mod tests {
         // point unless packed keys alias. The stencil must still find each
         // point from its own coordinates.
         let points = datasets::uniform_cube(64, 8, 21); // 8 bits per axis
-        let members: Vec<u32> = (0..64u32).collect();
-        let grid = GridIndex::build(&points, &members, 1e-4);
-        for &p in &members {
+        let grid = GridIndex::build_cols(&all_rows(&points), 8, 1e-4);
+        for p in 0..64u32 {
             let mut found = Vec::new();
             grid.stencil(points.coords(PointId(p)), |run| {
                 found.extend(run.map(|s| grid.member(s)))
@@ -569,9 +486,8 @@ mod tests {
     }
 
     #[test]
-    fn empty_members_build() {
-        let points = datasets::uniform_cube(10, 2, 1);
-        let grid = GridIndex::build(&points, &[], 1.0);
+    fn empty_slab_build() {
+        let grid = GridIndex::build_cols(&[], 2, 1.0);
         assert!(grid.is_empty());
         assert_eq!(grid.n_cells(), 0);
         let scan = grid.stencil(&[0.5, 0.5], |_| panic!("no members"));
@@ -582,14 +498,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "at most 64 dimensions")]
     fn rejects_dimensions_past_the_key_budget() {
-        let points = datasets::uniform_cube(4, MAX_DIM + 1, 1);
-        GridIndex::build(&points, &[0, 1], 1.0);
+        let points = datasets::uniform_cube(2, MAX_DIM + 1, 1);
+        GridIndex::build_cols(&all_rows(&points), MAX_DIM + 1, 1.0);
     }
 
     #[test]
     #[should_panic(expected = "positive and finite")]
     fn rejects_nonpositive_side() {
-        let points = datasets::uniform_cube(10, 2, 1);
-        GridIndex::build(&points, &[0], 0.0);
+        let points = datasets::uniform_cube(1, 2, 1);
+        GridIndex::build_cols(&all_rows(&points), 2, 0.0);
     }
 }

@@ -54,13 +54,13 @@
 //! once per call, so it reads a contiguous run too. See DESIGN.md §6.2
 //! and §6.4.
 
-use std::sync::OnceLock;
-
 use crate::point::PointSet;
 
 /// How the Euclidean bulk threshold kernels decide `d² ≤ τ²` at
 /// `d ≥ 16`. Verdicts are bit-identical at both tiers; the tier only moves
-/// cycles. Parsed from `KCENTER_SPEED` (default [`SpeedTier::Soa`]).
+/// cycles. A space runs [`SpeedTier::Soa`] unless built
+/// [`crate::EuclideanSpace::with_speed_tier`]; binaries map `KCENTER_SPEED`
+/// to a tier through [`SpeedTier::from_env`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SpeedTier {
     /// The reference oracle: the plain f64 diff loop at every dimension.
@@ -82,20 +82,19 @@ impl SpeedTier {
         }
     }
 
-    /// The process-default tier: `KCENTER_SPEED` if set, else
-    /// [`SpeedTier::Soa`]. Read once and cached.
+    /// The tier `KCENTER_SPEED` names, else [`SpeedTier::Soa`]: the
+    /// parser binaries call once at start. No library code reads it.
     ///
     /// # Panics
     /// On a `KCENTER_SPEED` value other than `exact` or `soa`, so a typo
     /// (or a retired tier name) fails loudly instead of silently running
     /// the default.
     pub fn from_env() -> SpeedTier {
-        static TIER: OnceLock<SpeedTier> = OnceLock::new();
-        *TIER.get_or_init(|| match std::env::var("KCENTER_SPEED") {
+        match std::env::var("KCENTER_SPEED") {
             Ok(s) => SpeedTier::parse(&s)
                 .unwrap_or_else(|| panic!("unknown KCENTER_SPEED {s:?} (expected exact|soa)")),
             Err(_) => SpeedTier::default(),
-        })
+        }
     }
 
     /// The `KCENTER_SPEED` spelling of this tier.

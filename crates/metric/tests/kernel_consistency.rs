@@ -10,7 +10,7 @@
 use mpc_metric::{
     AngularSpace, ChebyshevSpace, CountingSpace, EditDistanceSpace, EuclideanSpace,
     GraphMetricSpace, HammingSpace, JaccardSpace, ManhattanSpace, MatrixSpace, MetricSpace,
-    PointId, PointSet,
+    PointId, PointSet, SpeedTier,
 };
 use proptest::prelude::*;
 
@@ -232,10 +232,12 @@ proptest! {
 
     #[test]
     fn euclidean_gram_kernels_match_scalar(rows in arb_rows(20, 18)) {
-        // dim ≥ GRAM_MIN_DIM: at the default `soa` tier the kernels take
-        // the f32 Gram-estimate path (with the banded exact fallback)
-        // instead of the diff loop — both must match the scalar oracle.
-        check_kernels(&EuclideanSpace::new(PointSet::from_rows(&rows)))?;
+        // dim ≥ GRAM_MIN_DIM: at the `soa` tier the kernels take the f32
+        // Gram-estimate path (with the banded exact fallback), at `exact`
+        // the plain diff loop — both must match the scalar oracle.
+        for tier in [SpeedTier::Exact, SpeedTier::Soa] {
+            check_kernels(&EuclideanSpace::new(PointSet::from_rows(&rows)).with_speed_tier(tier))?;
+        }
     }
 
     #[test]

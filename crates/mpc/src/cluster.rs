@@ -40,7 +40,7 @@ use crate::wire::Wire;
 /// ### Transports
 ///
 /// Collective *semantics* and ledger charges are identical everywhere;
-/// `KCENTER_TRANSPORT=sim|loopback` selects how payloads physically move
+/// the cluster's [`TransportKind`] selects how payloads physically move
 /// (see [`crate::transport`]). On `loopback` every collective's payload is
 /// encoded into length-prefixed little-endian frames, copied across a wire
 /// buffer, and **decoded values are what the algorithm continues with** —
@@ -75,14 +75,12 @@ pub struct Cluster {
 
 impl Cluster {
     /// A cluster of `m >= 1` machines with the given RNG seed and no
-    /// communication budget, on the transport named by
-    /// `KCENTER_TRANSPORT` (default: the in-memory simulator).
+    /// communication budget, on the in-memory simulator.
     pub fn new(m: usize, seed: u64) -> Self {
-        Self::with_transport(m, seed, TransportKind::from_env())
+        Self::with_transport(m, seed, TransportKind::Sim)
     }
 
-    /// Like [`Cluster::new`] but with an explicit transport backend,
-    /// ignoring the environment.
+    /// Like [`Cluster::new`] but on the given transport backend.
     pub fn with_transport(m: usize, seed: u64, kind: TransportKind) -> Self {
         Self {
             m,

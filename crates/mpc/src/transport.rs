@@ -15,7 +15,10 @@
 //!   reused across rounds — steady-state rounds allocate nothing for
 //!   framing.
 //!
-//! Selected by `KCENTER_TRANSPORT=sim|loopback` (default `sim`).
+//! A cluster runs on `sim` unless built with
+//! [`crate::Cluster::with_transport`]; binaries map
+//! `KCENTER_TRANSPORT=sim|loopback` to a kind through
+//! [`TransportKind::from_env`].
 //!
 //! ### Accounting invariant
 //!
@@ -50,7 +53,8 @@ pub enum TransportKind {
 }
 
 impl TransportKind {
-    /// Reads `KCENTER_TRANSPORT`; unset or empty means [`Self::Sim`].
+    /// Reads `KCENTER_TRANSPORT`; unset or empty means [`Self::Sim`]. The
+    /// parser binaries call once at start; no library code reads it.
     /// Unknown values panic — a typo must not silently fall back to the
     /// simulator when the caller asked for real wire traffic.
     pub fn from_env() -> Self {

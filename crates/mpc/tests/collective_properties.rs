@@ -1,9 +1,13 @@
 //! Property-based tests of the simulator's collectives: conservation of
 //! words, correctness of data movement, and round accounting — for
-//! arbitrary cluster sizes and payload shapes.
+//! arbitrary cluster sizes and payload shapes, on every transport.
 
-use mpc_sim::{Cluster, Partition};
+use mpc_sim::{Cluster, Partition, TransportKind};
 use proptest::prelude::*;
+
+/// Every transport: collective semantics and ledger charges must not
+/// depend on how the payloads move.
+const TRANSPORTS: [TransportKind; 2] = [TransportKind::Sim, TransportKind::Loopback];
 
 fn arb_contributions() -> impl Strategy<Value = Vec<Vec<u32>>> {
     (1usize..8)
@@ -19,17 +23,19 @@ proptest! {
     #[test]
     fn all_broadcast_union_and_conservation(contribs in arb_contributions(), weight in 1u64..8) {
         let m = contribs.len();
-        let mut c = Cluster::new(m, 0);
         let expect: Vec<u32> = contribs.iter().flatten().copied().collect();
         let total_items: u64 = contribs.iter().map(|v| v.len() as u64).sum();
-        let got = c.all_broadcast("t", contribs, weight);
-        prop_assert_eq!(got, expect);
-        prop_assert_eq!(c.rounds(), 1);
-        let rec = &c.ledger().records()[0];
-        let sent: u64 = rec.per_machine.iter().map(|io| io.sent).sum();
-        let received: u64 = rec.per_machine.iter().map(|io| io.received).sum();
-        prop_assert_eq!(sent, total_items * weight * (m as u64 - 1));
-        prop_assert_eq!(received, total_items * weight * (m as u64 - 1));
+        for kind in TRANSPORTS {
+            let mut c = Cluster::with_transport(m, 0, kind);
+            let got = c.all_broadcast("t", contribs.clone(), weight);
+            prop_assert_eq!(&got, &expect);
+            prop_assert_eq!(c.rounds(), 1);
+            let rec = &c.ledger().records()[0];
+            let sent: u64 = rec.per_machine.iter().map(|io| io.sent).sum();
+            let received: u64 = rec.per_machine.iter().map(|io| io.received).sum();
+            prop_assert_eq!(sent, total_items * weight * (m as u64 - 1));
+            prop_assert_eq!(received, total_items * weight * (m as u64 - 1));
+        }
     }
 
     /// gather: machine 0 receives everything; senders are only charged for
@@ -37,17 +43,19 @@ proptest! {
     #[test]
     fn gather_conservation(contribs in arb_contributions(), weight in 1u64..8) {
         let m = contribs.len();
-        let mut c = Cluster::new(m, 0);
         let expect: Vec<u32> = contribs.iter().flatten().copied().collect();
         let own = contribs[0].len() as u64;
         let total: u64 = contribs.iter().map(|v| v.len() as u64).sum();
-        let got = c.gather("t", contribs, weight);
-        prop_assert_eq!(got, expect);
-        let rec = &c.ledger().records()[0];
-        prop_assert_eq!(rec.per_machine[0].received, (total - own) * weight);
-        prop_assert_eq!(rec.per_machine[0].sent, 0);
-        let sent: u64 = rec.per_machine.iter().map(|io| io.sent).sum();
-        prop_assert_eq!(sent, (total - own) * weight);
+        for kind in TRANSPORTS {
+            let mut c = Cluster::with_transport(m, 0, kind);
+            let got = c.gather("t", contribs.clone(), weight);
+            prop_assert_eq!(&got, &expect);
+            let rec = &c.ledger().records()[0];
+            prop_assert_eq!(rec.per_machine[0].received, (total - own) * weight);
+            prop_assert_eq!(rec.per_machine[0].sent, 0);
+            let sent: u64 = rec.per_machine.iter().map(|io| io.sent).sum();
+            prop_assert_eq!(sent, (total - own) * weight);
+        }
     }
 
     /// exchange is an exact transpose, and sent == received globally.
@@ -67,13 +75,15 @@ proptest! {
         let expected: Vec<Vec<Vec<u64>>> = (0..m)
             .map(|d| (0..m).map(|s| msgs[s][d].clone()).collect())
             .collect();
-        let mut c = Cluster::new(m, 0);
-        let inbox = c.exchange("t", msgs, weight);
-        prop_assert_eq!(inbox, expected);
-        let rec = &c.ledger().records()[0];
-        let sent: u64 = rec.per_machine.iter().map(|io| io.sent).sum();
-        let received: u64 = rec.per_machine.iter().map(|io| io.received).sum();
-        prop_assert_eq!(sent, received);
+        for kind in TRANSPORTS {
+            let mut c = Cluster::with_transport(m, 0, kind);
+            let inbox = c.exchange("t", msgs.clone(), weight);
+            prop_assert_eq!(&inbox, &expected);
+            let rec = &c.ledger().records()[0];
+            let sent: u64 = rec.per_machine.iter().map(|io| io.sent).sum();
+            let received: u64 = rec.per_machine.iter().map(|io| io.received).sum();
+            prop_assert_eq!(sent, received);
+        }
     }
 
     /// Every partition constructor covers each item exactly once.
@@ -102,9 +112,11 @@ proptest! {
     #[test]
     fn reduce_matches_sequential(values in prop::collection::vec(any::<i64>(), 1..9)) {
         let m = values.len();
-        let mut c = Cluster::new(m, 0);
         let expect = values.iter().copied().fold(i64::MIN, i64::max);
-        let got = c.reduce("t", values, 1, i64::max);
-        prop_assert_eq!(got, expect);
+        for kind in TRANSPORTS {
+            let mut c = Cluster::with_transport(m, 0, kind);
+            let got = c.reduce("t", values.clone(), 1, i64::max);
+            prop_assert_eq!(got, expect);
+        }
     }
 }

@@ -23,11 +23,14 @@
 //!   and the global slack `δ = max_i slack_i` (every indexed point is
 //!   within `δ` of `U`), then serves queries with the same descending /
 //!   ascending τ-ladders as Algorithms 5 and 2 — the one
-//!   [`mis_ladder`], with `k_bounded_mis` (or the grid rung) straight on
-//!   the indexed [`EuclideanSpace`] as its rung kernel, so each rung runs
-//!   on the metric's own threshold kernels (the f32 SoA classifier at
-//!   d ≥ 16), as the batch drivers do. Per-`k` answers are cached on the
-//!   snapshot.
+//!   [`mis_ladder`], with `k_bounded_mis` straight on the indexed
+//!   [`EuclideanSpace`] as its rung kernel, so each rung runs on the
+//!   metric's own threshold kernels (the f32 SoA classifier at d ≥ 16
+//!   unless the index was built [`DiversityIndex::with_speed_tier`]
+//!   `Exact`), as the batch algorithms do. The union holds only
+//!   `shards × coreset_k` points, far below the sizes where the grid
+//!   engine's near-linear work pays, so snapshots always run the
+//!   all-pairs rungs. Per-`k` answers are cached on the snapshot.
 //!
 //! Guarantees served with each answer (`U ⊆ P`, so both are certified by
 //! the composable-coreset argument):
@@ -47,13 +50,12 @@ use std::collections::HashMap;
 
 use mpc_core::common::{covering_radius, to_point_ids};
 use mpc_core::gmm::gmm;
-use mpc_core::grid::grid_k_bounded_mis;
 use mpc_core::kbmis::k_bounded_mis;
 use mpc_core::ladder::{mis_ladder, Boundary, Objective};
-use mpc_core::{KCenterEngine, Params};
+use mpc_core::Params;
 use mpc_metric::{
-    dist_point_to_set, min_pairwise_distance, EuclideanSpace, KernelStats, MetricSpace, PointId,
-    PointSet,
+    dist_point_to_set, min_pairwise_distance, EuclideanSpace, MetricSpace, PointId, PointSet,
+    SpeedTier,
 };
 use mpc_sim::Cluster;
 
@@ -204,6 +206,16 @@ impl DiversityIndex {
         }
     }
 
+    /// The index with every distance kernel at `tier` (the default is
+    /// [`SpeedTier::Soa`]). Served answers are
+    /// bit-identical at every tier; the tier only moves cycles.
+    pub fn with_speed_tier(self, tier: SpeedTier) -> Self {
+        Self {
+            space: self.space.with_speed_tier(tier),
+            ..self
+        }
+    }
+
     /// Total points indexed.
     pub fn len(&self) -> usize {
         self.space.n()
@@ -305,7 +317,6 @@ impl DiversityIndex {
             n_total: self.space.n(),
             max_k: self.params.coreset_k,
             params,
-            engine: KCenterEngine::from_env(self.space.points().dim()),
             kcenter_cache: HashMap::new(),
             diversity_cache: HashMap::new(),
         }
@@ -355,7 +366,6 @@ pub struct Snapshot<'a> {
     n_total: usize,
     max_k: usize,
     params: Params,
-    engine: KCenterEngine,
     kcenter_cache: HashMap<usize, ServedKCenter>,
     diversity_cache: HashMap<usize, ServedDiversity>,
 }
@@ -385,13 +395,6 @@ impl Snapshot<'_> {
         mpc_core::MemoStats::default()
     }
 
-    /// The rung-evaluation engine this snapshot's k-center queries use
-    /// (resolved from `KCENTER_ENGINE` / the union's dimension at
-    /// snapshot time).
-    pub fn engine(&self) -> KCenterEngine {
-        self.engine
-    }
-
     /// Serves a k-center answer (cached per `k`). Defined on an empty
     /// index: no centers, radius `0`.
     ///
@@ -413,20 +416,13 @@ impl Snapshot<'_> {
     }
 
     /// Algorithms 5 and 2's ladder with the union playing `V`, seeded
-    /// with the coarse solution `q` of value `r`. The snapshot's engine
-    /// is the k-center rung kernel; diversity rungs always run
+    /// with the coarse solution `q` of value `r`. Every rung runs
     /// Algorithm 4.
     fn ladder(&mut self, objective: Objective, q: Vec<u32>, r: f64, k: usize) -> Boundary {
         let (space, local_sets, n, params) =
             (self.space, &self.local_sets, self.n_total, &self.params);
-        let grid = objective == Objective::KCenter && self.engine == KCenterEngine::Grid;
         let mis = |cluster: &mut Cluster, tau, bound| {
-            if grid {
-                let mut stats = KernelStats::default();
-                grid_k_bounded_mis(cluster, space, local_sets, tau, bound, &mut stats)
-            } else {
-                k_bounded_mis(cluster, space, local_sets, tau, bound, n, params, false).set
-            }
+            k_bounded_mis(cluster, space, local_sets, tau, bound, n, params, false).set
         };
         mis_ladder(&mut self.cluster, params, objective, q, r, k, mis)
     }
@@ -505,8 +501,7 @@ mod tests {
     use super::*;
     use mpc_core::diversity::mpc_diversity;
     use mpc_core::kcenter::mpc_kcenter;
-    use mpc_metric::MetricSpace;
-    use mpc_metric::{datasets, SpeedTier};
+    use mpc_metric::datasets;
 
     fn insert_all(index: &mut DiversityIndex, points: &PointSet) {
         for i in 0..points.len() as u32 {
@@ -616,33 +611,36 @@ mod tests {
 
     #[test]
     fn served_answers_cached_per_k() {
-        // d = 16: both ladders run the all-pairs rungs on the SoA
-        // threshold kernels, whose tallies witness every rung scan.
+        // d = 16: both ladders run the all-pairs rungs on the threshold
+        // kernels. At `soa` their tallies witness every rung scan; the
+        // `exact` tier runs the plain f64 loop and never tallies.
         let points = datasets::gaussian_clusters(400, 16, 12, 0.1, 9);
-        let mut index = DiversityIndex::new(16, IndexParams::new(4, 8, 9));
-        insert_all(&mut index, &points);
-        let mut snap = index.snapshot();
-        assert_eq!(snap.engine(), KCenterEngine::AllPairs);
-        // The exact tier runs the plain f64 loop and never tallies.
-        let tallies = snap.space().speed_tier() == SpeedTier::Soa;
-        let stats = |snap: &Snapshot<'_>| snap.space().kernel_stats().unwrap();
+        for tier in [SpeedTier::Exact, SpeedTier::Soa] {
+            let mut index =
+                DiversityIndex::new(16, IndexParams::new(4, 8, 9)).with_speed_tier(tier);
+            insert_all(&mut index, &points);
+            let mut snap = index.snapshot();
+            assert_eq!(snap.space().speed_tier(), tier);
+            let tallies = tier == SpeedTier::Soa;
+            let stats = |snap: &Snapshot<'_>| snap.space().kernel_stats().unwrap();
 
-        let before = stats(&snap);
-        let first = snap.kcenter(4);
-        let after_first = stats(&snap);
-        assert_eq!(tallies, after_first != before, "first kcenter ran no rung");
-        assert_eq!(snap.kcenter(4), first);
-        assert_eq!(stats(&snap), after_first, "cached kcenter rescanned");
+            let before = stats(&snap);
+            let first = snap.kcenter(4);
+            let after_first = stats(&snap);
+            assert_eq!(tallies, after_first != before, "first kcenter ran no rung");
+            assert_eq!(snap.kcenter(4), first);
+            assert_eq!(stats(&snap), after_first, "cached kcenter rescanned");
 
-        let first = snap.kdiversity(4);
-        let after_first_div = stats(&snap);
-        assert_eq!(
-            tallies,
-            after_first_div != after_first,
-            "first kdiversity ran no rung"
-        );
-        assert_eq!(snap.kdiversity(4), first);
-        assert_eq!(stats(&snap), after_first_div, "cached kdiversity rescanned");
+            let first = snap.kdiversity(4);
+            let after_first_div = stats(&snap);
+            assert_eq!(
+                tallies,
+                after_first_div != after_first,
+                "first kdiversity ran no rung"
+            );
+            assert_eq!(snap.kdiversity(4), first);
+            assert_eq!(stats(&snap), after_first_div, "cached kdiversity rescanned");
+        }
     }
 
     #[test]

@@ -7,6 +7,10 @@
 //! centers, radii, round structure, per-machine traffic, and peak memory
 //! must all be byte-for-byte identical before and after.
 //!
+//! `KCENTER_SPEED` sets the speed tier of every space, and
+//! `KCENTER_TRANSPORT` the transport of the first two sections' clusters;
+//! stdout must be byte-identical under every combination.
+//!
 //! ```text
 //! cargo run --release --example ladder_digest
 //! ```
@@ -14,7 +18,7 @@
 use mpc_clustering::core::grid::mpc_kcenter_grid_on;
 use mpc_clustering::core::kcenter::mpc_kcenter_on;
 use mpc_clustering::core::Params;
-use mpc_clustering::metric::{datasets, EuclideanSpace};
+use mpc_clustering::metric::{datasets, EuclideanSpace, SpeedTier};
 use mpc_clustering::sim::{Cluster, TransportKind};
 use rayon::with_threads;
 
@@ -34,6 +38,7 @@ impl Fnv {
 }
 
 fn main() {
+    let (tier, transport) = (SpeedTier::from_env(), TransportKind::from_env());
     // The dim=32 configs matter for the speed tiers: wide rows engage the
     // SoA fast path (dim ≥ 16), so diffing this output across
     // `KCENTER_SPEED` values actually exercises them; the dim=3 configs
@@ -52,11 +57,11 @@ fn main() {
         } else {
             datasets::gaussian_clusters(n, dim, k, 0.05, seed)
         };
-        let space = EuclideanSpace::new(points);
+        let space = EuclideanSpace::new(points).with_speed_tier(tier);
         let params = Params::practical(m, 0.1, seed);
         for threads in [1usize, 2, 8] {
             let (res, ledger) = with_threads(threads, || {
-                let mut cluster = Cluster::new(m, seed);
+                let mut cluster = Cluster::with_transport(m, seed, transport);
                 let out = mpc_kcenter_on(&mut cluster, &space, k, &params);
                 (out, cluster.into_ledger())
             });
@@ -119,11 +124,12 @@ fn main() {
         (800, 2, 8, 10, 7),
         (700, 8, 4, 8, 21),
     ] {
-        let space = EuclideanSpace::new(datasets::user_embeddings(n, dim, k, 0.03, 1e-3, seed));
+        let space = EuclideanSpace::new(datasets::user_embeddings(n, dim, k, 0.03, 1e-3, seed))
+            .with_speed_tier(tier);
         let params = Params::practical(m, 0.1, seed);
         for threads in [1usize, 2, 8] {
             let (res, ledger) = with_threads(threads, || {
-                let mut cluster = Cluster::new(m, seed);
+                let mut cluster = Cluster::with_transport(m, seed, transport);
                 let out = mpc_kcenter_grid_on(&mut cluster, &space, k, &params);
                 (out, cluster.into_ledger())
             });
@@ -165,15 +171,16 @@ fn main() {
     // loopback wire (every payload encoded into frames, transited, and
     // decoded back) must reproduce the sim reference exactly — identical
     // centers, radius bits, and ledger transcript. Transports are pinned
-    // explicitly here, so these stdout lines are also invariant under
-    // `KCENTER_TRANSPORT` and take part in the CI digest diff. Wire byte
+    // explicitly here, so these stdout lines ignore `KCENTER_TRANSPORT`
+    // and take part in the CI digest diff. Wire byte
     // counters and encode/decode wall-clock go to stderr only.
     for (n, dim, m, k, seed) in [
         (900usize, 3usize, 4usize, 6usize, 42u64),
         (600, 3, 8, 10, 7),
         (700, 32, 4, 8, 21),
     ] {
-        let space = EuclideanSpace::new(datasets::gaussian_clusters(n, dim, k, 0.05, seed));
+        let space = EuclideanSpace::new(datasets::gaussian_clusters(n, dim, k, 0.05, seed))
+            .with_speed_tier(tier);
         let params = Params::practical(m, 0.1, seed);
         for threads in [1usize, 2, 8] {
             let run = |kind: TransportKind| {

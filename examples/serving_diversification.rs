@@ -10,9 +10,10 @@
 //! rebuilds; per-`k` answer caches on each snapshot) instead of a batch
 //! re-run over all points.
 //!
-//! The final digest line is consumed by CI, which re-runs this binary
-//! across `KCENTER_SPEED` tiers and `KCENTER_THREADS` counts and diffs
-//! the output byte-for-byte — the serving path inherits the repo-wide
+//! `KCENTER_SPEED=exact|soa` sets the index's speed tier. The final digest
+//! line is consumed by CI, which re-runs this binary across
+//! `KCENTER_SPEED` tiers and `KCENTER_THREADS` counts and diffs the output
+//! byte-for-byte — the serving path inherits the repo-wide
 //! bit-determinism contract.
 //!
 //! ```text
@@ -21,7 +22,7 @@
 
 use std::time::Instant;
 
-use mpc_clustering::metric::{datasets, MetricSpace};
+use mpc_clustering::metric::{datasets, MetricSpace, SpeedTier};
 use mpc_clustering::serving::{DiversityIndex, IndexParams};
 
 fn main() {
@@ -34,7 +35,8 @@ fn main() {
     // Document embeddings: clustered topics, streamed topic-interleaved.
     let points = datasets::gaussian_clusters(total_points, dim, 12, 0.05, 29);
 
-    let mut index = DiversityIndex::new(dim, IndexParams::new(8, 16, 29));
+    let mut index = DiversityIndex::new(dim, IndexParams::new(8, 16, 29))
+        .with_speed_tier(SpeedTier::from_env());
     let per_burst = total_points / bursts;
 
     let mut insert_ns = 0u128;

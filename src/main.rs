@@ -7,6 +7,11 @@
 //! mpc-clustering diversity --input points.csv --k 8 [...]
 //! mpc-clustering ksupplier --input points.csv --suppliers-from 800 --k 8 [...]
 //! ```
+//!
+//! `KCENTER_SPEED=exact|soa` picks the speed tier of the Euclidean
+//! kernels and `KCENTER_TRANSPORT=sim|loopback` the cluster transport;
+//! both are read once at start, and the output is byte-identical under
+//! every combination.
 
 use std::process::ExitCode;
 
@@ -14,7 +19,8 @@ use mpc_clustering::cli::{
     parse_args, parse_points_csv, points_to_csv, pointset_to_csv, CliCommand,
 };
 use mpc_clustering::core::{diversity, kcenter, ksupplier, Params};
-use mpc_clustering::metric::{datasets, EuclideanSpace, PointId, PointSet};
+use mpc_clustering::metric::{datasets, EuclideanSpace, PointId, PointSet, SpeedTier};
+use mpc_clustering::sim::{Cluster, TransportKind};
 
 const HELP: &str = "\
 mpc-clustering — (2+eps) k-center / k-diversity and (3+eps) k-supplier in the MPC model
@@ -31,6 +37,10 @@ COMMANDS:
              (same flags as kcenter)
   ksupplier  (3+eps)-approximate k-supplier; rows from --suppliers-from on are suppliers
              --input FILE --k <int> --suppliers-from <row> [--m 8] [--epsilon 0.1] [--seed 0]
+
+ENVIRONMENT:
+  KCENTER_SPEED      exact|soa: distance-kernel speed tier (default soa)
+  KCENTER_TRANSPORT  sim|loopback: how collectives move data (default sim)
 ";
 
 fn main() -> ExitCode {
@@ -46,6 +56,23 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
+}
+
+/// The speed tier and transport the environment selects. The retired
+/// `KCENTER_ENGINE` is refused rather than ignored, so a script that
+/// still sets it learns that it no longer picks anything.
+///
+/// # Panics
+/// On a `KCENTER_SPEED` or `KCENTER_TRANSPORT` value outside the ones
+/// their parsers accept.
+fn read_env() -> Result<(SpeedTier, TransportKind), Box<dyn std::error::Error>> {
+    if std::env::var_os("KCENTER_ENGINE").is_some() {
+        return Err("KCENTER_ENGINE is retired and selects nothing; unset it. \
+                    Library callers choose the k-center engine by entry point: \
+                    mpc_kcenter (all-pairs) or mpc_kcenter_grid (grid)"
+            .into());
+    }
+    Ok((SpeedTier::from_env(), TransportKind::from_env()))
 }
 
 fn load_points(cmd: &CliCommand) -> Result<PointSet, Box<dyn std::error::Error>> {
@@ -78,6 +105,7 @@ fn emit(
 }
 
 fn run(args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
+    let (tier, transport) = read_env()?;
     let cmd = parse_args(args)?;
     match cmd.command.as_str() {
         "gen" => {
@@ -104,8 +132,9 @@ fn run(args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
             let points = load_points(&cmd)?;
             let k: usize = cmd.required("k", "integer")?;
             let params = params_from(&cmd)?;
-            let metric = EuclideanSpace::new(points);
-            let res = kcenter::mpc_kcenter(&metric, k, &params);
+            let metric = EuclideanSpace::new(points).with_speed_tier(tier);
+            let mut cluster = Cluster::with_transport(params.m, params.seed, transport);
+            let res = kcenter::mpc_kcenter_on(&mut cluster, &metric, k, &params);
             eprintln!(
                 "k-center radius {:.6} | {} rounds | {} words max/machine",
                 res.radius, res.telemetry.rounds, res.telemetry.max_machine_words
@@ -116,8 +145,9 @@ fn run(args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
             let points = load_points(&cmd)?;
             let k: usize = cmd.required("k", "integer")?;
             let params = params_from(&cmd)?;
-            let metric = EuclideanSpace::new(points);
-            let res = diversity::mpc_diversity(&metric, k, &params);
+            let metric = EuclideanSpace::new(points).with_speed_tier(tier);
+            let mut cluster = Cluster::with_transport(params.m, params.seed, transport);
+            let res = diversity::mpc_diversity_on(&mut cluster, &metric, k, &params);
             eprintln!(
                 "k-diversity {:.6} | {} rounds | {} words max/machine",
                 res.diversity, res.telemetry.rounds, res.telemetry.max_machine_words
@@ -138,8 +168,16 @@ fn run(args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
             let params = params_from(&cmd)?;
             let customers: Vec<u32> = (0..split as u32).collect();
             let suppliers: Vec<u32> = (split as u32..points.len() as u32).collect();
-            let metric = EuclideanSpace::new(points);
-            let res = ksupplier::mpc_ksupplier(&metric, &customers, &suppliers, k, &params);
+            let metric = EuclideanSpace::new(points).with_speed_tier(tier);
+            let mut cluster = Cluster::with_transport(params.m, params.seed, transport);
+            let res = ksupplier::mpc_ksupplier_on(
+                &mut cluster,
+                &metric,
+                &customers,
+                &suppliers,
+                k,
+                &params,
+            );
             eprintln!(
                 "k-supplier radius {:.6} | {} rounds | {} words max/machine",
                 res.radius, res.telemetry.rounds, res.telemetry.max_machine_words

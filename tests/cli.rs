@@ -164,6 +164,92 @@ fn unknown_transport_fails_loudly() {
     env_value_check("KCENTER_TRANSPORT", &bad, &good, "sim|loopback");
 }
 
+/// The engine knob is retired: any value, even a formerly valid one,
+/// must abort the run naming the variable and the entry points that
+/// choose an engine now, never be ignored.
+#[test]
+fn retired_engine_knob_fails_loudly() {
+    let pts = tmp("engine-points.csv");
+    bin()
+        .args(["gen", "--n", "60", "--seed", "8", "--out"])
+        .arg(&pts)
+        .status()
+        .unwrap();
+    for value in ["allpairs", "grid", "auto", ""] {
+        let out = bin()
+            .args(["kcenter", "--k", "3", "--m", "2", "--input"])
+            .arg(&pts)
+            .env("KCENTER_ENGINE", value)
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "KCENTER_ENGINE={value:?} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        for needle in [
+            "KCENTER_ENGINE",
+            "retired",
+            "mpc_kcenter ",
+            "mpc_kcenter_grid",
+        ] {
+            assert!(stderr.contains(needle), "{value:?}: {needle:?} in {stderr}");
+        }
+    }
+}
+
+/// The CLI's tier and transport settings move cycles and bytes, never
+/// answers: every command's CSV output is byte-identical at every
+/// `KCENTER_SPEED` × `KCENTER_TRANSPORT` combination. The points have 16
+/// dimensions, so the `soa` tier runs its f32 kernels.
+#[test]
+fn outputs_match_across_tiers_and_transports() {
+    let pts = tmp("knob-points.csv");
+    let gen = bin()
+        .args(["gen", "--n", "300", "--dim", "16", "--clusters", "6"])
+        .args(["--sigma", "0.1", "--seed", "4", "--out"])
+        .arg(&pts)
+        .status()
+        .unwrap();
+    assert!(gen.success());
+    let commands: [&[&str]; 3] = [
+        &["kcenter", "--k", "6", "--m", "4"],
+        &["diversity", "--k", "6", "--m", "4"],
+        &[
+            "ksupplier",
+            "--k",
+            "4",
+            "--m",
+            "4",
+            "--suppliers-from",
+            "200",
+        ],
+    ];
+    for args in commands {
+        let run = |speed: &str, transport: &str| {
+            let out = bin()
+                .args(args)
+                .arg("--input")
+                .arg(&pts)
+                .env("KCENTER_SPEED", speed)
+                .env("KCENTER_TRANSPORT", transport)
+                .output()
+                .unwrap();
+            assert!(
+                out.status.success(),
+                "{args:?} at {speed}/{transport}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            out.stdout
+        };
+        let reference = run("soa", "sim");
+        assert!(reference.starts_with(b"id,x0,"), "{args:?}: no CSV output");
+        for (speed, transport) in [("exact", "sim"), ("soa", "loopback"), ("exact", "loopback")] {
+            assert!(
+                run(speed, transport) == reference,
+                "{args:?}: output at {speed}/{transport} differs from soa/sim"
+            );
+        }
+    }
+}
+
 #[test]
 fn help_prints_usage() {
     let out = bin().arg("--help").output().unwrap();

@@ -1,18 +1,19 @@
 //! Served-answer parity for the serving layer: a fixed insertion stream
 //! fed into a `DiversityIndex`, with a snapshot after every burst and
 //! `kcenter(k)` + `kdiversity(k)` served for every k = 2..16, must digest
-//! to a recorded constant at every worker thread count.
+//! to a recorded constant at every speed tier and worker thread count.
 //!
-//! Two dimensions cover both k-center engines a snapshot can dispatch to:
-//! d = 16 runs the all-pairs k-bounded MIS rungs on the f32 SoA threshold
-//! kernels, d = 4 runs the grid rungs. The k-diversity ladder is the
-//! all-pairs one at both. The constants were recorded before the snapshot
-//! ladders stopped going through a distance memo, so this pins the served
-//! answers (ids, radius and diversity bits, δ bits, boundary rung) against
-//! that older query path, not only against itself.
+//! Snapshots run the all-pairs k-bounded MIS rungs for both objectives.
+//! At d = 16 the `soa` tier answers them with the f32 SoA threshold
+//! kernels and the `exact` tier with the plain f64 loop; d = 4 is below
+//! the f32 path's 16-dimension floor. The d = 16 constant was recorded
+//! before the snapshot ladders stopped going through a distance memo, so
+//! this pins the served answers (ids, radius and diversity bits, δ bits,
+//! boundary rung) against that older query path, not only against
+//! itself. The d = 4 constant is what the all-pairs snapshots served
+//! before the grid rung was removed from serving.
 
-use mpc_clustering::core::KCenterEngine;
-use mpc_clustering::metric::{datasets, PointId};
+use mpc_clustering::metric::{datasets, PointId, SpeedTier};
 use mpc_clustering::serving::{DiversityIndex, IndexParams};
 use rayon::with_threads;
 
@@ -23,11 +24,10 @@ const SHARDS: usize = 8;
 const CORESET_K: usize = 16;
 const SEED: u64 = 41;
 
-/// `(dim, engine the snapshot must dispatch k-center to, digest)`.
-const CASES: [(usize, KCenterEngine, u64); 2] = [
-    (16, KCenterEngine::AllPairs, 0x1de0_2795_ede8_6e0e),
-    (4, KCenterEngine::Grid, 0xb0ab_7803_2be6_8096),
-];
+const TIERS: [SpeedTier; 2] = [SpeedTier::Exact, SpeedTier::Soa];
+
+/// `(dim, digest)`.
+const CASES: [(usize, u64); 2] = [(16, 0x1de0_2795_ede8_6e0e), (4, 0xf70f_c704_8227_89b3)];
 
 /// FNV-1a over a stream of words.
 struct Fnv(u64);
@@ -50,9 +50,10 @@ impl Fnv {
 
 /// Streams the clustered points in `BURSTS` bursts; after each, takes a
 /// snapshot and digests every served answer for k = 2..=CORESET_K.
-fn served_digest(dim: usize, engine: KCenterEngine) -> u64 {
+fn served_digest(dim: usize, tier: SpeedTier) -> u64 {
     let points = datasets::gaussian_clusters(POINTS, dim, 40, 0.1, SEED);
-    let mut index = DiversityIndex::new(dim, IndexParams::new(SHARDS, CORESET_K, SEED));
+    let mut index =
+        DiversityIndex::new(dim, IndexParams::new(SHARDS, CORESET_K, SEED)).with_speed_tier(tier);
     let mut h = Fnv(0xcbf2_9ce4_8422_2325);
     let per_burst = POINTS / BURSTS;
     for burst in 0..BURSTS {
@@ -60,11 +61,6 @@ fn served_digest(dim: usize, engine: KCenterEngine) -> u64 {
             index.insert(points.coords(PointId(i as u32)));
         }
         let mut snap = index.snapshot();
-        assert_eq!(
-            snap.engine(),
-            engine,
-            "d = {dim} dispatched to the wrong engine"
-        );
         for k in 2..=CORESET_K {
             let kc = snap.kcenter(k);
             h.eat_ids(&kc.centers);
@@ -84,19 +80,18 @@ fn served_digest(dim: usize, engine: KCenterEngine) -> u64 {
 
 #[test]
 fn served_answers_match_recorded_digest_at_every_thread_count() {
-    // `auto` lets each snapshot pick its engine by dimension (grid up to
-    // d = 8, all-pairs above), so the two cases cover both engines
-    // whatever `KCENTER_ENGINE` the environment sets. The choice is read
-    // once per process, and this is the only test in the binary, so
-    // nothing has read it yet.
-    std::env::set_var("KCENTER_ENGINE", "auto");
-    for (dim, engine, expected) in CASES {
-        for threads in THREADS {
-            let got = with_threads(threads, || served_digest(dim, engine));
-            assert_eq!(
-                got, expected,
-                "d = {dim}, threads = {threads}: served digest {got:016x}, recorded {expected:016x}"
-            );
+    for (dim, expected) in CASES {
+        for tier in TIERS {
+            for threads in THREADS {
+                let got = with_threads(threads, || served_digest(dim, tier));
+                assert_eq!(
+                    got,
+                    expected,
+                    "d = {dim}, tier = {}, threads = {threads}: served digest {got:016x}, \
+                     recorded {expected:016x}",
+                    tier.name()
+                );
+            }
         }
     }
 }
