@@ -90,7 +90,7 @@ pub fn ene_kcenter<M: MetricSpace + ?Sized>(metric: &M, k: usize, params: &Param
             d[mid]
         });
         let cut = cluster.reduce("ene/median", med, 1, f64::max);
-        cluster.broadcast("ene/cut", 1, 1);
+        let cut = cluster.broadcast("ene/cut", vec![cut], 1)[0];
         let next: Vec<Vec<u32>> = cluster.map(&survivors, |_, si| {
             si.iter()
                 .copied()

@@ -74,7 +74,7 @@ pub fn malkomes_outliers_kcenter<M: MetricSpace + ?Sized>(
 
     // Final assignment: the radius covering all but <= z actual points,
     // computed distributedly for reporting (broadcast + local + reduce).
-    cluster.broadcast("malk-out/centers", centers_raw.len(), w);
+    let centers_raw = cluster.broadcast("malk-out/centers", centers_raw, w);
     let center_ids = to_point_ids(&centers_raw);
     let mut dists: Vec<f64> = (0..n as u32)
         .map(|v| dist_point_to_set(metric, PointId(v), &center_ids))
@@ -87,7 +87,7 @@ pub fn malkomes_outliers_kcenter<M: MetricSpace + ?Sized>(
         .collect();
     dists.sort_unstable_by(f64::total_cmp);
     let radius = if z < n { dists[n - 1 - z] } else { 0.0 };
-    cluster.broadcast("malk-out/radius", 1, 1);
+    let radius = cluster.broadcast("malk-out/radius", vec![radius], 1)[0];
 
     OutlierMpcResult {
         centers: center_ids,

@@ -61,7 +61,7 @@ pub fn assign_to_centers<M: MetricSpace + ?Sized>(
     let partition = params.partition.build(n, params.m, params.seed);
     let local_sets = partition.all_items().to_vec();
 
-    cluster.broadcast("assign/centers", centers.len(), metric.point_weight());
+    let centers = cluster.broadcast("assign/centers", centers.to_vec(), metric.point_weight());
     // Local assignment: (cluster index, distance) per owned point.
     let local: Vec<Vec<(u32, u32, f64)>> = cluster.map(&local_sets, |_, vi| {
         vi.iter()

@@ -20,12 +20,13 @@ pub fn to_point_ids(ids: &[u32]) -> Vec<PointId> {
 /// with `params.seed`, on the `sim` transport, with `params.budget_words`
 /// as the per-round budget when set. Callers that want another transport
 /// build a [`Cluster::with_transport`] and call the algorithm's `_on`
-/// form.
+/// form, whose [`Run::start`] applies the budget.
 pub(crate) fn new_cluster(params: &Params) -> Cluster {
-    match params.budget_words {
-        Some(b) => Cluster::with_budget(params.m, params.seed, b),
-        None => Cluster::new(params.m, params.seed),
+    let mut cluster = Cluster::new(params.m, params.seed);
+    if let Some(budget) = params.budget_words {
+        cluster.set_budget(budget);
     }
+    cluster
 }
 
 /// One input family a run distributes over the machines.
@@ -73,12 +74,13 @@ pub(crate) struct Run<'m, M: MetricSpace + ?Sized> {
 }
 
 impl<'m, M: MetricSpace + ?Sized> Run<'m, M> {
-    /// The prologue: validates `params` against `cluster`, snapshots the
-    /// metric's kernel tallies, splits each input family over the
-    /// machines, notes every machine's input memory, and ships each
-    /// family's shards through the transport's setup plane (encoded,
-    /// copied and decode-validated on loopback; never charged to the
-    /// ledger, so round and word counts are the same on every backend).
+    /// The prologue: validates `params` against `cluster`, applies
+    /// `params.budget_words`, snapshots the metric's kernel tallies,
+    /// splits each input family over the machines, notes every machine's
+    /// input memory, and ships each family's shards through the
+    /// transport's setup plane (encoded, copied and decode-validated on
+    /// loopback; never charged to the ledger, so round and word counts are
+    /// the same on every transport).
     /// Returns the families' per-machine id lists, in order.
     pub(crate) fn start<const N: usize>(
         cluster: &mut Cluster,
@@ -88,6 +90,9 @@ impl<'m, M: MetricSpace + ?Sized> Run<'m, M> {
     ) -> (Self, [Vec<Vec<u32>>; N]) {
         params.validate();
         assert_eq!(cluster.m(), params.m, "cluster size must match params.m");
+        if let Some(budget) = params.budget_words {
+            cluster.set_budget(budget);
+        }
         let kernels_at_entry = metric.kernel_stats();
         let families = inputs.map(|input| input.split(metric.n(), params));
         let w = metric.point_weight();
@@ -209,8 +214,8 @@ pub fn covering_radius<M: MetricSpace + ?Sized>(
     local_sets: &[Vec<u32>],
     q: &[u32],
 ) -> f64 {
-    let q_ids = to_point_ids(q);
-    covering_radius_with(cluster, metric.point_weight(), local_sets, q.len(), |vi| {
+    covering_radius_with(cluster, metric.point_weight(), local_sets, q, |vi, q| {
+        let q_ids = to_point_ids(q);
         vi.iter()
             .map(|&v| dist_point_to_set(metric, PointId(v), &q_ids))
             .fold(0.0f64, f64::max)
@@ -218,21 +223,22 @@ pub fn covering_radius<M: MetricSpace + ?Sized>(
 }
 
 /// [`covering_radius`]'s collective skeleton over any per-machine input:
-/// broadcast `q_len` points of `weight` words, run `local_max(input) =
-/// max_{x ∈ V_i} d(x, Q)` on every machine, reduce the maxima.
+/// broadcast the ids `q` at `weight` words each, run `local_max(input, q)
+/// = max_{x ∈ V_i} d(x, Q)` on every machine with the broadcast ids,
+/// reduce the maxima.
 pub(crate) fn covering_radius_with<T, F>(
     cluster: &mut Cluster,
     weight: u64,
     machines: &[T],
-    q_len: usize,
+    q: &[u32],
     local_max: F,
 ) -> f64
 where
     T: Sync,
-    F: Fn(&T) -> f64 + Sync,
+    F: Fn(&T, &[u32]) -> f64 + Sync,
 {
-    cluster.broadcast("radius/bcast", q_len, weight);
-    let local_max: Vec<f64> = cluster.map(machines, |_, input| local_max(input));
+    let q = cluster.broadcast("radius/bcast", q.to_vec(), weight);
+    let local_max: Vec<f64> = cluster.map(machines, |_, input| local_max(input, &q));
     cluster.reduce("radius/reduce", local_max, 1, f64::max)
 }
 
@@ -247,7 +253,7 @@ pub fn nearest_in_distributed_set<M: MetricSpace + ?Sized>(
     q: &[u32],
 ) -> Vec<(u32, f64)> {
     let w = metric.point_weight();
-    cluster.broadcast("nearest/bcast", q.len(), w);
+    let q = cluster.broadcast("nearest/bcast", q.to_vec(), w);
     // candidates[machine][idx in q] = (best id, best dist) on that machine
     let candidates: Vec<Vec<(u32, f64)>> = cluster.map(local_sets, |_, si| {
         q.iter()

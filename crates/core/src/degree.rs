@@ -119,7 +119,7 @@ pub fn approximate_degrees<M: MetricSpace + ?Sized>(
         let rho = (light_cap / total_light as f64).min(1.0);
         // The central machine computed ρ from the gathered counts; it now
         // broadcasts it (one scalar).
-        cluster.broadcast("deg/rho", 1, 1);
+        let rho = cluster.broadcast("deg/rho", vec![rho], 1)[0];
         let contributions: Vec<Vec<u32>> = cluster.map(alive, |i, vi| {
             let mut rng = cluster.rng(i, SALT_EXTRACT);
             let lights: Vec<u32> = vi
@@ -142,13 +142,13 @@ pub fn approximate_degrees<M: MetricSpace + ?Sized>(
         let (is, _) = mpc_graph::mis::greedy_k_bounded_mis(&graph, &pool, k);
         if is.len() == k {
             // Central announces the result so all machines terminate.
-            cluster.broadcast("deg/is-result", is.len(), w);
+            let is = cluster.broadcast("deg/is-result", is, w);
             return DegreeOutcome::IndependentSet(is);
         }
         // Extraction under-delivered (possible under practical constants);
         // fall through to the exact path below. One scalar tells the
         // machines to continue.
-        cluster.broadcast("deg/is-miss", 1, 1);
+        cluster.broadcast("deg/is-miss", vec![()], 1);
     }
 
     // Lines 7–12: exact degrees for light vertices, sampled estimate for

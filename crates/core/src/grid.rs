@@ -389,7 +389,7 @@ fn grid_rung(
         let mut cands = cluster.gather("grid/propose", proposals, point_words);
         if cands.is_empty() {
             // Termination signal: one word to every machine.
-            cluster.broadcast("grid/stop", 1, 1);
+            cluster.broadcast("grid/stop", vec![()], 1);
             break;
         }
         // Coordinator: extend greedily in global id order; candidates are
@@ -409,8 +409,8 @@ fn grid_rung(
                 }
             }
         }
+        let fresh = cluster.broadcast("grid/centers", fresh, point_words);
         centers.extend(&fresh);
-        cluster.broadcast("grid/centers", fresh.len(), point_words);
         if centers.len() == bound {
             break;
         }
@@ -443,13 +443,12 @@ impl KCenterSteps for OnShards<'_> {
     }
 
     /// [`crate::common::covering_radius`]'s collectives, with each
-    /// machine scanning its own rows against the broadcast `|q| × d`
-    /// block of center rows.
+    /// machine scanning its own rows against the `|q| × d` block of the
+    /// broadcast centers' rows.
     fn covering_radius(&self, cluster: &mut Cluster, q: &[u32]) -> f64 {
-        let centers = self.space.points().gather(q);
         let weight = self.space.point_weight();
-        covering_radius_with(cluster, weight, &self.shards, q.len(), |shard| {
-            shard.covering_radius(&centers)
+        covering_radius_with(cluster, weight, &self.shards, q, |shard, q| {
+            shard.covering_radius(&self.space.points().gather(q))
         })
     }
 

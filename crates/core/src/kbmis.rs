@@ -281,7 +281,7 @@ pub fn k_bounded_mis<M: MetricSpace + ?Sized>(
         // the whole alive share against Δ (degrees of Δ-members are
         // computed too, but Δ is tiny and they are dropped by the
         // membership test regardless).
-        cluster.broadcast("mis/delta", delta.len(), w);
+        let delta = cluster.broadcast("mis/delta", delta, w);
         let new_alive: Vec<Vec<u32>> = cluster.map(&alive, |_, vi| {
             let degs = graph.degrees_among(vi, &delta);
             vi.iter()
@@ -321,8 +321,7 @@ fn pruning_step<M: MetricSpace + ?Sized>(
                 let subset: Vec<u32> = t[..k_rem].to_vec();
                 // The winning machine ships the subset to the central
                 // machine for the final answer.
-                cluster.broadcast("mis/prune-local-hit", subset.len(), weight);
-                return Some(subset);
+                return Some(cluster.broadcast("mis/prune-local-hit", subset, weight));
             }
         }
     }
@@ -339,8 +338,7 @@ fn pruning_step<M: MetricSpace + ?Sized>(
     if best as usize >= k_rem {
         let winner = sizes.iter().position(|&s| s == best).expect("max exists");
         let subset: Vec<u32> = t_j[winner][..k_rem].to_vec();
-        cluster.broadcast("mis/prune-result", subset.len(), weight);
-        return Some(subset);
+        return Some(cluster.broadcast("mis/prune-result", subset, weight));
     }
     None
 }

@@ -1,14 +1,17 @@
 //! The simulated MPC cluster and its collective operations.
+//!
+//! Every collective states its traffic once: it builds a list of messages
+//! — source machine, recipients, items — and hands it to one private
+//! `Cluster::round`. That list is the round: the ledger row, the wire
+//! frames on `loopback`, and the values the machines keep all come from
+//! it.
 
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
 
 use crate::ledger::{Ledger, MachineIo};
 use crate::rng::machine_rng;
-use crate::transport::{
-    ship_setup, wire_round, wire_round_synthetic, Backend, Dst, TransportKind, WireMsg, WireStats,
-    WireSummary,
-};
+use crate::transport::{Dst, Msg, TransportKind, WireState, WireStats, WireSummary};
 use crate::wire::Wire;
 
 /// A simulated MPC cluster of `m` machines.
@@ -22,18 +25,19 @@ use crate::wire::Wire;
 ///   in the MPC model (no round, no communication), as the model allows
 ///   arbitrary polynomial local work.
 /// * collectives ([`Cluster::all_broadcast`], [`Cluster::gather`],
-///   [`Cluster::broadcast`], [`Cluster::scatter`], and the reduction
-///   helpers) — each consumes exactly **one MPC round** and charges every
-///   machine's sent/received word counts to the [`Ledger`].
+///   [`Cluster::broadcast`], [`Cluster::scatter`], [`Cluster::exchange`],
+///   and the reductions built on them) — each consumes exactly **one MPC
+///   round** and charges every machine's sent/received word counts to the
+///   [`Ledger`].
 ///
 /// The ledger stays **single-writer** under real threads: machine closures
 /// run on pool workers but never touch the ledger (local work is free, so
-/// there is nothing to record); each collective computes its per-machine
-/// [`MachineIo`] rows from the contribution sizes on the driving thread and
-/// commits them in one `record_round` call — the round barrier at which the
-/// per-machine sub-ledgers merge. Word and round counts are therefore a
-/// pure function of the simulated communication pattern, independent of how
-/// the OS schedules worker threads.
+/// there is nothing to record); each collective's message list is turned
+/// into per-machine [`MachineIo`] rows on the driving thread and committed
+/// in one `record_round` call — the round barrier at which the per-machine
+/// sub-ledgers merge. Word and round counts are therefore a pure function
+/// of the simulated communication pattern, independent of how the OS
+/// schedules worker threads.
 ///
 /// Machine 0 plays the paper's *central machine*.
 ///
@@ -41,11 +45,11 @@ use crate::wire::Wire;
 ///
 /// Collective *semantics* and ledger charges are identical everywhere;
 /// the cluster's [`TransportKind`] selects how payloads physically move
-/// (see [`crate::transport`]). On `loopback` every collective's payload is
-/// encoded into length-prefixed little-endian frames, copied across a wire
-/// buffer, and **decoded values are what the algorithm continues with** —
-/// encode/decode asymmetry changes answers loudly instead of silently.
-/// `sim` remains the bit-exact zero-copy reference.
+/// (see [`crate::transport`]). On `loopback` every message with a
+/// recipient is encoded into a length-prefixed little-endian frame, copied
+/// across a wire buffer, and **decoded values are what the algorithm
+/// continues with** — encode/decode asymmetry changes answers loudly
+/// instead of silently. `sim` remains the bit-exact zero-copy reference.
 ///
 /// ```
 /// use mpc_sim::Cluster;
@@ -61,16 +65,18 @@ use crate::wire::Wire;
 /// ### Communication-cost conventions
 ///
 /// Items carry a caller-supplied `weight` in machine words (coordinates of
-/// a point, 1 for a scalar). Point-to-point traffic charges the sender and
-/// the receiver once per item; one-to-many traffic charges the sender once
-/// per (item, recipient) pair — i.e. no magic multicast, matching the MPC
-/// model where the total size of messages sent by a machine is bounded.
+/// a point, 1 for a scalar). A message's sender pays `|items| · weight`
+/// once per recipient and each recipient is charged `|items| · weight` —
+/// i.e. no magic multicast, matching the MPC model where the total size
+/// of messages sent by a machine is bounded. A machine is never its own
+/// recipient, so traffic that stays on one machine charges nothing.
 #[derive(Debug)]
 pub struct Cluster {
     m: usize,
     seed: u64,
     ledger: Ledger,
-    backend: Backend,
+    /// The loopback transport's buffers and counters; `None` on `sim`.
+    wire: Option<Box<WireState>>,
 }
 
 impl Cluster {
@@ -80,22 +86,23 @@ impl Cluster {
         Self::with_transport(m, seed, TransportKind::Sim)
     }
 
-    /// Like [`Cluster::new`] but on the given transport backend.
+    /// Like [`Cluster::new`] but on the given transport.
     pub fn with_transport(m: usize, seed: u64, kind: TransportKind) -> Self {
         Self {
             m,
             seed,
             ledger: Ledger::new(m),
-            backend: Backend::new(kind, m),
+            wire: match kind {
+                TransportKind::Sim => None,
+                TransportKind::Loopback => Some(Box::new(WireState::new(m))),
+            },
         }
     }
 
-    /// Like [`Cluster::new`] but with a per-round per-machine word budget;
-    /// breaches are recorded on the ledger.
-    pub fn with_budget(m: usize, seed: u64, budget_words: u64) -> Self {
-        let mut c = Self::new(m, seed);
-        c.ledger.set_budget(budget_words);
-        c
+    /// Sets a per-round per-machine word budget; breaches are recorded on
+    /// the ledger (see [`Ledger::set_budget`]).
+    pub fn set_budget(&mut self, budget_words: u64) {
+        self.ledger.set_budget(budget_words);
     }
 
     /// Number of machines.
@@ -110,18 +117,21 @@ impl Cluster {
 
     /// Which transport this cluster runs on.
     pub fn transport_kind(&self) -> TransportKind {
-        self.backend.kind()
+        match self.wire {
+            None => TransportKind::Sim,
+            Some(_) => TransportKind::Loopback,
+        }
     }
 
-    /// The wire backends' measurements (`None` on the sim backend, which
-    /// moves no bytes).
+    /// The wire transport's measurements (`None` on `sim`, which moves no
+    /// bytes).
     pub fn wire_stats(&self) -> Option<&WireStats> {
-        self.backend.wire_stats()
+        self.wire.as_ref().map(|wire| &wire.stats)
     }
 
     /// Serializable snapshot of [`Cluster::wire_stats`].
     pub fn wire_summary(&self) -> Option<WireSummary> {
-        self.backend.wire_stats().map(WireStats::summary)
+        self.wire_stats().map(WireStats::summary)
     }
 
     /// Ships per-machine shards through the transport's *setup plane*:
@@ -132,7 +142,9 @@ impl Cluster {
     /// `WireStats::setup_bytes`.
     pub fn ship_shards<T: Wire>(&mut self, label: &str, shards: &[Vec<T>], weight: u64) {
         assert_eq!(shards.len(), self.m, "one shard per machine");
-        ship_setup(&mut self.backend, label, shards, weight);
+        if let Some(wire) = &mut self.wire {
+            wire.ship_setup(label, shards, weight);
+        }
     }
 
     /// Read access to the accounting ledger.
@@ -205,6 +217,28 @@ impl Cluster {
             .collect()
     }
 
+    /// One MPC round carrying `msgs`: the only place a collective states
+    /// its traffic. Charges the ledger from the list — each sender pays
+    /// `|items| · weight` once per recipient, each recipient is charged
+    /// `|items| · weight` — and returns every message's items in order:
+    /// unchanged on `sim`, decoded from the transited frames on
+    /// `loopback`.
+    fn round<T: Wire>(&mut self, label: &str, weight: u64, msgs: Vec<Msg<T>>) -> Vec<Vec<T>> {
+        let mut io = vec![MachineIo::default(); self.m];
+        for msg in &msgs {
+            let words = msg.items.len() as u64 * weight;
+            for r in msg.recipients(self.m) {
+                io[msg.src].sent += words;
+                io[r].received += words;
+            }
+        }
+        self.ledger.record_round(label, io);
+        match &mut self.wire {
+            None => msgs.into_iter().map(|msg| msg.items).collect(),
+            Some(wire) => wire.round(label, weight, msgs),
+        }
+    }
+
     /// All-to-all broadcast: every machine contributes a set of items and
     /// every machine ends up with the full union (in machine order).
     /// One round. Machine `i` sends `|c_i| · w` words to each of the other
@@ -216,47 +250,24 @@ impl Cluster {
         weight: u64,
     ) -> Vec<T> {
         assert_eq!(contributions.len(), self.m);
-        let sizes: Vec<u64> = contributions
-            .iter()
-            .map(|c| c.len() as u64 * weight)
-            .collect();
-        let total: u64 = sizes.iter().sum();
-        let per_machine = sizes
-            .iter()
-            .map(|&s| MachineIo {
-                sent: s * (self.m as u64 - 1),
-                received: total - s,
+        let msgs = contributions
+            .into_iter()
+            .enumerate()
+            .map(|(src, items)| Msg {
+                src,
+                dst: Dst::AllOthers,
+                items,
             })
             .collect();
-        self.ledger.record_round(label, per_machine);
-        if !self.backend.is_wire() {
-            return contributions.into_iter().flatten().collect();
-        }
-        // Wire path: every machine's contribution transits (each peer
-        // receives it), so the union is assembled from decoded frames.
-        // With m == 1 nothing leaves the machine and the round is empty.
-        let msgs: Vec<WireMsg<'_, T>> = if self.m > 1 {
-            contributions
-                .iter()
-                .enumerate()
-                .map(|(src, c)| WireMsg {
-                    src,
-                    dst: Dst::AllOthers,
-                    items: c,
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let decoded = wire_round(&mut self.backend, self.m, label, weight, &msgs);
-        if self.m == 1 {
-            return contributions.into_iter().flatten().collect();
-        }
-        decoded.into_iter().flatten().collect()
+        self.round(label, weight, msgs)
+            .into_iter()
+            .flatten()
+            .collect()
     }
 
     /// Gather to the central machine (machine 0): returns the concatenation
-    /// of all contributions in machine order. One round.
+    /// of all contributions in machine order. One round; the central
+    /// machine's own share stays local.
     pub fn gather<T: Send + Wire>(
         &mut self,
         label: &str,
@@ -264,87 +275,38 @@ impl Cluster {
         weight: u64,
     ) -> Vec<T> {
         assert_eq!(contributions.len(), self.m);
-        let sizes: Vec<u64> = contributions
-            .iter()
-            .map(|c| c.len() as u64 * weight)
-            .collect();
-        let total: u64 = sizes.iter().sum();
-        let per_machine = sizes
-            .iter()
+        let msgs = contributions
+            .into_iter()
             .enumerate()
-            .map(|(i, &s)| {
-                if i == 0 {
-                    MachineIo {
-                        sent: 0,
-                        received: total - s,
-                    }
-                } else {
-                    MachineIo {
-                        sent: s,
-                        received: 0,
-                    }
-                }
-            })
-            .collect();
-        self.ledger.record_round(label, per_machine);
-        if !self.backend.is_wire() {
-            return contributions.into_iter().flatten().collect();
-        }
-        // Wire path: machines 1.. ship to the central machine; its own
-        // share stays local (the ledger charges zero for it).
-        let msgs: Vec<WireMsg<'_, T>> = contributions
-            .iter()
-            .enumerate()
-            .skip(1)
-            .map(|(src, c)| WireMsg {
+            .map(|(src, items)| Msg {
                 src,
                 dst: Dst::One(0),
-                items: c,
+                items,
             })
             .collect();
-        let decoded = wire_round(&mut self.backend, self.m, label, weight, &msgs);
-        let mut out = contributions
+        self.round(label, weight, msgs)
             .into_iter()
-            .next()
-            .expect("m >= 1 guarantees a central share");
-        for d in decoded {
-            out.extend(d);
-        }
-        out
+            .flatten()
+            .collect()
     }
 
-    /// Broadcast `count` items of the given weight from the central machine
-    /// to all others. One round. The caller keeps the data (it is already
-    /// globally visible in the simulation); this records the traffic. On
-    /// the wire backends a synthetic frame of exactly `count × weight`
-    /// words transits (integrity-checked, never decoded), so broadcast
-    /// rounds move real bytes too.
-    pub fn broadcast(&mut self, label: &str, count: usize, weight: u64) {
-        let words = count as u64 * weight;
-        let per_machine = (0..self.m)
-            .map(|i| {
-                if i == 0 {
-                    MachineIo {
-                        sent: words * (self.m as u64 - 1),
-                        received: 0,
-                    }
-                } else {
-                    MachineIo {
-                        sent: 0,
-                        received: words,
-                    }
-                }
-            })
-            .collect();
-        self.ledger.record_round(label, per_machine);
-        if self.backend.is_wire() {
-            wire_round_synthetic(&mut self.backend, self.m, label, 0, count as u64, weight);
-        }
+    /// Broadcast `items` of the given weight from the central machine to
+    /// all others. One round. Returns the items every machine now holds —
+    /// decoded from the transited frame on `loopback` — and the caller
+    /// continues with them.
+    pub fn broadcast<T: Wire>(&mut self, label: &str, items: Vec<T>, weight: u64) -> Vec<T> {
+        let msg = Msg {
+            src: 0,
+            dst: Dst::AllOthers,
+            items,
+        };
+        let mut out = self.round(label, weight, vec![msg]);
+        out.pop().expect("one message in, one out")
     }
 
     /// Scatter from the central machine: machine `i` receives
-    /// `per_machine[i]`. One round. Returns the input unchanged (ownership
-    /// transfer to the recipients).
+    /// `per_machine[i]`. One round; the central machine keeps its own
+    /// share. Returns each machine's share.
     pub fn scatter<T: Send + Wire>(
         &mut self,
         label: &str,
@@ -352,62 +314,22 @@ impl Cluster {
         weight: u64,
     ) -> Vec<Vec<T>> {
         assert_eq!(per_machine.len(), self.m);
-        let sizes: Vec<u64> = per_machine
-            .iter()
-            .map(|c| c.len() as u64 * weight)
-            .collect();
-        let outbound: u64 = sizes
-            .iter()
+        let msgs = per_machine
+            .into_iter()
             .enumerate()
-            .filter(|&(i, _)| i != 0)
-            .map(|(_, &s)| s)
-            .sum();
-        let io = (0..self.m)
-            .map(|i| {
-                if i == 0 {
-                    MachineIo {
-                        sent: outbound,
-                        received: 0,
-                    }
-                } else {
-                    MachineIo {
-                        sent: 0,
-                        received: sizes[i],
-                    }
-                }
-            })
-            .collect();
-        self.ledger.record_round(label, io);
-        if !self.backend.is_wire() {
-            return per_machine;
-        }
-        // Wire path: the central machine ships each non-central share; its
-        // own share stays local.
-        let msgs: Vec<WireMsg<'_, T>> = per_machine
-            .iter()
-            .enumerate()
-            .skip(1)
-            .map(|(dst, c)| WireMsg {
+            .map(|(dst, items)| Msg {
                 src: 0,
                 dst: Dst::One(dst),
-                items: c,
+                items,
             })
             .collect();
-        let decoded = wire_round(&mut self.backend, self.m, label, weight, &msgs);
-        let central = per_machine
-            .into_iter()
-            .next()
-            .expect("m >= 1 guarantees a central share");
-        let mut out = Vec::with_capacity(self.m);
-        out.push(central);
-        out.extend(decoded);
-        out
+        self.round(label, weight, msgs)
     }
 
     /// All-to-all personalized exchange: `msgs[src][dst]` is what machine
     /// `src` sends to machine `dst`; the result `inbox` satisfies
     /// `inbox[dst][src] == msgs[src][dst]`. One round. Self-addressed
-    /// messages move no words.
+    /// and empty boxes move no words and no frames.
     pub fn exchange<T: Send + Wire>(
         &mut self,
         label: &str,
@@ -415,55 +337,27 @@ impl Cluster {
         weight: u64,
     ) -> Vec<Vec<Vec<T>>> {
         assert_eq!(msgs.len(), self.m);
-        for row in &msgs {
-            assert_eq!(row.len(), self.m, "one outbox per destination");
-        }
-        let mut io = vec![MachineIo::default(); self.m];
-        for (src, row) in msgs.iter().enumerate() {
-            for (dst, items) in row.iter().enumerate() {
-                if src != dst {
-                    let words = items.len() as u64 * weight;
-                    io[src].sent += words;
-                    io[dst].received += words;
-                }
-            }
-        }
-        self.ledger.record_round(label, io);
-        let decoded = if self.backend.is_wire() {
-            // Wire path: each non-empty cross pair is one frame
-            // (self-boxes and empty outboxes move nothing, matching the
-            // zero the ledger charges for them).
-            let mut pairs: Vec<(usize, usize)> = Vec::new();
-            let mut wire_msgs: Vec<WireMsg<'_, T>> = Vec::new();
-            for (src, row) in msgs.iter().enumerate() {
-                for (dst, items) in row.iter().enumerate() {
-                    if src != dst && !items.is_empty() {
-                        pairs.push((src, dst));
-                        wire_msgs.push(WireMsg {
-                            src,
-                            dst: Dst::One(dst),
-                            items,
-                        });
-                    }
-                }
-            }
-            let d = wire_round(&mut self.backend, self.m, label, weight, &wire_msgs);
-            Some((pairs, d))
-        } else {
-            None
-        };
-        // Transpose ownership: inbox[dst][src] = msgs[src][dst].
         let mut inbox: Vec<Vec<Vec<T>>> = (0..self.m).map(|_| Vec::with_capacity(self.m)).collect();
-        for row in msgs {
+        let mut cross = Vec::new();
+        let mut slots = Vec::new();
+        for (src, row) in msgs.into_iter().enumerate() {
+            assert_eq!(row.len(), self.m, "one outbox per destination");
             for (dst, items) in row.into_iter().enumerate() {
-                inbox[dst].push(items);
+                if src == dst || items.is_empty() {
+                    inbox[dst].push(items);
+                } else {
+                    inbox[dst].push(Vec::new());
+                    slots.push((src, dst));
+                    cross.push(Msg {
+                        src,
+                        dst: Dst::One(dst),
+                        items,
+                    });
+                }
             }
         }
-        // Replace cross-machine boxes with the transited values.
-        if let Some((pairs, decoded)) = decoded {
-            for ((src, dst), items) in pairs.into_iter().zip(decoded) {
-                inbox[dst][src] = items;
-            }
+        for ((src, dst), items) in slots.into_iter().zip(self.round(label, weight, cross)) {
+            inbox[dst][src] = items;
         }
         inbox
     }
@@ -486,18 +380,18 @@ impl Cluster {
     }
 
     /// All-reduce: reduction to the central machine followed by a broadcast
-    /// of the result. Two rounds; every machine knows the answer. The
-    /// result broadcast is charged at the same `weight` as the gathered
-    /// values (an earlier version hardcoded a 1-word broadcast, which
-    /// undercharged every non-scalar reduction).
+    /// of the result. Two rounds; every machine continues with the
+    /// broadcast value. The result broadcast is charged at the same
+    /// `weight` as the gathered values (an earlier version hardcoded a
+    /// 1-word broadcast, which undercharged every non-scalar reduction).
     pub fn all_reduce<T, F>(&mut self, label: &str, values: Vec<T>, weight: u64, fold: F) -> T
     where
         T: Send + Clone + Wire,
         F: FnMut(T, T) -> T,
     {
         let result = self.reduce(label, values, weight, fold);
-        self.broadcast(&format!("{label}/bcast"), 1, weight);
-        result
+        let mut out = self.broadcast(&format!("{label}/bcast"), vec![result], weight);
+        out.pop().expect("one value in, one out")
     }
 }
 
@@ -571,7 +465,8 @@ mod tests {
     #[test]
     fn broadcast_charges_fanout() {
         let mut c = Cluster::new(4, 0);
-        c.broadcast("b", 5, 3);
+        let held = c.broadcast("b", vec![1u32, 2, 3, 4, 5], 3);
+        assert_eq!(held, vec![1, 2, 3, 4, 5]);
         let rec = &c.ledger().records()[0];
         assert_eq!(rec.per_machine[0].sent, 5 * 3 * 3);
         assert_eq!(rec.per_machine[1].received, 15);
@@ -722,14 +617,15 @@ mod tests {
         use rand::RngExt;
         let mut c = Cluster::new(2, 42);
         let a: u64 = c.rng(0, 0).random();
-        c.broadcast("tick", 1, 1);
+        c.broadcast("tick", vec![()], 1);
         let b: u64 = c.rng(0, 0).random();
         assert_ne!(a, b, "advancing the round must refresh streams");
     }
 
     #[test]
     fn budget_violations_recorded() {
-        let mut c = Cluster::with_budget(2, 0, 4);
+        let mut c = Cluster::new(2, 0);
+        c.set_budget(4);
         c.gather("big", vec![vec![], vec![0u32; 100]], 1);
         assert_eq!(c.ledger().violations().len(), 2);
     }
@@ -742,6 +638,7 @@ mod tests {
     ) -> (
         Vec<u32>,
         Vec<i64>,
+        Vec<u64>,
         Vec<Vec<u64>>,
         Vec<Vec<Vec<u32>>>,
         f64,
@@ -749,7 +646,7 @@ mod tests {
     ) {
         let union = c.all_broadcast("t/ab", vec![vec![1u32, 2], vec![], vec![3]], 2);
         let gathered = c.gather("t/g", vec![vec![-5i64], vec![7, 8], vec![]], 1);
-        c.broadcast("t/b", 3, 2);
+        let held = c.broadcast("t/b", vec![4u64, u64::MAX, 0], 2);
         let scattered = c.scatter("t/sc", vec![vec![10u64, 11], vec![12], vec![]], 1);
         let inbox = c.exchange(
             "t/x",
@@ -762,7 +659,7 @@ mod tests {
         );
         let rmax = c.reduce("t/r", vec![0.5f64, -1.0, 2.25], 1, f64::max);
         let ar = c.all_reduce("t/ar", vec![1u64, 2, 3], 1, |a, b| a + b);
-        (union, gathered, scattered, inbox, rmax, ar)
+        (union, gathered, held, scattered, inbox, rmax, ar)
     }
 
     #[test]
@@ -795,9 +692,10 @@ mod tests {
         let mut lb = Cluster::with_transport(1, 3, TransportKind::Loopback);
         let a = sim.all_broadcast("s", vec![vec![1u32, 2]], 1);
         let b = lb.all_broadcast("s", vec![vec![1u32, 2]], 1);
-        sim.broadcast("b", 4, 2);
-        lb.broadcast("b", 4, 2);
+        let held_sim = sim.broadcast("b", vec![7u32, 8, 9, 10], 2);
+        let held_lb = lb.broadcast("b", vec![7u32, 8, 9, 10], 2);
         assert_eq!(a, b);
+        assert_eq!(held_sim, held_lb);
         sim.ledger().assert_identical(lb.ledger(), "m=1");
         let stats = lb.wire_stats().unwrap();
         assert_eq!(stats.rounds.len(), 2, "empty rounds still align");
@@ -817,12 +715,17 @@ mod tests {
 
     #[test]
     fn wire_decoded_values_are_authoritative() {
-        // The loopback union must be assembled from decoded frames, which
-        // preserve exact bit patterns (NaN payloads included).
+        // The loopback union and the broadcast values must come from
+        // decoded frames, which preserve exact bit patterns (NaN payloads
+        // included).
         let mut lb = Cluster::with_transport(2, 0, TransportKind::Loopback);
         let vals = lb.all_broadcast("nan", vec![vec![f64::NAN], vec![-0.0f64]], 1);
         assert_eq!(vals.len(), 2);
         assert_eq!(vals[0].to_bits(), f64::NAN.to_bits());
         assert_eq!(vals[1].to_bits(), (-0.0f64).to_bits());
+        let held = lb.broadcast("nan/bcast", vec![f64::NAN, -0.0f64], 1);
+        assert_eq!(held.len(), 2);
+        assert_eq!(held[0].to_bits(), f64::NAN.to_bits());
+        assert_eq!(held[1].to_bits(), (-0.0f64).to_bits());
     }
 }

@@ -18,7 +18,7 @@ use crate::ledger::Ledger;
 /// use mpc_sim::{Cluster, CostModel};
 ///
 /// let mut cluster = Cluster::new(4, 0);
-/// cluster.broadcast("round-1", 1000, 2);
+/// cluster.broadcast("round-1", vec![0u32; 1000], 2);
 /// let ledger = cluster.into_ledger();
 /// let secs = CostModel::mapreduce().estimate_seconds(&ledger);
 /// assert!(secs >= 5.0); // one round costs at least the 5 s barrier

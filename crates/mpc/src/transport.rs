@@ -1,13 +1,14 @@
-//! Pluggable cluster transports: how collective payloads physically move.
+//! Cluster transports: how collective payloads physically move.
 //!
-//! [`crate::Cluster`] computes collective *semantics* (who sends what to
-//! whom, what the ledger charges) identically everywhere; the transport
-//! decides what happens to the bytes:
+//! Every [`crate::Cluster`] collective states its traffic once, as a list
+//! of messages (source, recipients, items). The cluster derives the
+//! ledger row from that list; the transport decides what happens to the
+//! items:
 //!
 //! * [`TransportKind::Sim`] — the direct in-memory path, bit-exact
 //!   reference. Values move by ownership transfer; nothing is encoded.
-//! * [`TransportKind::Loopback`] — same process, but every collective
-//!   round-trips its payload through the byte-level wire format
+//! * [`TransportKind::Loopback`] — same process, but every message that
+//!   has a recipient round-trips through the byte-level wire format
 //!   ([`crate::wire`]): encode into per-machine arena buffers, copy across
 //!   a wire buffer, decode on the far side. The *decoded* values are what
 //!   the algorithm continues with, so any encode/decode asymmetry changes
@@ -23,24 +24,24 @@
 //! ### Accounting invariant
 //!
 //! Per round and per machine, **accountable wire bytes equal the ledger's
-//! charged words × 8** — by construction (slots are `weight × 8` bytes)
-//! and by measurement ([`WireStats::rounds`] is populated from the actual
-//! frames, 1:1 with ledger records, and the conformance suite compares
-//! them). Frame headers are transport overhead, tracked separately in
-//! [`WireStats::overhead_bytes`], never charged to the model.
+//! charged words × 8**. Slots are `weight × 8` bytes, so this holds by
+//! construction; it is also measured: [`WireStats::rounds`] is built from
+//! the payload bytes the encoder actually wrote, 1:1 with ledger records,
+//! and the conformance suite compares the two. Frame headers are
+//! transport overhead, tracked separately in [`WireStats::overhead_bytes`],
+//! never charged to the model.
 //!
-//! Self-traffic ships nothing: a machine's own `all_broadcast`
-//! contribution, the central machine's own `gather`/`scatter` share, and
-//! `exchange` self-boxes stay local, exactly as the ledger charges zero
-//! for them.
+//! Self-traffic ships nothing: a machine is never its own recipient, so a
+//! machine's own `all_broadcast` contribution, the central machine's own
+//! `gather`/`scatter` share, `exchange` self-boxes and every `m = 1`
+//! round stay local, exactly as the ledger charges zero for them.
 
+use std::ops::Range;
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
-use crate::wire::{
-    decode_frame, encode_frame, fnv64, FrameHeader, Wire, FRAME_HEADER_BYTES, WORD_BYTES,
-};
+use crate::wire::{decode_frame, encode_frame, Wire, FRAME_HEADER_BYTES};
 
 /// Which transport a cluster runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -99,7 +100,7 @@ pub struct WireRound {
 /// Cumulative transport measurements for one cluster.
 #[derive(Debug, Default)]
 pub struct WireStats {
-    /// Which backend produced these numbers.
+    /// Which transport produced these numbers.
     pub kind: TransportKind,
     /// Per-round rows, 1:1 with the ledger's records.
     pub rounds: Vec<WireRound>,
@@ -151,7 +152,7 @@ impl WireStats {
 /// Serializable snapshot of [`WireStats`] (no per-round rows).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WireSummary {
-    /// Backend name (`sim` clusters produce no summary at all).
+    /// Transport name (`sim` clusters produce no summary at all).
     pub backend: String,
     /// Collective rounds the transport carried.
     pub rounds: u64,
@@ -176,7 +177,36 @@ pub struct WireSummary {
     pub conformance_violations: u64,
 }
 
-/// The loopback backend's buffers and counters.
+/// Who receives a message: every machine but its source, or one machine.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Dst {
+    /// Every machine except the source (broadcast-shaped traffic).
+    AllOthers,
+    /// Exactly one machine (gather/scatter/exchange edges).
+    One(usize),
+}
+
+/// One message of a collective round: `src` ships `items` to `dst`.
+pub(crate) struct Msg<T> {
+    pub(crate) src: usize,
+    pub(crate) dst: Dst,
+    pub(crate) items: Vec<T>,
+}
+
+impl<T> Msg<T> {
+    /// The machines this message reaches among `m`; a machine is never
+    /// its own recipient.
+    pub(crate) fn recipients(&self, m: usize) -> impl Iterator<Item = usize> {
+        let span = match self.dst {
+            Dst::AllOthers => 0..m,
+            Dst::One(d) => d..d + 1,
+        };
+        let src = self.src;
+        span.filter(move |&r| r != src)
+    }
+}
+
+/// The loopback transport's buffers and counters.
 #[derive(Debug)]
 pub(crate) struct WireState {
     /// Per-machine encode arenas, reused every round.
@@ -188,7 +218,7 @@ pub(crate) struct WireState {
 }
 
 impl WireState {
-    fn new(m: usize) -> Self {
+    pub(crate) fn new(m: usize) -> Self {
         Self {
             arenas: vec![Vec::new(); m],
             rx: Vec::new(),
@@ -199,305 +229,125 @@ impl WireState {
         }
     }
 
-    /// Empties the arenas and the wire buffer, keeping their capacity.
-    fn clear(&mut self) {
+    /// Carries one collective round: frames every message that has a
+    /// recipient, moves the frames across and decodes them. Returns every
+    /// message's items in order — decoded for the framed ones (these are
+    /// authoritative; callers continue with them), unchanged for the
+    /// rest. Appends the round's [`WireRound`] row, built from the payload
+    /// bytes the encoder wrote.
+    pub(crate) fn round<T: Wire>(
+        &mut self,
+        label: &str,
+        weight: u64,
+        msgs: Vec<Msg<T>>,
+    ) -> Vec<Vec<T>> {
+        let m = self.arenas.len();
+        let framed: Vec<(usize, &[T])> = msgs
+            .iter()
+            .filter(|msg| msg.recipients(m).next().is_some())
+            .map(|msg| (msg.src, msg.items.as_slice()))
+            .collect();
+        let mut carried = self.carry(label, weight, &framed).into_iter();
+        let mut io = vec![ByteIo::default(); m];
+        let mut deliveries: u64 = 0;
+        let mut out = Vec::with_capacity(msgs.len());
+        for msg in msgs {
+            if msg.recipients(m).next().is_none() {
+                out.push(msg.items);
+                continue;
+            }
+            let (payload, items) = carried.next().expect("one frame per framed message");
+            for r in msg.recipients(m) {
+                io[msg.src].sent += payload;
+                io[r].received += payload;
+                deliveries += 1;
+            }
+            out.push(items);
+        }
+        let stats = &mut self.stats;
+        stats.payload_bytes += io.iter().map(|b| b.sent).sum::<u64>();
+        stats.overhead_bytes += FRAME_HEADER_BYTES as u64 * deliveries;
+        stats.rounds.push(WireRound {
+            label: label.to_string(),
+            per_machine: io,
+        });
+        out
+    }
+
+    /// Setup-plane shard shipping (see [`crate::Cluster::ship_shards`]):
+    /// one frame per machine moves and is decode-validated, but no ledger
+    /// row and no [`WireRound`] is written; the bytes count as
+    /// [`WireStats::setup_bytes`].
+    pub(crate) fn ship_setup<T: Wire>(&mut self, label: &str, shards: &[Vec<T>], weight: u64) {
+        let frames: Vec<(usize, &[T])> = shards.iter().map(Vec::as_slice).enumerate().collect();
+        let carried = self.carry(label, weight, &frames);
+        self.stats.setup_bytes += carried.iter().map(|(payload, _)| payload).sum::<u64>();
+        self.stats.overhead_bytes += FRAME_HEADER_BYTES as u64 * frames.len() as u64;
+    }
+
+    /// Encodes each `(src, items)` frame into `src`'s arena, copies the
+    /// frames across the wire buffer, and decodes them from the transited
+    /// bytes. Returns each frame's payload length as written (the arena
+    /// range minus its header) and its decoded items.
+    fn carry<T: Wire>(
+        &mut self,
+        label: &str,
+        weight: u64,
+        frames: &[(usize, &[T])],
+    ) -> Vec<(u64, Vec<T>)> {
+        let t0 = Instant::now();
         for arena in &mut self.arenas {
             arena.clear();
         }
         self.rx.clear();
+        let ranges: Vec<Range<usize>> = frames
+            .iter()
+            .map(|&(src, items)| {
+                let arena = &mut self.arenas[src];
+                let start = arena.len();
+                encode_frame(label, items, weight, arena);
+                start..arena.len()
+            })
+            .collect();
+        self.stats.encode_s += t0.elapsed().as_secs_f64();
+
+        // One physical copy per frame across the wire buffer (the logical
+        // fan-out is accounting, not extra memcpy — same as a real
+        // broadcast medium).
+        let t1 = Instant::now();
+        let rx_ranges: Vec<Range<usize>> = frames
+            .iter()
+            .zip(ranges)
+            .map(|(&(src, _), range)| {
+                let start = self.rx.len();
+                self.rx.extend_from_slice(&self.arenas[src][range]);
+                start..self.rx.len()
+            })
+            .collect();
+        self.stats.transit_s += t1.elapsed().as_secs_f64();
+        let held = self.arenas.iter().map(Vec::capacity).sum::<usize>() + self.rx.capacity();
+        self.stats.arena_high_water = self.stats.arena_high_water.max(held as u64);
+
+        let t2 = Instant::now();
+        let out = frames
+            .iter()
+            .zip(rx_ranges)
+            .map(|(&(_, items), range)| {
+                let payload = (range.len() - FRAME_HEADER_BYTES) as u64;
+                let mut cursor = &self.rx[range];
+                let decoded: Vec<T> = decode_frame(&mut cursor)
+                    .unwrap_or_else(|e| panic!("wire decode failed in `{label}`: {e}"));
+                assert!(cursor.is_empty(), "trailing bytes after frame in `{label}`");
+                assert_eq!(
+                    decoded.len(),
+                    items.len(),
+                    "item count changed in transit in `{label}`"
+                );
+                (payload, decoded)
+            })
+            .collect();
+        self.stats.decode_s += t2.elapsed().as_secs_f64();
+        self.stats.frames += frames.len() as u64;
+        out
     }
-}
-
-/// A cluster's transport backend.
-#[derive(Debug)]
-pub(crate) enum Backend {
-    Sim,
-    Loopback(Box<WireState>),
-}
-
-impl Backend {
-    pub(crate) fn new(kind: TransportKind, m: usize) -> Self {
-        match kind {
-            TransportKind::Sim => Self::Sim,
-            TransportKind::Loopback => Self::Loopback(Box::new(WireState::new(m))),
-        }
-    }
-
-    pub(crate) fn kind(&self) -> TransportKind {
-        match self {
-            Self::Sim => TransportKind::Sim,
-            Self::Loopback(_) => TransportKind::Loopback,
-        }
-    }
-
-    pub(crate) fn is_wire(&self) -> bool {
-        !matches!(self, Self::Sim)
-    }
-
-    pub(crate) fn wire_stats(&self) -> Option<&WireStats> {
-        match self {
-            Self::Sim => None,
-            Self::Loopback(s) => Some(&s.stats),
-        }
-    }
-
-    fn wire_parts(&mut self) -> Option<&mut WireState> {
-        match self {
-            Self::Sim => None,
-            Self::Loopback(s) => Some(s),
-        }
-    }
-}
-
-/// Destination set of one frame.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Dst {
-    /// Every machine except the source (broadcast-shaped traffic).
-    AllOthers,
-    /// Exactly one machine (gather/scatter/exchange edges).
-    One(usize),
-}
-
-impl Dst {
-    fn fanout(self, m: usize) -> u64 {
-        match self {
-            Self::AllOthers => m as u64 - 1,
-            Self::One(_) => 1,
-        }
-    }
-
-    fn targets(self, src: usize, dst: usize) -> bool {
-        match self {
-            Self::AllOthers => dst != src,
-            Self::One(d) => d == dst,
-        }
-    }
-}
-
-/// One logical message of a collective round: `src` ships `items` to
-/// `dst`. Call sites only create messages with at least one destination
-/// (self-traffic and `m == 1` cases never reach the wire).
-pub(crate) struct WireMsg<'a, T> {
-    pub(crate) src: usize,
-    pub(crate) dst: Dst,
-    pub(crate) items: &'a [T],
-}
-
-/// An encoded frame parked in its source arena, awaiting transit.
-struct FrameRef {
-    src: usize,
-    dst: Dst,
-    range: std::ops::Range<usize>,
-    payload: u64,
-}
-
-/// Runs one collective round over the wire: encode every message into its
-/// source arena, copy the frames across the wire buffer, decode from
-/// the transited bytes. Returns the decoded payloads, one per message in
-/// order — these are authoritative; callers continue with them, not with
-/// the originals. Also appends the round's [`WireRound`] row (1:1 with the
-/// ledger record the caller just committed).
-pub(crate) fn wire_round<T: Wire>(
-    backend: &mut Backend,
-    m: usize,
-    label: &str,
-    weight: u64,
-    msgs: &[WireMsg<'_, T>],
-) -> Vec<Vec<T>> {
-    let state = backend.wire_parts().expect("wire_round on a sim backend");
-
-    let t0 = Instant::now();
-    state.clear();
-    let mut frames = Vec::with_capacity(msgs.len());
-    for msg in msgs {
-        let arena = &mut state.arenas[msg.src];
-        let start = arena.len();
-        let payload = encode_frame(label, msg.items, weight, arena);
-        frames.push(FrameRef {
-            src: msg.src,
-            dst: msg.dst,
-            range: start..arena.len(),
-            payload,
-        });
-    }
-    state.stats.encode_s += t0.elapsed().as_secs_f64();
-
-    let rx_ranges = transit_and_record(state, m, label, &frames);
-
-    let t2 = Instant::now();
-    let mut out = Vec::with_capacity(msgs.len());
-    for (msg, range) in msgs.iter().zip(&rx_ranges) {
-        let mut cursor = &state.rx[range.clone()];
-        let decoded: Vec<T> = decode_frame(&mut cursor)
-            .unwrap_or_else(|e| panic!("wire decode failed in `{label}`: {e}"));
-        assert!(cursor.is_empty(), "trailing bytes after frame in `{label}`");
-        assert_eq!(
-            decoded.len(),
-            msg.items.len(),
-            "item count changed in transit in `{label}`"
-        );
-        out.push(decoded);
-    }
-    state.stats.decode_s += t2.elapsed().as_secs_f64();
-    out
-}
-
-/// The payload-less variant for [`crate::Cluster::broadcast`]: the caller
-/// declares `count` items of `weight` words from `src` to everyone else,
-/// with no values attached. The wire backends ship a synthetic
-/// deterministic pattern of exactly that size (integrity-checked, never
-/// decoded) so broadcast rounds still move real bytes.
-pub(crate) fn wire_round_synthetic(
-    backend: &mut Backend,
-    m: usize,
-    label: &str,
-    src: usize,
-    count: u64,
-    weight: u64,
-) {
-    let state = backend.wire_parts().expect("wire_round on a sim backend");
-
-    let t0 = Instant::now();
-    state.clear();
-    let frames = if m > 1 {
-        let payload = count * weight * WORD_BYTES as u64;
-        let arena = &mut state.arenas[src];
-        FrameHeader {
-            items: count as u32,
-            weight: weight as u32,
-            payload_len: payload as u32,
-        }
-        .write(arena);
-        let pattern = fnv64(label.as_bytes()).to_le_bytes();
-        for i in 0..payload as usize {
-            arena.push(pattern[i % pattern.len()]);
-        }
-        vec![FrameRef {
-            src,
-            dst: Dst::AllOthers,
-            range: 0..arena.len(),
-            payload,
-        }]
-    } else {
-        Vec::new()
-    };
-    state.stats.encode_s += t0.elapsed().as_secs_f64();
-
-    let rx_ranges = transit_and_record(state, m, label, &frames);
-
-    let t2 = Instant::now();
-    for (frame, range) in frames.iter().zip(&rx_ranges) {
-        let transited = &state.rx[range.clone()];
-        assert_eq!(
-            transited,
-            &state.arenas[frame.src][frame.range.clone()],
-            "synthetic broadcast bytes corrupted in transit in `{label}`"
-        );
-        let mut cursor = transited;
-        FrameHeader::read(&mut cursor)
-            .unwrap_or_else(|e| panic!("synthetic frame header in `{label}`: {e}"));
-    }
-    state.stats.decode_s += t2.elapsed().as_secs_f64();
-}
-
-/// Ships encoded frames, updates all counters, appends the round row.
-/// Returns where each frame's transited bytes landed in the wire buffer.
-fn transit_and_record(
-    state: &mut WireState,
-    m: usize,
-    label: &str,
-    frames: &[FrameRef],
-) -> Vec<std::ops::Range<usize>> {
-    let mut io = vec![ByteIo::default(); m];
-    let mut deliveries: u64 = 0;
-    for f in frames {
-        let fanout = f.dst.fanout(m);
-        io[f.src].sent += f.payload * fanout;
-        deliveries += fanout;
-        for (dst, dio) in io.iter_mut().enumerate() {
-            if f.dst.targets(f.src, dst) {
-                dio.received += f.payload;
-            }
-        }
-    }
-
-    // One physical copy per frame across the wire buffer (the logical
-    // fan-out is accounting, not extra memcpy — same as a real broadcast
-    // medium).
-    let t1 = Instant::now();
-    let WireState { arenas, rx, .. } = state;
-    let rx_ranges = frames
-        .iter()
-        .map(|f| {
-            let start = rx.len();
-            rx.extend_from_slice(&arenas[f.src][f.range.clone()]);
-            start..rx.len()
-        })
-        .collect();
-    state.stats.transit_s += t1.elapsed().as_secs_f64();
-
-    let stats = &mut state.stats;
-    stats.payload_bytes += io.iter().map(|b| b.sent).sum::<u64>();
-    stats.overhead_bytes += FRAME_HEADER_BYTES as u64 * deliveries;
-    stats.frames += frames.len() as u64;
-    stats.rounds.push(WireRound {
-        label: label.to_string(),
-        per_machine: io,
-    });
-    let held = state
-        .arenas
-        .iter()
-        .map(|a| a.capacity() as u64)
-        .sum::<u64>()
-        + state.rx.capacity() as u64;
-    state.stats.arena_high_water = state.stats.arena_high_water.max(held);
-    rx_ranges
-}
-
-/// Setup-plane shard shipping (see [`crate::Cluster::ship_shards`]): the
-/// frames move (and are validated) but the ledger is never touched, so
-/// algorithm round/word counts stay identical across backends.
-pub(crate) fn ship_setup<T: Wire>(
-    backend: &mut Backend,
-    label: &str,
-    shards: &[Vec<T>],
-    weight: u64,
-) {
-    let Some(state) = backend.wire_parts() else {
-        return; // sim: shards are already "everywhere" — one address space
-    };
-    let t0 = Instant::now();
-    state.clear();
-    let mut total_payload = 0u64;
-    for (machine, shard) in shards.iter().enumerate() {
-        let arena = &mut state.arenas[machine];
-        total_payload += encode_frame(label, shard, weight, arena);
-    }
-    state.stats.encode_s += t0.elapsed().as_secs_f64();
-
-    let t1 = Instant::now();
-    let WireState { arenas, rx, .. } = state;
-    for arena in arenas.iter() {
-        rx.extend_from_slice(arena);
-    }
-    state.stats.transit_s += t1.elapsed().as_secs_f64();
-
-    // Decode-validate the transited bytes shard by shard.
-    let t2 = Instant::now();
-    let mut cursor = state.rx.as_slice();
-    for (machine, shard) in shards.iter().enumerate() {
-        let decoded: Vec<T> = decode_frame(&mut cursor)
-            .unwrap_or_else(|e| panic!("shard {machine} decode in `{label}`: {e}"));
-        assert_eq!(
-            decoded.len(),
-            shard.len(),
-            "shard {machine} item count changed in transit in `{label}`"
-        );
-    }
-    state.stats.decode_s += t2.elapsed().as_secs_f64();
-
-    let stats = &mut state.stats;
-    stats.setup_bytes += total_payload;
-    stats.overhead_bytes += FRAME_HEADER_BYTES as u64 * shards.len() as u64;
-    stats.frames += shards.len() as u64;
 }

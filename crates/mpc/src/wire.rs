@@ -205,17 +205,6 @@ pub fn decode_frame<T: Wire>(input: &mut &[u8]) -> Result<Vec<T>, WireError> {
     decode_slots(payload, header.items as usize, header.weight as u64)
 }
 
-/// FNV-1a over a byte slice — seeds the fill pattern of the payload-less
-/// broadcast frames the loopback transport ships.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

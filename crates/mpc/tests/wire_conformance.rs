@@ -22,7 +22,7 @@ fn drive_all(c: &mut Cluster, contribs: &[Vec<u32>], weight: u64) -> Vec<Vec<u32
     let mut observed: Vec<Vec<u32>> = Vec::new();
     observed.push(c.all_broadcast("t/all_broadcast", contribs.to_vec(), weight));
     observed.push(c.gather("t/gather", contribs.to_vec(), weight));
-    c.broadcast("t/broadcast", contribs[0].len(), weight);
+    observed.push(c.broadcast("t/broadcast", contribs[0].clone(), weight));
     let shares: Vec<Vec<u32>> = (0..m)
         .map(|dst| contribs[dst % contribs.len()].clone())
         .collect();

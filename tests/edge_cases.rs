@@ -4,6 +4,7 @@
 
 use mpc_clustering::core::{diversity, kcenter, ksupplier, verify, Params};
 use mpc_clustering::metric::{datasets, EuclideanSpace, HammingSpace, PointSet};
+use mpc_clustering::sim::{Cluster, TransportKind};
 
 /// More machines than points: most machines hold nothing; everything must
 /// still work (empty coresets, empty samples, empty light lists).
@@ -32,18 +33,24 @@ fn hamming_ties_everywhere() {
 }
 
 /// An unreasonably tight communication budget must surface as recorded
-/// violations, never as a crash or a wrong answer.
+/// violations, never as a crash or a wrong answer — also when the run
+/// goes through an `_on` driver on a caller-built loopback cluster.
 #[test]
 fn tiny_budget_records_violations() {
     let metric = EuclideanSpace::new(datasets::uniform_cube(300, 2, 5));
     let mut params = Params::practical(4, 0.1, 5);
     params.budget_words = Some(10);
-    let kc = kcenter::mpc_kcenter(&metric, 5, &params);
-    assert_eq!(verify::check_kcenter(&metric, 5, &kc), Ok(()));
-    assert!(
-        kc.telemetry.violations > 0,
-        "a 10-word budget cannot possibly hold"
-    );
+    let mut cluster = Cluster::with_transport(params.m, params.seed, TransportKind::Loopback);
+    for kc in [
+        kcenter::mpc_kcenter(&metric, 5, &params),
+        kcenter::mpc_kcenter_on(&mut cluster, &metric, 5, &params),
+    ] {
+        assert_eq!(verify::check_kcenter(&metric, 5, &kc), Ok(()));
+        assert!(
+            kc.telemetry.violations > 0,
+            "a 10-word budget cannot possibly hold"
+        );
+    }
 }
 
 /// A huge epsilon collapses the ladder to a couple of rungs; the
