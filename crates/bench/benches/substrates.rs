@@ -7,7 +7,7 @@ use mpc_bench::workloads::Workload;
 use mpc_core::gmm::gmm;
 use mpc_graph::mis::{trim, TieBreak};
 use mpc_graph::{GraphView, ThresholdGraph};
-use mpc_metric::{datasets, EuclideanSpace, HammingSpace, MatrixSpace, MetricSpace, PointId};
+use mpc_metric::{datasets, EuclideanSpace, HammingSpace, MetricSpace, PointId};
 use mpc_sim::Cluster;
 
 /// Re-exposes a space through `n`/`dist`/`point_weight` only, so every
@@ -134,19 +134,6 @@ fn bench_kernels(c: &mut Criterion) {
             );
         }
     }
-    // Precomputed-matrix spaces: the kernel is a contiguous row scan.
-    let n = 2000;
-    let e = EuclideanSpace::new(datasets::uniform_cube(n, 3, 9));
-    let m = MatrixSpace::from_fn(n, |i, j| e.dist(PointId(i as u32), PointId(j as u32))).unwrap();
-    let tau = mpc_bench::distance_quantile(&m, 0.2, 9);
-    let scalar = ScalarOnly(m.clone());
-    let candidates: Vec<u32> = (0..n as u32).collect();
-    group.bench_function("matrix-count-batched-n2000", |b| {
-        b.iter(|| m.count_within(PointId(0), &candidates, tau))
-    });
-    group.bench_function("matrix-count-scalar-n2000", |b| {
-        b.iter(|| scalar.count_within(PointId(0), &candidates, tau))
-    });
     group.finish();
 }
 

@@ -18,8 +18,7 @@ use mpc_core::kcenter::mpc_kcenter_on;
 use mpc_core::Params;
 use mpc_graph::{GraphView, ThresholdGraph};
 use mpc_metric::{
-    datasets, dist_set_to_set, EuclideanSpace, MatrixSpace, MetricSpace, PointId, SpeedTier,
-    PAR_MIN_BULK,
+    datasets, EuclideanSpace, MatrixSpace, MetricSpace, PointId, SpeedTier, PAR_MIN_BULK,
 };
 use mpc_sim::Cluster;
 use proptest::prelude::*;
@@ -150,25 +149,6 @@ proptest! {
         let vs = big_candidates(n as u32, 96);
         let cands = big_candidates(n as u32, 128);
         check_many_kernels(&m, &vs, &cands, tau)?;
-    }
-
-    #[test]
-    fn set_distances_identical_across_thread_counts(
-        seed in 0u64..1_000,
-    ) {
-        let n = 96u32;
-        let space = EuclideanSpace::new(datasets::uniform_cube(n as usize, 3, seed));
-        let xs: Vec<PointId> = big_candidates(n, 192).into_iter().map(PointId).collect();
-        let ys: Vec<PointId> = big_candidates(n, 96).into_iter().map(PointId).collect();
-        let baseline = with_threads(1, || dist_set_to_set(&space, &xs, &ys).to_bits());
-        for &t in &THREAD_COUNTS[1..] {
-            prop_assert_eq!(
-                with_threads(t, || dist_set_to_set(&space, &xs, &ys).to_bits()),
-                baseline,
-                "threads={}",
-                t
-            );
-        }
     }
 
     #[test]

@@ -10,8 +10,6 @@
 //!   [`ChebyshevSpace`], [`AngularSpace`], [`HammingSpace`],
 //!   [`JaccardSpace`], [`EditDistanceSpace`], [`MatrixSpace`] (arbitrary
 //!   precomputed metrics) and [`GraphMetricSpace`] (shortest-path metrics);
-//! * the [`CountingSpace`] wrapper that counts distance evaluations, used by
-//!   the benchmark harness;
 //! * deterministic synthetic dataset generators in [`datasets`];
 //! * a sampling-based metric-axiom checker in [`validate`].
 //!
@@ -21,7 +19,6 @@
 
 pub mod angular;
 mod ball;
-pub mod counting;
 pub mod datasets;
 pub mod edit;
 pub mod euclidean;
@@ -39,7 +36,6 @@ pub mod space;
 pub mod validate;
 
 pub use angular::AngularSpace;
-pub use counting::CountingSpace;
 pub use edit::EditDistanceSpace;
 pub use euclidean::EuclideanSpace;
 pub use graph_metric::GraphMetricSpace;
@@ -52,7 +48,7 @@ pub use minkowski::{ChebyshevSpace, ManhattanSpace};
 pub use point::{PointId, PointSet};
 pub use soa::SpeedTier;
 pub use space::{
-    dist_point_to_set, dist_set_to_set, min_pairwise_distance, par_bulk, par_bulk_pairs,
-    par_bulk_weighted, par_chunk_size, par_chunk_size_weighted, par_query_chunks, KernelStats,
-    MetricSpace, PAR_MIN_BULK,
+    dist_point_to_set, min_pairwise_distance, par_bulk, par_bulk_pairs, par_bulk_weighted,
+    par_chunk_size, par_chunk_size_weighted, par_query_chunks, KernelStats, MetricSpace,
+    PAR_MIN_BULK,
 };

@@ -1,45 +1,8 @@
 //! Explicit distance-matrix metric — the fully general "any metric space"
 //! oracle, for metrics with no coordinate structure at all.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use crate::point::PointId;
-use crate::space::{self, KernelStats, MetricSpace};
-
-/// Pair tallies for [`MatrixSpace`]'s batched kernels, mirroring the
-/// Euclidean counters so `MatrixSpace` runs report [`KernelStats`] too.
-/// Row scans have no run/indexed split, so the mapping is by
-/// kernel shape: single-query scans count as `run_pairs`, multi-query
-/// scans as `indexed_pairs`. Relaxed atomics — tallies, not
-/// synchronization.
-#[derive(Debug, Default)]
-struct MatrixCounters {
-    run_pairs: AtomicU64,
-    indexed_pairs: AtomicU64,
-}
-
-impl MatrixCounters {
-    fn add(counter: &AtomicU64, pairs: u64) {
-        counter.fetch_add(pairs, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> KernelStats {
-        KernelStats {
-            run_pairs: self.run_pairs.load(Ordering::Relaxed),
-            indexed_pairs: self.indexed_pairs.load(Ordering::Relaxed),
-            ..KernelStats::default()
-        }
-    }
-}
-
-impl Clone for MatrixCounters {
-    fn clone(&self) -> Self {
-        Self {
-            run_pairs: AtomicU64::new(self.run_pairs.load(Ordering::Relaxed)),
-            indexed_pairs: AtomicU64::new(self.indexed_pairs.load(Ordering::Relaxed)),
-        }
-    }
-}
+use crate::space::MetricSpace;
 
 /// A metric given by an explicit `n × n` distance matrix.
 ///
@@ -50,7 +13,6 @@ impl Clone for MatrixCounters {
 pub struct MatrixSpace {
     d: Vec<f64>,
     n: usize,
-    counters: MatrixCounters,
 }
 
 /// Construction-time validation failures for [`MatrixSpace`].
@@ -111,11 +73,7 @@ impl MatrixSpace {
                 }
             }
         }
-        Ok(Self {
-            d,
-            n,
-            counters: MatrixCounters::default(),
-        })
+        Ok(Self { d, n })
     }
 
     /// Like [`MatrixSpace::new`] but additionally verifies the triangle
@@ -163,107 +121,6 @@ impl MetricSpace for MatrixSpace {
     fn dist(&self, i: PointId, j: PointId) -> f64 {
         self.d[i.idx() * self.n + j.idx()]
     }
-
-    /// Batched kernel: borrow `v`'s matrix row once and scan it
-    /// contiguously, instead of recomputing the row offset per pair.
-    fn count_within(&self, v: PointId, candidates: &[u32], tau: f64) -> usize {
-        MatrixCounters::add(&self.counters.run_pairs, candidates.len() as u64);
-        let row = &self.d[v.idx() * self.n..(v.idx() + 1) * self.n];
-        candidates
-            .iter()
-            .filter(|&&c| row[c as usize] <= tau)
-            .count()
-    }
-
-    /// Batched filter twin of [`MetricSpace::count_within`] over the same
-    /// contiguous row slice, in candidate order.
-    fn neighbors_within(&self, v: PointId, candidates: &[u32], tau: f64, out: &mut Vec<u32>) {
-        MatrixCounters::add(&self.counters.run_pairs, candidates.len() as u64);
-        out.clear();
-        let row = &self.d[v.idx() * self.n..(v.idx() + 1) * self.n];
-        out.extend(
-            candidates
-                .iter()
-                .copied()
-                .filter(|&c| row[c as usize] <= tau),
-        );
-    }
-
-    /// Row-sliced multi-query kernel: each query borrows its matrix row
-    /// once and scans candidates against it, skipping the per-call row
-    /// offset the single-query kernel would redo per query. Large query
-    /// batches fan fixed query chunks across the worker pool; rows
-    /// concatenate in query order.
-    fn count_within_many(&self, vs: &[u32], candidates: &[u32], tau: f64) -> Vec<usize> {
-        MatrixCounters::add(
-            &self.counters.indexed_pairs,
-            vs.len() as u64 * candidates.len() as u64,
-        );
-        let run = |qs: &[u32]| -> Vec<usize> {
-            qs.iter()
-                .map(|&v| {
-                    let row = &self.d[v as usize * self.n..(v as usize + 1) * self.n];
-                    candidates
-                        .iter()
-                        .filter(|&&c| row[c as usize] <= tau)
-                        .count()
-                })
-                .collect()
-        };
-        if space::par_bulk_pairs(vs.len(), candidates.len()) {
-            space::par_query_chunks(vs, run)
-        } else {
-            run(vs)
-        }
-    }
-
-    /// Filter twin of [`MetricSpace::count_within_many`] over the same row
-    /// slices; candidate order is preserved per query.
-    fn neighbors_within_many(&self, vs: &[u32], candidates: &[u32], tau: f64) -> Vec<Vec<u32>> {
-        MatrixCounters::add(
-            &self.counters.indexed_pairs,
-            vs.len() as u64 * candidates.len() as u64,
-        );
-        let run = |qs: &[u32]| -> Vec<Vec<u32>> {
-            qs.iter()
-                .map(|&v| {
-                    let row = &self.d[v as usize * self.n..(v as usize + 1) * self.n];
-                    candidates
-                        .iter()
-                        .copied()
-                        .filter(|&c| row[c as usize] <= tau)
-                        .collect()
-                })
-                .collect()
-        };
-        if space::par_bulk_pairs(vs.len(), candidates.len()) {
-            space::par_query_chunks(vs, run)
-        } else {
-            run(vs)
-        }
-    }
-
-    /// Bulk distance fill: one row borrow, then a gather — each entry is
-    /// the exact matrix lookup [`MetricSpace::dist`] performs.
-    fn dists_into(&self, v: PointId, candidates: &[u32], out: &mut Vec<f64>) {
-        out.clear();
-        let row = &self.d[v.idx() * self.n..(v.idx() + 1) * self.n];
-        out.extend(candidates.iter().map(|&c| row[c as usize]));
-    }
-
-    /// Row-sliced minimum over the set: same values as the per-pair fold,
-    /// without recomputing the row offset per element.
-    fn dist_to_set(&self, p: PointId, set: &[PointId]) -> f64 {
-        let row = &self.d[p.idx() * self.n..(p.idx() + 1) * self.n];
-        set.iter()
-            .map(|s| row[s.idx()])
-            .fold(f64::INFINITY, f64::min)
-    }
-
-    /// Cumulative pair tallies of the batched row-scan kernels.
-    fn kernel_stats(&self) -> Option<KernelStats> {
-        Some(self.counters.snapshot())
-    }
 }
 
 #[cfg(test)]
@@ -308,22 +165,6 @@ mod tests {
             MatrixSpace::new(2, vec![0.0, f64::NAN, f64::NAN, 0.0]).unwrap_err(),
             MatrixSpaceError::InvalidEntry(..)
         ));
-    }
-
-    #[test]
-    fn kernel_stats_tally_batched_scans() {
-        let m = MatrixSpace::from_fn(6, |i, j| (i as f64 - j as f64).abs()).unwrap();
-        let cands: Vec<u32> = (0..6).collect();
-        assert_eq!(m.count_within(PointId(0), &cands, 2.0), 3);
-        let _ = m.count_within_many(&[0, 5], &cands, 2.0);
-        let ks = m.kernel_stats().unwrap();
-        assert_eq!(ks.run_pairs, 6);
-        assert_eq!(ks.indexed_pairs, 12);
-        // Clones snapshot the tallies rather than sharing them.
-        let c = m.clone();
-        let _ = m.count_within(PointId(1), &cands, 2.0);
-        assert_eq!(c.kernel_stats().unwrap().run_pairs, 6);
-        assert_eq!(m.kernel_stats().unwrap().run_pairs, 12);
     }
 
     #[test]

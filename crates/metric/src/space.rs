@@ -112,10 +112,10 @@ pub trait MetricSpace: Sync {
     /// whenever `within(v, v, tau)` does (graph layers subtract self-loops
     /// themselves).
     ///
-    /// The default is the scalar loop; coordinate-backed spaces override it
-    /// with kernels that stream the flat storage directly (see
-    /// `EuclideanSpace` and `MatrixSpace`), which is where the hot
-    /// adjacency scans of Algorithms 3–5 spend their time.
+    /// The default is the scalar loop. `EuclideanSpace` overrides it with
+    /// kernels that stream its flat storage directly, which is where the
+    /// hot adjacency scans of Algorithms 3–5 spend their time; every other
+    /// space answers through this default.
     fn count_within(&self, v: PointId, candidates: &[u32], tau: f64) -> usize {
         candidates
             .iter()
@@ -313,9 +313,9 @@ pub struct KernelStats {
     /// its bounds left open, so the pruned share shows up as the fall in
     /// this tally (`mpc_metric::ball`).
     pub run_pairs: u64,
-    /// Always 0 for `EuclideanSpace`, whose one classifier counts in
-    /// [`KernelStats::run_pairs`]. `MatrixSpace` counts its multi-query
-    /// row scans here.
+    /// Always 0: `EuclideanSpace`'s one classifier counts in
+    /// [`KernelStats::run_pairs`], and no other space keeps tallies. The
+    /// field stays so struct literals that name it keep compiling.
     pub indexed_pairs: u64,
     /// Always 0. The multi-τ run kernel that counted its pairs here is
     /// gone; the field stays so struct literals that name it keep
@@ -407,12 +407,6 @@ impl<M: MetricSpace + ?Sized> MetricSpace for &M {
     fn dist_to_set(&self, p: PointId, set: &[PointId]) -> f64 {
         (**self).dist_to_set(p, set)
     }
-    fn count_within_taus(&self, v: PointId, candidates: &[u32], taus: &[f64]) -> Vec<usize> {
-        (**self).count_within_taus(v, candidates, taus)
-    }
-    fn neighbors_within_taus(&self, v: PointId, candidates: &[u32], taus: &[f64]) -> Vec<Vec<u32>> {
-        (**self).neighbors_within_taus(v, candidates, taus)
-    }
     fn kernel_stats(&self) -> Option<KernelStats> {
         (**self).kernel_stats()
     }
@@ -423,32 +417,6 @@ impl<M: MetricSpace + ?Sized> MetricSpace for &M {
 /// apply their bulk specializations.
 pub fn dist_point_to_set<M: MetricSpace + ?Sized>(metric: &M, p: PointId, set: &[PointId]) -> f64 {
     metric.dist_to_set(p, set)
-}
-
-/// `r(X, Y) = max_{x in X} d(x, Y)` — the covering radius of `X` by `Y`
-/// (paper §6.1). Returns 0 for empty `X` and `f64::INFINITY` for empty `Y`
-/// with non-empty `X`. Each `d(x, Y)` goes through the bulk
-/// [`MetricSpace::dist_to_set`] kernel; large `|X| × |Y|` grids fan fixed
-/// chunks of `X` across the worker pool, and the chunked `max` fold equals
-/// the sequential fold exactly (`f64::max` is associative on the
-/// non-negative distances involved).
-pub fn dist_set_to_set<M: MetricSpace + ?Sized>(metric: &M, xs: &[PointId], ys: &[PointId]) -> f64 {
-    if par_bulk_pairs(xs.len(), ys.len()) {
-        let chunk = xs.len().div_ceil(rayon::pool::MAX_CHUNKS).max(1);
-        xs.par_chunks(chunk)
-            .map(|part| {
-                part.iter()
-                    .map(|&x| metric.dist_to_set(x, ys))
-                    .fold(0.0, f64::max)
-            })
-            .collect::<Vec<f64>>()
-            .into_iter()
-            .fold(0.0, f64::max)
-    } else {
-        xs.iter()
-            .map(|&x| metric.dist_to_set(x, ys))
-            .fold(0.0, f64::max)
-    }
 }
 
 /// `div(S)`: minimum pairwise distance in `S` (paper §2.1).
@@ -494,15 +462,6 @@ mod tests {
     fn point_to_empty_set_is_infinite() {
         let m = line_space();
         assert_eq!(dist_point_to_set(&m, PointId(0), &[]), f64::INFINITY);
-    }
-
-    #[test]
-    fn set_to_set_is_covering_radius() {
-        let m = line_space();
-        // r({0,1,3,7}, {1}) = max distance to x=1 is 6 (point at 7).
-        let all = [PointId(0), PointId(1), PointId(2), PointId(3)];
-        assert_eq!(dist_set_to_set(&m, &all, &[PointId(1)]), 6.0);
-        assert_eq!(dist_set_to_set(&m, &[], &[PointId(1)]), 0.0);
     }
 
     #[test]

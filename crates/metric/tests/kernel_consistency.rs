@@ -8,9 +8,9 @@
 //! from the scalar path would silently change every algorithm built on it.
 
 use mpc_metric::{
-    AngularSpace, ChebyshevSpace, CountingSpace, EditDistanceSpace, EuclideanSpace,
-    GraphMetricSpace, HammingSpace, JaccardSpace, ManhattanSpace, MatrixSpace, MetricSpace,
-    PointId, PointSet, SpeedTier,
+    AngularSpace, ChebyshevSpace, EditDistanceSpace, EuclideanSpace, GraphMetricSpace,
+    HammingSpace, JaccardSpace, ManhattanSpace, MatrixSpace, MetricSpace, PointId, PointSet,
+    SpeedTier,
 };
 use proptest::prelude::*;
 
@@ -272,33 +272,6 @@ proptest! {
     #[test]
     fn edit_distance_kernels_match_scalar(words in prop::collection::vec("[a-d]{0,6}", 3..12)) {
         check_kernels(&EditDistanceSpace::new(&words))?;
-    }
-
-    #[test]
-    fn counting_kernels_match_scalar_and_charge(rows in arb_rows(16, 3)) {
-        let m = CountingSpace::new(EuclideanSpace::new(PointSet::from_rows(&rows)));
-        check_kernels(&m)?;
-        // The wrapper must charge exactly what the per-query loop would:
-        // |vs|·|candidates| for the grid kernels, |candidates| for a
-        // distance fill, |set| for a set distance — so batching never
-        // changes reported oracle counts.
-        let n = m.n() as u32;
-        let all: Vec<u32> = (0..n).collect();
-        let vs = vec![0u32, n - 1];
-        m.reset();
-        let _ = m.count_within_many(&vs, &all, 1.0);
-        prop_assert_eq!(m.calls(), (vs.len() * all.len()) as u64);
-        m.reset();
-        let _ = m.neighbors_within_many(&vs, &all, 1.0);
-        prop_assert_eq!(m.calls(), (vs.len() * all.len()) as u64);
-        m.reset();
-        let mut out = Vec::new();
-        m.dists_into(PointId(0), &all, &mut out);
-        prop_assert_eq!(m.calls(), all.len() as u64);
-        m.reset();
-        let ids: Vec<PointId> = all.iter().map(|&c| PointId(c)).collect();
-        let _ = m.dist_to_set(PointId(0), &ids);
-        prop_assert_eq!(m.calls(), ids.len() as u64);
     }
 
     #[test]

@@ -243,7 +243,7 @@ impl Cluster {
     /// every machine ends up with the full union (in machine order).
     /// One round. Machine `i` sends `|c_i| · w` words to each of the other
     /// `m − 1` machines and receives everyone else's contributions.
-    pub fn all_broadcast<T: Clone + Send + Sync + Wire>(
+    pub fn all_broadcast<T: Wire>(
         &mut self,
         label: &str,
         contributions: Vec<Vec<T>>,
@@ -268,7 +268,7 @@ impl Cluster {
     /// Gather to the central machine (machine 0): returns the concatenation
     /// of all contributions in machine order. One round; the central
     /// machine's own share stays local.
-    pub fn gather<T: Send + Wire>(
+    pub fn gather<T: Wire>(
         &mut self,
         label: &str,
         contributions: Vec<Vec<T>>,
@@ -307,7 +307,7 @@ impl Cluster {
     /// Scatter from the central machine: machine `i` receives
     /// `per_machine[i]`. One round; the central machine keeps its own
     /// share. Returns each machine's share.
-    pub fn scatter<T: Send + Wire>(
+    pub fn scatter<T: Wire>(
         &mut self,
         label: &str,
         per_machine: Vec<Vec<T>>,
@@ -330,7 +330,7 @@ impl Cluster {
     /// `src` sends to machine `dst`; the result `inbox` satisfies
     /// `inbox[dst][src] == msgs[src][dst]`. One round. Self-addressed
     /// and empty boxes move no words and no frames.
-    pub fn exchange<T: Send + Wire>(
+    pub fn exchange<T: Wire>(
         &mut self,
         label: &str,
         msgs: Vec<Vec<Vec<T>>>,
@@ -368,7 +368,7 @@ impl Cluster {
     /// would actually ship.
     pub fn reduce<T, F>(&mut self, label: &str, values: Vec<T>, weight: u64, fold: F) -> T
     where
-        T: Send + Wire,
+        T: Wire,
         F: FnMut(T, T) -> T,
     {
         assert_eq!(values.len(), self.m);
@@ -386,7 +386,7 @@ impl Cluster {
     /// 1-word broadcast, which undercharged every non-scalar reduction).
     pub fn all_reduce<T, F>(&mut self, label: &str, values: Vec<T>, weight: u64, fold: F) -> T
     where
-        T: Send + Clone + Wire,
+        T: Wire,
         F: FnMut(T, T) -> T,
     {
         let result = self.reduce(label, values, weight, fold);

@@ -9,6 +9,7 @@ use mpc_clustering::metric::{
     ChebyshevSpace, EuclideanSpace, GraphMetricSpace, HammingSpace, ManhattanSpace, MatrixSpace,
     MetricSpace, PointId,
 };
+use mpc_clustering::sim::{Cluster, Ledger};
 
 /// The headline guarantee on small instances where the optimum is
 /// computable: k-center within `2(1+ε)`, diversity within `2(1+ε)`.
@@ -85,6 +86,64 @@ fn all_metric_spaces_work() {
     check(&hamming, k, &params, "hamming");
     check(&graph, k, &params, "graph-metric");
     check(&matrix, k, &params, "matrix");
+    assert_eq!(
+        matrix_digest(&matrix, k, &params),
+        MATRIX_PIN,
+        "matrix: Alg 5 / Alg 2 digest moved"
+    );
+}
+
+/// Digest of the `MatrixSpace` runs in [`all_metric_spaces_work`],
+/// recorded while the space still carried its own row-scan kernels. The
+/// trait's default kernels answer every scan on it now, so a match shows
+/// those defaults give the same answers and the same ledger.
+const MATRIX_PIN: u64 = 0x0941_06bb_590d_6f1b;
+
+/// FNV-1a over a stream of words.
+fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for w in words {
+        for b in w.to_le_bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// FNV-1a over every round's label bytes and per-machine sent/received words.
+fn ledger_fnv(ledger: &Ledger) -> u64 {
+    fnv(ledger.records().iter().flat_map(|r| {
+        r.label
+            .bytes()
+            .map(u64::from)
+            .chain(r.per_machine.iter().flat_map(|io| [io.sent, io.received]))
+    }))
+}
+
+/// Alg 5's centers, `radius` / `coarse_r` bits, accepted rung, rounds and
+/// ledger hash, then Alg 2's subset and diversity bits, folded into one
+/// hash.
+fn matrix_digest(metric: &MatrixSpace, k: usize, params: &Params) -> u64 {
+    let mut cluster = Cluster::new(params.m, params.seed);
+    let kc = kcenter::mpc_kcenter_on(&mut cluster, metric, k, params);
+    let dv = diversity::mpc_diversity(metric, k, params);
+    let ids = |ps: &[PointId]| {
+        std::iter::once(ps.len() as u64)
+            .chain(ps.iter().map(|p| p.0 as u64))
+            .collect::<Vec<_>>()
+    };
+    fnv(ids(&kc.centers)
+        .into_iter()
+        .chain([
+            kc.radius.to_bits(),
+            kc.coarse_r.to_bits(),
+            kc.boundary_index as u64,
+            cluster.ledger().rounds(),
+            ledger_fnv(cluster.ledger()),
+        ])
+        .chain(ids(&dv.subset))
+        .chain([dv.diversity.to_bits()]))
 }
 
 /// k-supplier end to end on a bipartite instance, with the supplier-only
