@@ -2,12 +2,15 @@
 //! 5, 6): the run prologue and epilogue, coreset construction and
 //! covering-radius evaluation.
 
+use std::borrow::Cow;
 use std::time::Instant;
 
-use mpc_metric::{dist_point_to_set, KernelStats, MetricSpace, PointId};
+use mpc_metric::{
+    dist_point_to_set, simd, EuclideanSpace, KernelStats, MetricSpace, PointId, PointSet,
+};
 use mpc_sim::Cluster;
 
-use crate::gmm::gmm;
+use crate::gmm::{gmm, gmm_by};
 use crate::params::Params;
 use crate::telemetry::{PhaseTimes, Telemetry};
 
@@ -81,13 +84,13 @@ impl<'m, M: MetricSpace + ?Sized> Run<'m, M> {
     /// transport's setup plane (encoded, copied and decode-validated on
     /// loopback; never charged to the ledger, so round and word counts are
     /// the same on every transport).
-    /// Returns the families' per-machine id lists, in order.
+    /// Returns the families' [`Shards`], in order.
     pub(crate) fn start<const N: usize>(
         cluster: &mut Cluster,
         metric: &'m M,
         params: &Params,
         inputs: [Input<'_>; N],
-    ) -> (Self, [Vec<Vec<u32>>; N]) {
+    ) -> (Self, [Shards<'m, M>; N]) {
         params.validate();
         assert_eq!(cluster.m(), params.m, "cluster size must match params.m");
         if let Some(budget) = params.budget_words {
@@ -115,7 +118,8 @@ impl<'m, M: MetricSpace + ?Sized> Run<'m, M> {
             mark: Instant::now(),
             ladder: None,
         };
-        (run, families.map(|(_, sets)| sets))
+        let shards = families.map(|(_, sets)| Shards::new(cluster, metric, Cow::Owned(sets)));
+        (run, shards)
     }
 
     /// Ends the coarse phase.
@@ -163,9 +167,162 @@ impl<'m, M: MetricSpace + ?Sized> Run<'m, M> {
     }
 }
 
-/// Lines 1–2 of Algorithms 2/5/6: every machine runs GMM on its local
-/// points and ships the size-≤k coreset `T_i` to the central machine, which
-/// runs GMM on the union. Returns `(q, t_union)` where `q = GMM(∪ T_i, k)`.
+/// Every machine's share of one input family, as the MPC model has it:
+/// machine `i` holds the ids `sets()[i]` and, when the metric is
+/// Euclidean, their rows in storage of its own ([`Slab`]). The machine-
+/// local steps of Algorithms 2, 5 and 6 — the coreset GMM and the
+/// covering-radius scan — run on those rows with the exact f64 run
+/// kernels of [`mpc_metric::simd`], which are bit-identical to the by-id
+/// [`MetricSpace::dists_into`] and [`MetricSpace::dist_to_set`] folds;
+/// any other metric answers the same steps by id. The rows are the
+/// machine's input, which `setup/shards` already charged, so gathering
+/// them adds nothing to the ledger.
+pub(crate) struct Shards<'a, M: ?Sized> {
+    metric: &'a M,
+    sets: Cow<'a, [Vec<u32>]>,
+    /// The Euclidean space and every machine's rows, dimension-major.
+    rows: Option<(&'a EuclideanSpace, Vec<Vec<f64>>)>,
+}
+
+impl<'a, M: MetricSpace + ?Sized> Shards<'a, M> {
+    /// The machines' shares `sets`, one id list per machine, with each
+    /// machine's rows gathered across the worker pool when
+    /// [`MetricSpace::euclidean`] answers.
+    pub(crate) fn new(cluster: &Cluster, metric: &'a M, sets: Cow<'a, [Vec<u32>]>) -> Self {
+        let rows = metric.euclidean().map(|space| {
+            let cols = cluster.map(&sets, |_, ids| space.points().gather_cols(ids));
+            (space, cols)
+        });
+        Self { metric, sets, rows }
+    }
+
+    /// The metric the shards were gathered from.
+    pub(crate) fn metric(&self) -> &'a M {
+        self.metric
+    }
+
+    /// Every machine's ids.
+    pub(crate) fn sets(&self) -> &[Vec<u32>] {
+        &self.sets
+    }
+
+    /// Machine `i`'s rows, when the metric is Euclidean.
+    pub(crate) fn slab(&self, i: usize) -> Option<Slab<'_>> {
+        self.rows.as_ref().map(|(space, cols)| Slab {
+            members: &self.sets[i],
+            dim: space.points().dim(),
+            cols: &cols[i],
+        })
+    }
+
+    /// Lines 1–2 of Algorithms 2/5/6: every machine runs GMM on its local
+    /// points and ships the size-≤k coreset `T_i` to the central machine,
+    /// which runs GMM on the union. Returns `(q, coresets)` with `q =
+    /// GMM(∪ T_i, k)`. One MPC round (the gather).
+    pub(crate) fn coreset(&self, cluster: &mut Cluster, k: usize) -> (Vec<u32>, Vec<Vec<u32>>) {
+        let coresets: Vec<Vec<u32>> = cluster.map(self.sets(), |i, ids| match self.slab(i) {
+            Some(slab) => slab.gmm(k),
+            None => gmm(self.metric, ids, k).selected,
+        });
+        let union = cluster.gather(
+            "coreset/gather",
+            coresets.clone(),
+            self.metric.point_weight(),
+        );
+        let q = gmm(self.metric, &union, k).selected;
+        (q, coresets)
+    }
+
+    /// `r(X, Q) = max_{x ∈ X} d(x, Q)` over the machines' points `X`.
+    /// Two rounds: broadcast `Q`, reduce the local maxima. Returns 0 when
+    /// `X` is empty, and `f64::INFINITY` when `Q` is empty while `X` is
+    /// not (each `d(x, ∅) = ∞`, per the [`dist_point_to_set`] empty-set
+    /// contract).
+    pub(crate) fn covering_radius(&self, cluster: &mut Cluster, q: &[u32]) -> f64 {
+        let q = cluster.broadcast("radius/bcast", q.to_vec(), self.metric.point_weight());
+        // The broadcast centers' rows, one `|q| × d` block every machine
+        // scans its slab against.
+        let centers = self
+            .rows
+            .as_ref()
+            .map(|(space, _)| space.points().gather(&q));
+        let q_ids = to_point_ids(&q);
+        let local_max: Vec<f64> =
+            cluster.map(self.sets(), |i, ids| match (self.slab(i), &centers) {
+                (Some(slab), Some(centers)) => slab.covering_radius(centers),
+                _ => ids
+                    .iter()
+                    .map(|&v| dist_point_to_set(self.metric, PointId(v), &q_ids))
+                    .fold(0.0f64, f64::max),
+            });
+        cluster.reduce("radius/reduce", local_max, 1, f64::max)
+    }
+}
+
+/// One machine's rows in storage of its own: local row `j` is global
+/// point `members[j]`. Under a round-robin partition a machine's points
+/// are spread through the whole global array; the slab makes every pass
+/// over them one contiguous scan.
+///
+/// The rows are stored dimension-major (`cols[a * len + j]` is row `j`'s
+/// coordinate on axis `a`), the layout of the exact run kernels in
+/// [`mpc_metric::simd`]: four rows per vector step, one column load per
+/// coordinate. Those kernels are bit-identical to
+/// [`EuclideanSpace::row_dist`], so every step returns what a by-id scan
+/// of the same points would.
+#[derive(Clone, Copy)]
+pub(crate) struct Slab<'s> {
+    /// The machine's global ids.
+    pub(crate) members: &'s [u32],
+    pub(crate) dim: usize,
+    pub(crate) cols: &'s [f64],
+}
+
+impl Slab<'_> {
+    pub(crate) fn len(&self) -> usize {
+        self.members.len()
+    }
+
+    /// Copies local row `j` out of the slab into `row`.
+    pub(crate) fn read_row(&self, j: usize, row: &mut [f64]) {
+        for (a, x) in row.iter_mut().enumerate() {
+            *x = self.cols[a * self.len() + j];
+        }
+    }
+
+    /// `GMM(members, k)` run on the slab and mapped back to global ids:
+    /// the one [`gmm_by`] driver, each pick one fused distance, relax and
+    /// argmax pass of [`simd::exact_relax_run`]. GMM seeds with the first
+    /// member and breaks ties by member order, and the slab keeps that
+    /// order, so the selection equals `gmm(space, members, k)`.
+    fn gmm(&self, k: usize) -> Vec<u32> {
+        let mut q = vec![0.0; self.dim];
+        gmm_by(self.len(), k, |next, slots| {
+            self.read_row(next, &mut q);
+            simd::exact_relax_run(&q, self.cols, self.len(), 0, slots)
+        })
+        .selected
+        .into_iter()
+        .map(|j| self.members[j as usize])
+        .collect()
+    }
+
+    /// `max_{x ∈ slab} d(x, Q)` for `Q` given as gathered center rows.
+    /// [`simd::exact_min_sq_run`] folds each point's minimum squared
+    /// distance to `Q`, bit for bit the squares behind
+    /// [`EuclideanSpace::row_dist_to_rows`]. `sqrt` is monotone, so the
+    /// largest `sqrt(min)` of the by-id fold is the `sqrt` of the largest
+    /// minimum: one root per slab.
+    fn covering_radius(&self, centers: &PointSet) -> f64 {
+        let mut mins = vec![f64::INFINITY; self.len()];
+        simd::exact_min_sq_run(centers.raw(), self.dim, self.cols, self.len(), 0, &mut mins);
+        mins.into_iter().fold(0.0f64, f64::max).sqrt()
+    }
+}
+
+/// Lines 1–2 of Algorithms 2/5/6 over the machines' `local_sets`, on
+/// machine slabs when the metric is Euclidean (the drivers' own
+/// `Shards::coreset`). Returns `(q, coresets)` where `q = GMM(∪ T_i, k)`.
 /// One MPC round (the gather).
 pub fn gmm_coreset<M: MetricSpace + ?Sized>(
     cluster: &mut Cluster,
@@ -173,73 +330,24 @@ pub fn gmm_coreset<M: MetricSpace + ?Sized>(
     local_sets: &[Vec<u32>],
     k: usize,
 ) -> (Vec<u32>, Vec<Vec<u32>>) {
-    coreset_with(cluster, metric, local_sets, k, |vi| {
-        gmm(metric, vi, k).selected
-    })
-}
-
-/// [`gmm_coreset`]'s collective skeleton over any per-machine input:
-/// `local(input)` must return that machine's `GMM(V_i, k)` as global ids.
-/// Engines that keep each machine's rows in storage of its own run the
-/// local GMM there and share the gather and the central GMM.
-pub(crate) fn coreset_with<M, T, F>(
-    cluster: &mut Cluster,
-    metric: &M,
-    machines: &[T],
-    k: usize,
-    local: F,
-) -> (Vec<u32>, Vec<Vec<u32>>)
-where
-    M: MetricSpace + ?Sized,
-    T: Sync,
-    F: Fn(&T) -> Vec<u32> + Sync,
-{
-    let w = metric.point_weight();
-    let coresets: Vec<Vec<u32>> = cluster.map(machines, |_, input| local(input));
-    let union = cluster.gather("coreset/gather", coresets.clone(), w);
-    let q = gmm(metric, &union, k).selected;
-    (q, coresets)
+    Shards::new(cluster, metric, Cow::Borrowed(local_sets)).coreset(cluster, k)
 }
 
 /// `r(X, Q) = max_{x ∈ X} d(x, Q)` where `X` is distributed as
-/// `local_sets`. Two rounds: broadcast `Q`, reduce the local maxima.
-/// Returns 0 when `X` is empty, and `f64::INFINITY` when `Q` is empty
-/// while `X` is not (each `d(x, ∅) = ∞`, per the
-/// [`dist_point_to_set`] empty-set contract) — callers that can produce
-/// an empty `Q`, like a serving index queried before its first insert,
-/// must branch on `X` first.
+/// `local_sets`, on machine slabs when the metric is Euclidean (the
+/// drivers' own `Shards::covering_radius`). Two rounds: broadcast `Q`,
+/// reduce the local maxima. Returns 0 when `X` is empty, and
+/// `f64::INFINITY` when `Q` is empty while `X` is not (each `d(x, ∅) =
+/// ∞`, per the [`dist_point_to_set`] empty-set contract) — callers that
+/// can produce an empty `Q`, like a serving index queried before its
+/// first insert, must branch on `X` first.
 pub fn covering_radius<M: MetricSpace + ?Sized>(
     cluster: &mut Cluster,
     metric: &M,
     local_sets: &[Vec<u32>],
     q: &[u32],
 ) -> f64 {
-    covering_radius_with(cluster, metric.point_weight(), local_sets, q, |vi, q| {
-        let q_ids = to_point_ids(q);
-        vi.iter()
-            .map(|&v| dist_point_to_set(metric, PointId(v), &q_ids))
-            .fold(0.0f64, f64::max)
-    })
-}
-
-/// [`covering_radius`]'s collective skeleton over any per-machine input:
-/// broadcast the ids `q` at `weight` words each, run `local_max(input, q)
-/// = max_{x ∈ V_i} d(x, Q)` on every machine with the broadcast ids,
-/// reduce the maxima.
-pub(crate) fn covering_radius_with<T, F>(
-    cluster: &mut Cluster,
-    weight: u64,
-    machines: &[T],
-    q: &[u32],
-    local_max: F,
-) -> f64
-where
-    T: Sync,
-    F: Fn(&T, &[u32]) -> f64 + Sync,
-{
-    let q = cluster.broadcast("radius/bcast", q.to_vec(), weight);
-    let local_max: Vec<f64> = cluster.map(machines, |_, input| local_max(input, &q));
-    cluster.reduce("radius/reduce", local_max, 1, f64::max)
+    Shards::new(cluster, metric, Cow::Borrowed(local_sets)).covering_radius(cluster, q)
 }
 
 /// For each point of `q`, its nearest point among the distributed

@@ -9,10 +9,12 @@
 //! because the *maximal* independent set one rung higher covers all of `V`
 //! with balls that must pin two optimal points together (pigeonhole).
 
+use std::borrow::Cow;
+
 use mpc_metric::{min_pairwise_distance, MetricSpace, PointId};
 use mpc_sim::Cluster;
 
-use crate::common::{gmm_coreset, new_cluster, to_point_ids, Input, Run};
+use crate::common::{new_cluster, to_point_ids, Input, Run, Shards};
 use crate::gmm::gmm;
 use crate::kbmis::k_bounded_mis;
 use crate::ladder::{mis_ladder, Objective};
@@ -42,11 +44,11 @@ pub struct DiversityResult {
 /// 4-approximation of `div_k(V)`.
 fn coarse_estimate<M: MetricSpace + ?Sized>(
     cluster: &mut Cluster,
-    metric: &M,
-    local_sets: &[Vec<u32>],
+    shards: &Shards<'_, M>,
     k: usize,
 ) -> (f64, Vec<u32>) {
-    let (s, coresets) = gmm_coreset(cluster, metric, local_sets, k);
+    let (s, coresets) = shards.coreset(cluster, k);
+    let metric = shards.metric();
     // div for each candidate; candidates need exactly min(k, n) points.
     let need = s.len(); // = min(k, |T|) and |T| >= min(k, n)
     let div_of = |set: &[u32]| min_pairwise_distance(metric, &to_point_ids(set));
@@ -76,7 +78,8 @@ pub fn four_approx_diversity<M: MetricSpace + ?Sized>(
     let n = metric.n();
     let mut cluster = new_cluster(params);
     let partition = params.partition.build(n, params.m, params.seed);
-    let (r, q) = coarse_estimate(&mut cluster, metric, partition.all_items(), k);
+    let shards = Shards::new(&cluster, metric, Cow::Borrowed(partition.all_items()));
+    let (r, q) = coarse_estimate(&mut cluster, &shards, k);
     let subset = to_point_ids(&q);
     let diversity = min_pairwise_distance(metric, &subset);
     DiversityResult {
@@ -119,10 +122,10 @@ pub fn mpc_diversity_on<M: MetricSpace + ?Sized>(
     params: &Params,
 ) -> DiversityResult {
     assert!(k >= 2, "diversity needs k >= 2");
-    let (mut run, [local_sets]) = Run::start(cluster, metric, params, [Input::Points]);
+    let (mut run, [shards]) = Run::start(cluster, metric, params, [Input::Points]);
 
     // Lines 1–3: coarse 4-approximation (r, Q).
-    let (r, q) = coarse_estimate(cluster, metric, &local_sets, k);
+    let (r, q) = coarse_estimate(cluster, &shards, k);
     run.coarse_done();
 
     // Degenerate inputs: fewer than k distinct-ish points, or all optimal
@@ -139,7 +142,7 @@ pub fn mpc_diversity_on<M: MetricSpace + ?Sized>(
         // sets.
         let n = metric.n();
         let mis = |c: &mut Cluster, tau, bound| {
-            k_bounded_mis(c, metric, &local_sets, tau, bound, n, params, false).set
+            k_bounded_mis(c, metric, shards.sets(), tau, bound, n, params, false).set
         };
         let ladder = mis_ladder(cluster, params, Objective::Diversity, q, r, k, mis);
         run.ladder_done(ladder.evals, ladder.probes);

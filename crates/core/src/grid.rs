@@ -1,13 +1,12 @@
-//! The grid k-center engine: a rung kernel plus machine-shard steps for
-//! the one Algorithm 5 driver in [`crate::kcenter`].
+//! The grid k-center engine: a rung kernel for the one Algorithm 5
+//! driver in [`crate::kcenter`].
 //!
-//! The driver — prologue, coarse stage, the τ-ladder
-//! ([`crate::ladder::mis_ladder`]), finalize and telemetry — is the same
-//! for both Euclidean engines. What this engine supplies is its
-//! machine-local steps: each machine gathers its input rows once into a
-//! shard of its own and runs the coreset GMM, the covering-radius scans
-//! and every rung there, and a rung's bounded MIS is answered with
-//! spatial hashing instead of all-pairs threshold kernels.
+//! The driver — prologue, the coarse stage and finalize on the machines'
+//! shards, the τ-ladder ([`crate::ladder::mis_ladder`]) and telemetry —
+//! is the same for both engines. What this engine supplies is its rung:
+//! each machine builds a τ-grid over its shard's rows, and a rung's
+//! bounded MIS is answered with spatial hashing instead of all-pairs
+//! threshold kernels.
 //!
 //! The all-pairs engine evaluates a rung by running the Algorithm 3/4
 //! machinery, whose dominant cost is the degree approximation: every
@@ -51,13 +50,13 @@
 //! all-pairs. The stencil visits 3^d cells per query, so the grid pays
 //! off at low dimension only.
 
+use std::borrow::Cow;
 use std::ops::Range;
 
 use mpc_metric::{simd, EuclideanSpace, GridIndex, KernelStats, MetricSpace, PointId, PointSet};
 use mpc_sim::Cluster;
 
-use crate::common::{coreset_with, covering_radius_with, new_cluster, Input, Run};
-use crate::gmm::gmm_by;
+use crate::common::{new_cluster, Input, Run, Shards, Slab};
 use crate::kcenter::{kcenter_with, KCenterResult, KCenterSteps};
 use crate::params::Params;
 
@@ -90,108 +89,13 @@ impl KCenterEngine {
     }
 }
 
-/// One machine's input points in storage of its own, as the MPC model
-/// has them: local row `j` is global point `members[j]`. Every
-/// machine-local step of the grid engine — the coreset GMM, the
-/// covering-radius scan, the rung grids — runs on these contiguous rows
-/// instead of reading the caller's global array by id, which under a
-/// round-robin partition scatters every pass over the machine's points
-/// across the whole input.
-///
-/// The rows are stored dimension-major (`cols[a * n + j]` is row `j`'s
-/// coordinate on axis `a`), the layout of the exact run kernels in
-/// [`mpc_metric::simd`]: four rows per vector step, one column load per
-/// coordinate. Those kernels are bit-identical to
-/// [`EuclideanSpace::row_dist`], so every step returns what a row-major
-/// scalar scan of the same rows would.
-struct Shard<'a> {
-    /// The machine's global ids (its `local_sets` entry).
-    members: &'a [u32],
-    dim: usize,
-    cols: Vec<f64>,
-}
-
-impl Shard<'_> {
-    fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// Copies local row `j` out of the slab into `row`.
-    fn read_row(&self, j: usize, row: &mut [f64]) {
-        for (a, x) in row.iter_mut().enumerate() {
-            *x = self.cols[a * self.len() + j];
-        }
-    }
-
-    /// `GMM(members, k)` run on the shard and mapped back to global ids:
-    /// the one [`gmm_by`] driver, each pick one fused distance, relax and
-    /// argmax pass of [`simd::exact_relax_run`]. GMM seeds with the first
-    /// member and breaks ties by member order, and the shard keeps that
-    /// order, so the selection equals `gmm(space, members, k)`.
-    fn gmm(&self, k: usize) -> Vec<u32> {
-        let mut q = vec![0.0; self.dim];
-        gmm_by(self.len(), k, |next, slots| {
-            self.read_row(next, &mut q);
-            simd::exact_relax_run(&q, &self.cols, self.len(), 0, slots)
-        })
-        .selected
-        .into_iter()
-        .map(|j| self.members[j as usize])
-        .collect()
-    }
-
-    /// `max_{x ∈ shard} d(x, Q)` for `Q` given as gathered center rows.
-    /// [`simd::exact_min_sq_run`] folds each point's minimum squared
-    /// distance to `Q`, bit for bit the squares behind
-    /// [`EuclideanSpace::row_dist_to_rows`]. `sqrt` is monotone, so the
-    /// largest `sqrt(min)` of [`crate::common::covering_radius`]'s fold is
-    /// the `sqrt` of the largest minimum: one root per shard.
-    fn covering_radius(&self, centers: &PointSet) -> f64 {
-        let mut mins = vec![f64::INFINITY; self.len()];
-        simd::exact_min_sq_run(
-            centers.raw(),
-            centers.dim(),
-            &self.cols,
-            self.len(),
-            0,
-            &mut mins,
-        );
-        mins.into_iter().fold(0.0f64, f64::max).sqrt()
-    }
-}
-
-/// Gathers every machine's rows into its [`Shard`], across the worker
-/// pool. The rows are the machine's input, which `setup/shards` already
-/// charged, so the gather adds nothing to the ledger.
-fn gather_shards<'a>(
-    cluster: &Cluster,
-    space: &EuclideanSpace,
-    local_sets: &'a [Vec<u32>],
-) -> Vec<Shard<'a>> {
-    let (data, dim) = (space.points().raw(), space.points().dim());
-    // Index `local_sets` rather than take the closure's argument, whose
-    // borrow ends with the call: the shard keeps `members` for `'a`.
-    cluster.map(local_sets, |i, _| {
-        let members = &local_sets[i];
-        let n = members.len();
-        let mut cols = vec![0.0; dim * n];
-        for (j, &id) in members.iter().enumerate() {
-            let row = &data[id as usize * dim..(id as usize + 1) * dim];
-            for (a, &x) in row.iter().enumerate() {
-                cols[a * n + j] = x;
-            }
-        }
-        Shard { members, dim, cols }
-    })
-}
-
 /// Per-machine state of one rung's grid protocol: the local τ-grid over
 /// the machine's shard, the shard's rows in the grid's slot order, the
 /// authoritative domination flags (within τ of an accepted center), and
 /// the per-iteration tentative marks (within τ of this iteration's own
 /// proposals), all indexed by grid slot.
 struct MachineGrid<'a> {
-    shard: &'a Shard<'a>,
+    shard: Slab<'a>,
     /// Grid over the shard's local ids.
     grid: GridIndex,
     /// The shard's rows permuted to slot order, dimension-major: each
@@ -208,8 +112,8 @@ struct MachineGrid<'a> {
 }
 
 impl<'a> MachineGrid<'a> {
-    fn build(shard: &'a Shard<'a>, tau: f64) -> Self {
-        let grid = GridIndex::build_cols(&shard.cols, shard.dim, tau);
+    fn build(shard: Slab<'a>, tau: f64) -> Self {
+        let grid = GridIndex::build_cols(shard.cols, shard.dim, tau);
         let n = shard.len();
         let mut cells = vec![0.0; shard.cols.len()];
         // One column at a time (`max(1)`: an empty shard has no columns).
@@ -344,25 +248,26 @@ pub fn grid_k_bounded_mis(
     bound: usize,
     stats: &mut KernelStats,
 ) -> Vec<u32> {
-    let shards = gather_shards(cluster, space, local_sets);
-    grid_rung(cluster, space, &shards, tau, bound, stats)
+    let shards = Shards::new(cluster, space, Cow::Borrowed(local_sets));
+    grid_rung(cluster, &shards, tau, bound, stats)
 }
 
 /// [`grid_k_bounded_mis`] on already gathered shards.
 fn grid_rung(
     cluster: &mut Cluster,
-    space: &EuclideanSpace,
-    shards: &[Shard],
+    shards: &Shards<'_, EuclideanSpace>,
     tau: f64,
     bound: usize,
     stats: &mut KernelStats,
 ) -> Vec<u32> {
     assert!(bound >= 1);
+    let space = shards.metric();
     let point_words = space.point_weight() + 1; // coords + id
 
     // Machine-local grid builds (no communication; memory is noted).
-    let mut machines: Vec<MachineGrid> =
-        cluster.map(shards, |i, _| MachineGrid::build(&shards[i], tau));
+    let mut machines: Vec<MachineGrid> = cluster.map(shards.sets(), |i, _| {
+        MachineGrid::build(shards.slab(i).expect("a Euclidean shard has rows"), tau)
+    });
     let grid_words: Vec<u64> = machines.iter().map(|m| m.memory_words()).collect();
     cluster.note_memory_all(&grid_words);
     for m in &machines {
@@ -428,39 +333,17 @@ fn grid_rung(
     centers
 }
 
-/// The grid engine's Algorithm 5 steps: every machine-local step runs on
-/// the machine's gathered [`Shard`], and rungs are [`grid_rung`]s.
-struct OnShards<'a> {
-    space: &'a EuclideanSpace,
-    shards: Vec<Shard<'a>>,
+/// The grid engine's rung kernel: [`grid_rung`]s over the machines'
+/// shards, with their grid tallies.
+struct GridRungs<'a> {
+    shards: &'a Shards<'a, EuclideanSpace>,
     /// Grid tallies of every rung so far.
     stats: KernelStats,
 }
 
-impl KCenterSteps for OnShards<'_> {
-    fn coreset(&self, cluster: &mut Cluster, k: usize) -> Vec<u32> {
-        coreset_with(cluster, self.space, &self.shards, k, |shard| shard.gmm(k)).0
-    }
-
-    /// [`crate::common::covering_radius`]'s collectives, with each
-    /// machine scanning its own rows against the `|q| × d` block of the
-    /// broadcast centers' rows.
-    fn covering_radius(&self, cluster: &mut Cluster, q: &[u32]) -> f64 {
-        let weight = self.space.point_weight();
-        covering_radius_with(cluster, weight, &self.shards, q, |shard, q| {
-            shard.covering_radius(&self.space.points().gather(q))
-        })
-    }
-
+impl KCenterSteps for GridRungs<'_> {
     fn mis(&mut self, cluster: &mut Cluster, tau: f64, bound: usize) -> Vec<u32> {
-        grid_rung(
-            cluster,
-            self.space,
-            &self.shards,
-            tau,
-            bound,
-            &mut self.stats,
-        )
+        grid_rung(cluster, self.shards, tau, bound, &mut self.stats)
     }
 
     fn tallies(&self) -> Option<&KernelStats> {
@@ -469,8 +352,8 @@ impl KCenterSteps for OnShards<'_> {
 }
 
 /// Algorithm 5 on the grid engine: the driver of
-/// [`crate::kcenter::mpc_kcenter`], with every machine-local step on the
-/// machine's shard and rungs answered by the grid protocol of
+/// [`crate::kcenter::mpc_kcenter`], with rungs answered by the grid
+/// protocol of
 /// [`grid_k_bounded_mis`] — same `2(1+ε)` guarantee, different (still
 /// deterministic) tie-breaking, per-machine traffic `O(mk)` instead of
 /// `Θ(n/m)`.
@@ -487,13 +370,12 @@ pub fn mpc_kcenter_grid_on(
     params: &Params,
 ) -> KCenterResult {
     assert!(k >= 1, "k must be positive");
-    let (run, [local_sets]) = Run::start(cluster, space, params, [Input::Points]);
-    let engine = OnShards {
-        space,
-        shards: gather_shards(cluster, space, &local_sets),
+    let (run, [shards]) = Run::start(cluster, space, params, [Input::Points]);
+    let engine = GridRungs {
+        shards: &shards,
         stats: KernelStats::default(),
     };
-    kcenter_with(cluster, run, k, params, engine)
+    kcenter_with(cluster, run, &shards, k, params, engine)
 }
 
 #[cfg(test)]

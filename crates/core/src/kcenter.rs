@@ -8,12 +8,12 @@
 //! k-center solution of radius `τ_i`; the first rung where k+1 independent
 //! points appear certifies `r* ≥ τ_{j+1}/2` by pigeonhole, sandwiching the
 //! returned radius within `2(1+ε) r*`. One driver serves both engines:
-//! an engine supplies only its machine-local steps (`KCenterSteps`).
+//! an engine supplies only its rung kernel (`KCenterSteps`).
 
 use mpc_metric::{KernelStats, MetricSpace, PointId};
 use mpc_sim::Cluster;
 
-use crate::common::{covering_radius, gmm_coreset, new_cluster, to_point_ids, Input, Run};
+use crate::common::{new_cluster, to_point_ids, Input, Run, Shards};
 use crate::kbmis::k_bounded_mis;
 use crate::ladder::{mis_ladder, Objective};
 use crate::params::Params;
@@ -34,14 +34,11 @@ pub struct KCenterResult {
     pub telemetry: Telemetry,
 }
 
-/// The machine-local steps of one Algorithm 5 engine. [`kcenter_with`]
-/// runs the algorithm around them; the collectives' order, the ladder and
-/// the telemetry are the same for every engine.
+/// The rung kernel of one Algorithm 5 engine. [`kcenter_with`] runs the
+/// algorithm around it: the collectives' order, the coarse and finalize
+/// steps on the machines' [`Shards`], the ladder and the telemetry are the
+/// same for every engine. A closure is the all-pairs engine's kernel.
 pub(crate) trait KCenterSteps {
-    /// Lines 1–2: `Q = GMM(∪ GMM(V_i, k), k)` (one round).
-    fn coreset(&self, cluster: &mut Cluster, k: usize) -> Vec<u32>;
-    /// `r(V, Q)` (two rounds).
-    fn covering_radius(&self, cluster: &mut Cluster, q: &[u32]) -> f64;
     /// One rung: a (≤ `bound`)-bounded MIS of `G_τ`.
     fn mis(&mut self, cluster: &mut Cluster, tau: f64, bound: usize) -> Vec<u32>;
     /// Tallies the engine keeps beside the metric's own kernel counters.
@@ -50,36 +47,9 @@ pub(crate) trait KCenterSteps {
     }
 }
 
-/// The all-pairs engine: every step reads the metric by id over the
-/// machines' `local_sets`, so it runs in any metric space.
-struct ById<'a, M: ?Sized> {
-    metric: &'a M,
-    local_sets: &'a [Vec<u32>],
-    params: &'a Params,
-}
-
-impl<M: MetricSpace + ?Sized> KCenterSteps for ById<'_, M> {
-    fn coreset(&self, cluster: &mut Cluster, k: usize) -> Vec<u32> {
-        gmm_coreset(cluster, self.metric, self.local_sets, k).0
-    }
-
-    fn covering_radius(&self, cluster: &mut Cluster, q: &[u32]) -> f64 {
-        covering_radius(cluster, self.metric, self.local_sets, q)
-    }
-
+impl<F: FnMut(&mut Cluster, f64, usize) -> Vec<u32>> KCenterSteps for F {
     fn mis(&mut self, cluster: &mut Cluster, tau: f64, bound: usize) -> Vec<u32> {
-        let (metric, local_sets, n) = (self.metric, self.local_sets, self.metric.n());
-        k_bounded_mis(
-            cluster,
-            metric,
-            local_sets,
-            tau,
-            bound,
-            n,
-            self.params,
-            false,
-        )
-        .set
+        self(cluster, tau, bound)
     }
 }
 
@@ -117,28 +87,28 @@ pub fn mpc_kcenter_on<M: MetricSpace + ?Sized>(
     params: &Params,
 ) -> KCenterResult {
     assert!(k >= 1, "k must be positive");
-    let (run, [local_sets]) = Run::start(cluster, metric, params, [Input::Points]);
-    let engine = ById {
-        metric,
-        local_sets: &local_sets,
-        params,
+    let (run, [shards]) = Run::start(cluster, metric, params, [Input::Points]);
+    let n = metric.n();
+    let mis = |c: &mut Cluster, tau, bound| {
+        k_bounded_mis(c, metric, shards.sets(), tau, bound, n, params, false).set
     };
-    kcenter_with(cluster, run, k, params, engine)
+    kcenter_with(cluster, run, &shards, k, params, mis)
 }
 
-/// Algorithm 5 after the run prologue, on any engine's machine-local
-/// steps.
+/// Algorithm 5 after the run prologue, on the machines' `shards` and any
+/// engine's rung kernel.
 pub(crate) fn kcenter_with<M: MetricSpace + ?Sized>(
     cluster: &mut Cluster,
     mut run: Run<'_, M>,
+    shards: &Shards<'_, M>,
     k: usize,
     params: &Params,
     mut engine: impl KCenterSteps,
 ) -> KCenterResult {
     // Lines 1–2: Q = GMM(∪ GMM(V_i)).
-    let q = engine.coreset(cluster, k);
+    let (q, _) = shards.coreset(cluster, k);
     // Line 3: r = r(V, Q), a 4-approximation of the optimal radius.
-    let r = engine.covering_radius(cluster, &q);
+    let r = shards.covering_radius(cluster, &q);
     run.coarse_done();
 
     // Degenerate inputs: the coreset already covers everything exactly
@@ -156,7 +126,7 @@ pub(crate) fn kcenter_with<M: MetricSpace + ?Sized>(
         });
         run.ladder_done(ladder.evals, ladder.probes);
         // Line 3 analog for the final answer: realized radius (2 rounds).
-        let radius = engine.covering_radius(cluster, &ladder.set);
+        let radius = shards.covering_radius(cluster, &ladder.set);
         (ladder.set, radius, r, ladder.index)
     };
     KCenterResult {

@@ -16,9 +16,7 @@
 use mpc_metric::{MetricSpace, PointId};
 use mpc_sim::Cluster;
 
-use crate::common::{
-    covering_radius, gmm_coreset, nearest_in_distributed_set, new_cluster, to_point_ids, Input, Run,
-};
+use crate::common::{nearest_in_distributed_set, new_cluster, to_point_ids, Input, Run};
 use crate::kbmis::k_bounded_mis;
 use crate::ladder::{BoundaryMode, LadderSearch, RungEval};
 use crate::params::Params;
@@ -131,14 +129,15 @@ pub fn mpc_ksupplier_on<M: MetricSpace + ?Sized>(
         Input::Ids("setup/customers", customers, 0xC),
         Input::Ids("setup/suppliers", suppliers, 0x5),
     ];
-    let (mut run, [local_c, local_s]) = Run::start(cluster, metric, params, inputs);
+    let (mut run, [shards_c, shards_s]) = Run::start(cluster, metric, params, inputs);
+    let local_s = shards_s.sets();
 
     // Lines 1–2: customer coreset Q.
-    let (q, _) = gmm_coreset(cluster, metric, &local_c, k);
+    let (q, _) = shards_c.coreset(cluster, k);
 
     // Line 3: r = r(C, Q) + r(Q, S).
-    let r_cq = covering_radius(cluster, metric, &local_c, &q);
-    let q_nearest = nearest_in_distributed_set(cluster, metric, &local_s, &q);
+    let r_cq = shards_c.covering_radius(cluster, &q);
+    let q_nearest = nearest_in_distributed_set(cluster, metric, local_s, &q);
     let r_qs = q_nearest.iter().map(|&(_, d)| d).fold(0.0f64, f64::max);
     let r = r_cq + r_qs;
     run.coarse_done();
@@ -155,8 +154,8 @@ pub fn mpc_ksupplier_on<M: MetricSpace + ?Sized>(
         let t = params.ladder_len(9.0, 0);
         let mut rungs = KSupplierRungs {
             metric,
-            local_c: &local_c,
-            local_s: &local_s,
+            local_c: shards_c.sets(),
+            local_s,
             r,
             k,
             n: metric.n(),
@@ -173,7 +172,7 @@ pub fn mpc_ksupplier_on<M: MetricSpace + ?Sized>(
         let assign = assign.unwrap_or_else(|| {
             // Possible when the search settled on the seeded rung t
             // without evaluating it: its backstop carries no assignment.
-            nearest_in_distributed_set(cluster, metric, &local_s, &m_b)
+            nearest_in_distributed_set(cluster, metric, local_s, &m_b)
         });
         (assign, r, Some(boundary))
     };
@@ -184,7 +183,7 @@ pub fn mpc_ksupplier_on<M: MetricSpace + ?Sized>(
 
     // The realized radius (2 rounds); exactly 0 when the coarse r was.
     let radius = match boundary {
-        Some(_) => covering_radius(cluster, metric, &local_c, &sel),
+        Some(_) => shards_c.covering_radius(cluster, &sel),
         None => 0.0,
     };
     KSupplierResult {

@@ -8,7 +8,7 @@
 //! [`MetricSpace`] method the inner space can override is forwarded, so a
 //! wrapped space answers, and tallies its kernels, as the inner one does.
 
-use mpc_metric::{KernelStats, MetricSpace, PointId};
+use mpc_metric::{EuclideanSpace, KernelStats, MetricSpace, PointId};
 
 /// The counters [`MemoizedSpace::stats`] reports. Nothing is cached, so
 /// every field is always 0.
@@ -85,12 +85,15 @@ impl<M: MetricSpace + ?Sized> MetricSpace for MemoizedSpace<'_, M> {
     fn kernel_stats(&self) -> Option<KernelStats> {
         self.inner.kernel_stats()
     }
+    fn euclidean(&self) -> Option<&EuclideanSpace> {
+        self.inner.euclidean()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpc_metric::{datasets, EuclideanSpace, SpeedTier};
+    use mpc_metric::{datasets, PointSet, SpeedTier};
 
     /// Runs `f` on `s`, then through a wrapper: the answers and the growth
     /// of `s`'s kernel tallies must be equal (a dropped forward runs a
@@ -107,6 +110,73 @@ mod tests {
         assert_eq!(f(&MemoizedSpace::new(s)), direct);
         assert_eq!(tally().since(&t1), t1.since(&t0), "kernel tallies");
         t1.since(&t0)
+    }
+
+    /// Answers no trait default body could (they would derive theirs
+    /// from `dist = 1`), so an answer through the wrapper tells a
+    /// forwarded call from a default one.
+    struct Sentinel(EuclideanSpace);
+
+    impl MetricSpace for Sentinel {
+        fn n(&self) -> usize {
+            7_001
+        }
+        fn dist(&self, _: PointId, _: PointId) -> f64 {
+            1.0
+        }
+        fn point_weight(&self) -> u64 {
+            7_002
+        }
+        fn within(&self, _: PointId, _: PointId, _: f64) -> bool {
+            true
+        }
+        fn count_within(&self, _: PointId, _: &[u32], _: f64) -> usize {
+            7_003
+        }
+        fn neighbors_within(&self, _: PointId, _: &[u32], _: f64, out: &mut Vec<u32>) {
+            *out = vec![7_004];
+        }
+        fn count_within_many(&self, _: &[u32], _: &[u32], _: f64) -> Vec<usize> {
+            vec![7_005]
+        }
+        fn neighbors_within_many(&self, _: &[u32], _: &[u32], _: f64) -> Vec<Vec<u32>> {
+            vec![vec![7_006]]
+        }
+        fn dists_into(&self, _: PointId, _: &[u32], out: &mut Vec<f64>) {
+            *out = vec![7_007.0];
+        }
+        fn dist_to_set(&self, _: PointId, _: &[PointId]) -> f64 {
+            7_008.0
+        }
+        fn kernel_stats(&self) -> Option<KernelStats> {
+            Some(KernelStats {
+                run_pairs: 7_009,
+                ..KernelStats::default()
+            })
+        }
+        fn euclidean(&self) -> Option<&EuclideanSpace> {
+            Some(&self.0)
+        }
+    }
+
+    #[test]
+    fn forwards_every_override_not_a_default() {
+        let s = Sentinel(EuclideanSpace::new(PointSet::from_rows(&[vec![0.0]])));
+        let m = MemoizedSpace::new(&s);
+        let (v, c) = (PointId(0), [0u32, 1]);
+        let (mut ids, mut ds) = (Vec::new(), Vec::new());
+        m.neighbors_within(v, &c, 0.0, &mut ids);
+        m.dists_into(v, &c, &mut ds);
+        assert_eq!((m.n(), m.dist(v, v), m.point_weight()), (7_001, 1.0, 7_002));
+        assert!(m.within(v, PointId(1), 0.0));
+        assert_eq!(m.count_within(v, &c, 0.0), 7_003);
+        assert_eq!(ids, [7_004]);
+        assert_eq!(m.count_within_many(&c, &c, 0.0), [7_005]);
+        assert_eq!(m.neighbors_within_many(&c, &c, 0.0), [vec![7_006]]);
+        assert_eq!(ds, [7_007.0]);
+        assert_eq!(m.dist_to_set(v, &[PointId(1)]), 7_008.0);
+        assert_eq!(m.kernel_stats().map(|k| k.run_pairs), Some(7_009));
+        assert!(m.euclidean().is_some_and(|e| std::ptr::eq(e, &s.0)));
     }
 
     #[test]

@@ -129,18 +129,6 @@ pub struct BallIndex {
     balls: Vec<(f64, usize)>,
 }
 
-/// Transposes the rows `ids` of `points` into a dimension-major f64 slab
-/// (`cols[d * ids.len() + i]` is coordinate `d` of `ids[i]`).
-fn transpose(points: &PointSet, ids: &[u32]) -> Vec<f64> {
-    let mut cols = vec![0.0f64; ids.len() * points.dim()];
-    for (i, &id) in ids.iter().enumerate() {
-        for (d, &x) in points.coords(id.into()).iter().enumerate() {
-            cols[d * ids.len() + i] = x;
-        }
-    }
-    cols
-}
-
 impl BallIndex {
     /// Builds the index in O(n·P·d):
     ///
@@ -170,7 +158,7 @@ impl BallIndex {
             .chain((0..n).filter(|&i| Some(i) != first && sampled(i) && finite(i)))
             .map(|i| i as u32)
             .collect();
-        let cols = transpose(points, &sample);
+        let cols = points.gather_cols(&sample);
         let mut slots = vec![f64::INFINITY; sample.len()];
         let mut prev = slots.clone();
         let mut nearest = vec![0u32; sample.len()];

@@ -875,6 +875,10 @@ impl MetricSpace for EuclideanSpace {
     fn kernel_stats(&self) -> Option<KernelStats> {
         Some(self.counters.snapshot())
     }
+
+    fn euclidean(&self) -> Option<&EuclideanSpace> {
+        Some(self)
+    }
 }
 
 #[cfg(test)]

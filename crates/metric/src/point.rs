@@ -139,6 +139,21 @@ impl PointSet {
             dim: self.dim,
         }
     }
+
+    /// The rows of `ids` dimension-major, the layout of the exact run
+    /// kernels in [`crate::simd`]: `cols[a * ids.len() + j]` is point
+    /// `ids[j]`'s coordinate on axis `a`. The transpose of
+    /// [`PointSet::gather`], coordinates copied bit for bit.
+    pub fn gather_cols(&self, ids: &[u32]) -> Vec<f64> {
+        let n = ids.len();
+        let mut cols = vec![0.0; n * self.dim];
+        for (j, &id) in ids.iter().enumerate() {
+            for (a, &x) in self.coords(PointId(id)).iter().enumerate() {
+                cols[a * n + j] = x;
+            }
+        }
+        cols
+    }
 }
 
 #[cfg(test)]
@@ -174,6 +189,25 @@ mod tests {
         assert_eq!(g.coords(PointId(0)), ps.coords(PointId(2)));
         assert_eq!(g.coords(PointId(1)), ps.coords(PointId(0)));
         assert!(ps.gather(&[]).is_empty());
+    }
+
+    #[test]
+    fn gather_cols_is_gather_transposed() {
+        let ps = PointSet::from_rows(&[
+            vec![1.0, -2.0, 3.0],
+            vec![f64::NAN, f64::INFINITY, -0.0],
+            vec![7.0, 8.0, 9.0],
+        ]);
+        for ids in [&[][..], &[1], &[2, 0, 1, 1]] {
+            let rows = ps.gather(ids);
+            let cols = ps.gather_cols(ids);
+            assert_eq!(cols.len(), rows.raw().len());
+            for (j, row) in rows.raw().chunks_exact(ps.dim()).enumerate() {
+                for (a, &x) in row.iter().enumerate() {
+                    assert_eq!(cols[a * ids.len() + j].to_bits(), x.to_bits());
+                }
+            }
+        }
     }
 
     #[test]

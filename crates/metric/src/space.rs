@@ -1,5 +1,6 @@
 //! The distance-oracle trait and common set-distance helpers.
 
+use crate::euclidean::EuclideanSpace;
 use crate::point::PointId;
 use rayon::prelude::*;
 
@@ -295,6 +296,15 @@ pub trait MetricSpace: Sync {
     fn kernel_stats(&self) -> Option<KernelStats> {
         None
     }
+
+    /// The space itself when it is an [`EuclideanSpace`], so a driver can
+    /// run a machine's local steps on an f64 slab of its rows with the
+    /// exact L2 run kernels of [`crate::simd`]. The default is `None`,
+    /// and no other space may answer `Some`: those kernels compute L2.
+    /// Wrappers forward it, as they do [`MetricSpace::kernel_stats`].
+    fn euclidean(&self) -> Option<&EuclideanSpace> {
+        None
+    }
 }
 
 /// Cumulative fast-path kernel hit counts for one metric space — how many
@@ -409,6 +419,9 @@ impl<M: MetricSpace + ?Sized> MetricSpace for &M {
     }
     fn kernel_stats(&self) -> Option<KernelStats> {
         (**self).kernel_stats()
+    }
+    fn euclidean(&self) -> Option<&EuclideanSpace> {
+        (**self).euclidean()
     }
 }
 

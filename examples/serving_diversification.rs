@@ -10,11 +10,9 @@
 //! rebuilds; per-`k` answer caches on each snapshot) instead of a batch
 //! re-run over all points.
 //!
-//! `KCENTER_SPEED=exact|soa` sets the index's speed tier. The final digest
-//! line is consumed by CI, which re-runs this binary across
-//! `KCENTER_SPEED` tiers and `KCENTER_THREADS` counts and diffs the output
-//! byte-for-byte — the serving path inherits the repo-wide
-//! bit-determinism contract.
+//! The final line is a digest of every served answer (radius bits and
+//! ids). That those answers are the same at every speed tier and thread
+//! count is pinned by `tests/serving_parity.rs`.
 //!
 //! ```text
 //! cargo run --release --example serving_diversification [bursts] [queries_per_burst]
@@ -22,7 +20,7 @@
 
 use std::time::Instant;
 
-use mpc_clustering::metric::{datasets, MetricSpace, SpeedTier};
+use mpc_clustering::metric::{datasets, MetricSpace};
 use mpc_clustering::serving::{DiversityIndex, IndexParams};
 
 fn main() {
@@ -35,8 +33,7 @@ fn main() {
     // Document embeddings: clustered topics, streamed topic-interleaved.
     let points = datasets::gaussian_clusters(total_points, dim, 12, 0.05, 29);
 
-    let mut index = DiversityIndex::new(dim, IndexParams::new(8, 16, 29))
-        .with_speed_tier(SpeedTier::from_env());
+    let mut index = DiversityIndex::new(dim, IndexParams::new(8, 16, 29));
     let per_burst = total_points / bursts;
 
     let mut insert_ns = 0u128;

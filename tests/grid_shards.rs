@@ -1,11 +1,12 @@
 //! Shard parity for the grid k-center engine: `mpc_kcenter_grid_on`
 //! gathers each machine's rows into contiguous storage of its own and runs
 //! the coreset GMM, the covering radius and every rung there. This suite
-//! rebuilds the same pipeline from the public pieces that read the
-//! caller's global space by id — `gmm_coreset`, `covering_radius`, and a
-//! `LadderSearch` over `grid_k_bounded_mis` — and requires the two to
-//! agree bit for bit: centers, radius bits, boundary rung, rounds, total
-//! words, peak memory, the ledger transcript and the grid work counters.
+//! rebuilds the same pipeline from public pieces — `gmm_coreset` and
+//! `covering_radius` on `IdOnly`, a view of the space that reads it by
+//! id, and a `LadderSearch` over `grid_k_bounded_mis` — and requires the
+//! two to agree bit for bit: centers, radius bits, boundary rung, rounds,
+//! total words, peak memory, the ledger transcript and the grid work
+//! counters.
 //!
 //! A shard whose rows do not line up with its member list (row `j` not
 //! holding point `local_sets[i][j]`) changes the coreset, the radius or a
@@ -103,6 +104,23 @@ fn sharded(space: &EuclideanSpace, k: usize, params: &Params) -> Digest {
     )
 }
 
+/// The space through its scalar oracle only: `euclidean()` keeps the
+/// trait default `None`, so `gmm_coreset` and `covering_radius` read it
+/// by id instead of on machine slabs.
+struct IdOnly<'a>(&'a EuclideanSpace);
+
+impl MetricSpace for IdOnly<'_> {
+    fn n(&self) -> usize {
+        self.0.n()
+    }
+    fn dist(&self, i: PointId, j: PointId) -> f64 {
+        self.0.dist(i, j)
+    }
+    fn point_weight(&self) -> u64 {
+        self.0.point_weight()
+    }
+}
+
 /// Grid rungs over the global space, one `grid_k_bounded_mis` each.
 struct GlobalRungs<'a> {
     space: &'a EuclideanSpace,
@@ -146,8 +164,8 @@ fn recomposed(space: &EuclideanSpace, k: usize, params: &Params) -> Digest {
     cluster.note_memory_all(&input_words);
     cluster.ship_shards("setup/shards", &local_sets, space.point_weight());
 
-    let (q, _) = gmm_coreset(&mut cluster, space, &local_sets, k);
-    let r = covering_radius(&mut cluster, space, &local_sets, &q);
+    let (q, _) = gmm_coreset(&mut cluster, &IdOnly(space), &local_sets, k);
+    let r = covering_radius(&mut cluster, &IdOnly(space), &local_sets, &q);
     let ids = |set: &[u32]| set.iter().map(|&v| PointId(v)).collect::<Vec<_>>();
     if q.len() < k || r <= 0.0 {
         let grid = KernelStats::default();
@@ -171,7 +189,7 @@ fn recomposed(space: &EuclideanSpace, k: usize, params: &Params) -> Digest {
         params.boundary_search,
     );
     let centers = search.take(boundary).expect("boundary was evaluated");
-    let radius = covering_radius(&mut cluster, space, &local_sets, &centers);
+    let radius = covering_radius(&mut cluster, &IdOnly(space), &local_sets, &centers);
     digest(
         ids(&centers),
         radius,
