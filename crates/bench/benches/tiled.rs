@@ -18,6 +18,10 @@
 //! `many-d32-*` ids, whose bounds decide too little to prune, gate its
 //! fallback to the whole-slab scan.
 //!
+//! `tiled/many-d16-n10000-q1024/t1` is the unpruned run kernel at d = 16,
+//! the dimension of Alg 2's `diversity-loopback-d16` workload, on
+//! uniform rows.
+//!
 //! The ISSUE 4 acceptance criterion reads off this group: at threads=1,
 //! d=32, n=1e5, Q=1024, `many` must be ≥ 2× faster than `loop` — pure
 //! cache blocking + the cached-norm dot-product inner loop, no
@@ -88,6 +92,15 @@ fn bench_tiled(c: &mut Criterion) {
             }
         }
     }
+    let metric = EuclideanSpace::new(datasets::uniform_cube(10_000, 16, 7));
+    let tau = mpc_bench::distance_quantile(&metric, 0.2, 7);
+    let candidates: Vec<u32> = (0..10_000).collect();
+    let vs: Vec<u32> = (0..1024).map(|i| (i * 7919 % 10_000) as u32).collect();
+    group.bench_with_input(
+        BenchmarkId::new("many-d16-n10000-q1024", "t1"),
+        &1usize,
+        |b, &t| b.iter(|| with_threads(t, || metric.count_within_many(&vs, &candidates, tau))),
+    );
     let metric = EuclideanSpace::new(datasets::user_embeddings(10_000, 32, 32, 0.03, 1e-3, 7));
     let tau = mpc_bench::distance_quantile(&metric, 0.01, 7);
     let candidates: Vec<u32> = (0..10_000).collect();

@@ -374,12 +374,16 @@ pub fn nearest_in_distributed_set<M: MetricSpace + ?Sized>(
             .collect()
     });
     let all = cluster.gather("nearest/gather", candidates, 2);
-    // Fold the m candidate rows (gathered in machine order) per q index.
+    // Fold the m candidate rows (gathered in machine order) per q index,
+    // in the machines' own (distance, id) total order, so a NaN distance
+    // is a candidate too; `u32::MAX` marks a machine with no points.
     let mut best = vec![(u32::MAX, f64::INFINITY); q.len()];
     for (flat_idx, cand) in all.into_iter().enumerate() {
-        let qi = flat_idx % q.len().max(1);
-        if cand.1 < best[qi].1 || (cand.1 == best[qi].1 && cand.0 < best[qi].0) {
-            best[qi] = cand;
+        let b = &mut best[flat_idx % q.len().max(1)];
+        if cand.0 != u32::MAX
+            && (b.0 == u32::MAX || cand.1.total_cmp(&b.1).then(cand.0.cmp(&b.0)).is_lt())
+        {
+            *b = cand;
         }
     }
     assert!(

@@ -55,7 +55,9 @@ impl<F: FnMut(&mut Cluster, f64, usize) -> Vec<u32>> KCenterSteps for F {
 
 /// Algorithm 5: the `(2+ε)`-approximation MPC algorithm for k-center in
 /// any metric space (Theorem 17). `O(log 1/ε)` k-bounded-MIS invocations,
-/// `Õ(mk)` communication per machine.
+/// `Õ(mk)` communication per machine. A point at distance ∞ (or NaN) from
+/// every center set, such as a NaN or ±∞ row, makes the coarse radius ∞:
+/// the result is then the coreset with `radius` and `coarse_r` both ∞.
 ///
 /// ```
 /// use mpc_core::{kcenter::mpc_kcenter, Params};
@@ -112,8 +114,10 @@ pub(crate) fn kcenter_with<M: MetricSpace + ?Sized>(
     run.coarse_done();
 
     // Degenerate inputs: the coreset already covers everything exactly
-    // (duplicates / n ≤ k), so the optimum is 0 and Q is optimal.
-    let (centers, radius, coarse_r, boundary) = if q.len() < k || r <= 0.0 {
+    // (duplicates / n ≤ k), so the optimum is 0 and Q is optimal; or a NaN
+    // or ±∞ row is at distance ∞ from every center set, so r = ∞ leaves
+    // no finite ladder and Q, at radius ∞, is as good as any answer.
+    let (centers, radius, coarse_r, boundary) = if q.len() < k || r <= 0.0 || !r.is_finite() {
         (q, r.max(0.0), r.max(0.0), 0)
     } else {
         // Line 4: descending ladder τ_i = r/(1+ε)^i with τ_t < r/4 ≤ r*.

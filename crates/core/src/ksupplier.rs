@@ -97,7 +97,9 @@ impl<M: MetricSpace + ?Sized> RungEval for KSupplierRungs<'_, M> {
 }
 
 /// Algorithm 6: `(3+ε)`-approximation MPC k-supplier in any metric space
-/// (Theorem 18).
+/// (Theorem 18). When the coarse radius is ∞ (a NaN or ±∞ customer, or no
+/// supplier at finite distance), the result is the coreset's nearest
+/// suppliers at their realized radius, with no ladder.
 ///
 /// `customers` and `suppliers` are disjoint id sets within `metric`; each
 /// machine stores a share of both.
@@ -142,9 +144,12 @@ pub fn mpc_ksupplier_on<M: MetricSpace + ?Sized>(
     let r = r_cq + r_qs;
     run.coarse_done();
 
-    let (assign, coarse_r, boundary) = if r <= 0.0 {
-        // Every customer sits on a supplier: Q's suppliers cover exactly.
-        (q_nearest, 0.0, None)
+    let (assign, coarse_r, boundary) = if r <= 0.0 || !r.is_finite() {
+        // r = 0: every customer sits on a supplier, so Q's suppliers cover
+        // exactly. r = ∞: a NaN or ±∞ customer, or no finite supplier,
+        // leaves no finite ladder; Q's suppliers stand, at their realized
+        // radius.
+        (q_nearest, r.max(0.0), None)
     } else {
         // Line 4: ascending ladder τ_i = (r/9)(1+ε)^i with τ_t ≥ r.
         // Lines 5–6: M_t = Q; find the smallest j with |M_j| ≤ k and
@@ -182,9 +187,10 @@ pub fn mpc_ksupplier_on<M: MetricSpace + ?Sized>(
     debug_assert!(sel.len() <= k);
 
     // The realized radius (2 rounds); exactly 0 when the coarse r was.
-    let radius = match boundary {
-        Some(_) => shards_c.covering_radius(cluster, &sel),
-        None => 0.0,
+    let radius = if r > 0.0 {
+        shards_c.covering_radius(cluster, &sel)
+    } else {
+        0.0
     };
     KSupplierResult {
         suppliers: to_point_ids(&sel),

@@ -981,6 +981,30 @@ mod tests {
         assert_eq!(lists, exact.neighbors_within_many(&qs, &cands, tau));
     }
 
+    /// Rows near 1e-22, whose f32 squares are subnormal or flush to zero,
+    /// so the Gram estimate is mostly underflow: the `soa` tier still
+    /// agrees with the exact oracle at thresholds on and one ulp inside
+    /// pair distances.
+    #[test]
+    fn subnormal_range_rows_match_the_exact_tier() {
+        let rows: Vec<Vec<f64>> = crate::datasets::uniform_cube(64, 16, 3)
+            .raw()
+            .chunks(16)
+            .map(|r| r.iter().map(|x| x * 1e-22).collect())
+            .collect();
+        let points = PointSet::from_rows(&rows);
+        let m = EuclideanSpace::new(points.clone()).with_speed_tier(SpeedTier::Soa);
+        let exact = EuclideanSpace::new(points).with_speed_tier(SpeedTier::Exact);
+        let all: Vec<u32> = (0..64).collect();
+        for j in [1, 17, 40] {
+            let d = m.dist(PointId(0), PointId(j));
+            for tau in [d, d.next_down(), 2.0 * d] {
+                let want = exact.count_within_many(&all, &all, tau);
+                assert_eq!(m.count_within_many(&all, &all, tau), want, "tau={tau:e}");
+            }
+        }
+    }
+
     /// One single-query `count_within` on a fresh `soa` space at d = 32
     /// builds the f32 mirror, so a caller can pay for the build up front;
     /// at the `exact` tier, or below [`GRAM_MIN_DIM`], it builds nothing.

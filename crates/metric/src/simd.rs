@@ -17,15 +17,18 @@
 //! every caller feeds the result into a *banded* estimate whose error band
 //! covers accumulation-order slack (FMA's fused rounding is strictly
 //! tighter than mul-then-add), and re-decides band hits with the exact
-//! scalar evaluation. Their debug reference is a widened serial fold,
-//! checked to the γ-style accumulation bound.
+//! scalar evaluation. The run kernel judges each dot against two f32
+//! thresholds, widened past their own rounding (see [`crate::soa`]).
+//! The dot kernels' debug reference is a widened serial fold, checked to
+//! the γ-style accumulation bound.
 //!
 //! **The exact f64 run kernels** ([`exact_relax_run`],
 //! [`exact_min_sq_run`], [`exact_within_run`]) return distances and
 //! verdicts that are bit-identical to the scalar
 //! `EuclideanSpace::row_dist_sq` / `row_dist` / `row_dist_to_rows`.
 //! They vectorise *across candidates*: a dimension-major f64 slab gives
-//! four candidates per 4 × f64 vector, and each lane runs `row_dist_sq`'s
+//! four candidates per 4 × f64 vector, sixteen per step on four
+//! independent accumulator chains, and each lane runs `row_dist_sq`'s
 //! own operation sequence — sub, mul, add over ascending `d` from `+0.0`,
 //! no FMA — followed by the correctly rounded vector `sqrt`. IEEE
 //! arithmetic rounds each lane exactly as the scalar instruction would,
@@ -33,7 +36,7 @@
 //! on them (GMM relax, covering radius, stencil runs); their debug
 //! reference is the scalar scan, compared bit for bit.
 //!
-//! Lanes: AVX2+FMA (8×f32 dots, 4×f64 classification, 4×f64 exact
+//! Lanes: AVX2+FMA (8×f32 dots and classification, 4×f64 exact
 //! distances) and a portable baseline that rustc auto-vectorizes to SSE2
 //! on the default `x86-64` target (plain scalar on other architectures).
 //! Both lanes of a kernel honour one output contract, so callers never
@@ -127,31 +130,110 @@ pub fn run_words(len: usize) -> usize {
     len.div_ceil(64)
 }
 
+/// `2^126`: a candidate whose f32 norm is not at most this — NaN, `+∞`,
+/// or within a factor 4 of f32 overflow — is judged in the band. Below
+/// it no f32 dot, norm or threshold of a pair can overflow (see
+/// [`crate::soa`]).
+const NORM_LIMIT: f32 = f32::from_bits((126 + 127) << 23);
+
+/// The per-query constants of the run kernel's f32 judgment (see
+/// [`crate::soa`]'s "f32 error band"): with `s′ = band_scale + 4ε₃₂`,
+/// candidate `b` of norm `nb` is kept iff `dot ≥ nb·ch + hq` and rejected
+/// iff `dot < nb·cl + lq`, where `ch, cl = (1 ± s′)/2` and
+/// `hq, lq = ((1 ± s′)·na − (1 ∓ s′)·t2)/2 ± σ`, computed in f64 and
+/// rounded outward (`hq` up, `lq` down) to f32. `σ = (dim + 1)·2⁻¹⁴⁹`
+/// covers the f32 roundings that are absolute rather than relative
+/// (products in the subnormal range). A query whose norm is not at most
+/// [`NORM_LIMIT`], or a `t2` outside `[0, ∞)`, gets NaN halves, which
+/// send every pair of the query to the band.
+#[derive(Debug, Clone, Copy)]
+struct Thresholds {
+    ch: f32,
+    cl: f32,
+    hq: f32,
+    lq: f32,
+}
+
+impl Thresholds {
+    fn new(na: f64, t2: f64, band_scale: f64, dim: usize) -> Thresholds {
+        let s = band_scale + 4.0 * f32::EPSILON as f64;
+        let (up, dn) = (1.0 + s, 1.0 - s);
+        // `1 ± s′` is `1 ± k·2⁻²³` for an integer k, so both halves are
+        // exact in f32 below d = 2²⁰.
+        let (ch, cl) = ((up / 2.0) as f32, (dn / 2.0) as f32);
+        if !(na <= NORM_LIMIT as f64 && (0.0..f64::INFINITY).contains(&t2)) {
+            return Thresholds {
+                ch,
+                cl,
+                hq: f32::NAN,
+                lq: f32::NAN,
+            };
+        }
+        let sigma = (dim + 1) as f64 * f64::from(f32::from_bits(1));
+        let hq = (up * na - dn * t2) / 2.0 + sigma;
+        let lq = (dn * na - up * t2) / 2.0 - sigma;
+        Thresholds {
+            ch,
+            cl,
+            hq: round_up(hq),
+            lq: round_down(lq),
+        }
+    }
+}
+
+/// The least f32 at or above `x` (NaN for NaN).
+fn round_up(x: f64) -> f32 {
+    let r = x as f32;
+    if (r as f64) < x {
+        r.next_up()
+    } else {
+        r
+    }
+}
+
+/// The greatest f32 at or below `x` (NaN for NaN).
+fn round_down(x: f64) -> f32 {
+    let r = x as f32;
+    if (r as f64) > x {
+        r.next_down()
+    } else {
+        r
+    }
+}
+
 /// The run kernel, the one f32 classifier: the banded judgment of the Gram
-/// estimate `est = (na + nb) − 2·dot` against the band
-/// `band_scale · (na + nb + t2)`, for up to **two queries** against a
-/// **contiguous** candidate run `first..first + len`, fed from the
-/// dimension-major mirror (`cols[d * n + i]`), with the verdicts written
-/// as bit words.
+/// estimate `est = (na + nb) − 2·dot` against `t2`, for up to **two
+/// queries** against a **contiguous** candidate run `first..first + len`,
+/// fed from the dimension-major mirror (`cols[d * n + i]`), with the
+/// verdicts written as bit words.
 ///
 /// Each query `qs[j] = (row, norm)` is its f32 mirror row and its f32 norm
 /// widened to f64. Query `j`'s words are `keep[j * w..(j + 1) * w]` and
-/// `band[j * w..(j + 1) * w]` with `w = run_words(len)`: a set keep bit
-/// certifies `est ≤ t2 − band`, a set band bit means the pair is inside
-/// the band (the caller must re-decide it exactly), and neither certifies
-/// `est > t2 + band`. Bits past `len` are zero; the kernel overwrites
-/// every word it is given.
+/// `band[j * w..(j + 1) * w]` with `w = run_words(len)`. A set keep bit
+/// certifies `est ≤ t2 − band` and a clear pair of bits certifies
+/// `est > t2 + band`, for the band `band_scale · (na + nb + t2)` of
+/// [`crate::soa::f32_band_scale`]: the judgment compares the f32 `dot`
+/// against two f32 thresholds per pair, `nb·(1 ± s′)/2` plus a per-query
+/// half, whose scale `s′ = band_scale + 4ε₃₂` is wider by more than every
+/// f32 rounding of the thresholds. So every keep of this kernel is a keep
+/// of the f64 banded judgment, every reject one of its rejects, and the
+/// band grows only by the widening. A set band bit means the caller must
+/// re-decide the pair exactly; a NaN, `∞` or near-overflow norm, a
+/// non-finite `t2` and a NaN dot always land there. Bits past `len` are
+/// zero; the kernel overwrites every word it is given.
 ///
 /// The AVX2 kernel loads each column vector once per coordinate and FMAs
 /// it into both queries' accumulators (2 queries × 32 candidates, eight
 /// independent chains), so there are no index gathers, no horizontal sums,
-/// and half the loads per FMA of a one-query walk; the banded judgment
-/// then runs eight candidates per step in f64 vectors and lands as mask
-/// bits. `rows` (the row-major mirror) serves the sub-8 tail.
+/// and half the loads per FMA of a one-query walk. The judgment stays in
+/// f32 vectors: per eight candidates one norm load, one limit compare and
+/// two multiplies shared by the queries, then per query two adds and two
+/// compares landing as mask bits. `rows` (the row-major mirror) serves the
+/// sub-8 tail.
 ///
 /// Every per-candidate dot is a single FMA chain over ascending `d`, the
 /// same whichever query it is paired with, and the judgment is
-/// `classify_one`'s f64 operation sequence, so a pair's class does not
+/// `classify_one`'s f32 operation sequence, so a pair's class does not
 /// depend on the pairing, the block or the tail it falls in. The chain's
 /// error is below `d·ε·Σ|aᵢbᵢ|`, comfortably inside the `(4d + 32)·ε`
 /// band that [`crate::soa::f32_band_scale`] budgets (see that module's
@@ -231,17 +313,13 @@ pub fn classify_f32_run_bits(
         // whether it lowers to the FMA instruction or libm.)
         let words = run_words(len);
         for (j, &(q, na)) in qs.iter().enumerate() {
+            let th = Thresholds::new(na, t2, band_scale, dim);
             for i in 0..words * 64 {
                 let (w, bit) = (j * words + i / 64, 1u64 << (i % 64));
                 let (want_keep, want_band) = if i < len {
                     let c = first + i;
-                    let want = classify_one(
-                        fma_dot(q, &rows[c * dim..c * dim + dim]),
-                        norms[c],
-                        na,
-                        t2,
-                        band_scale,
-                    );
+                    let want =
+                        classify_one(fma_dot(q, &rows[c * dim..c * dim + dim]), norms[c], &th);
                     (want == CLASS_KEEP, want == CLASS_EXACT)
                 } else {
                     (false, false)
@@ -277,14 +355,13 @@ fn classify_f32_run_bits_portable(
     keep.fill(0);
     band.fill(0);
     for (j, &(q, na)) in qs.iter().enumerate() {
+        let th = Thresholds::new(na, t2, band_scale, dim);
         for i in 0..len {
             let c = first + i;
             let class = classify_one(
                 dot_f32_baseline(q, &rows[c * dim..c * dim + dim]),
                 norms[c],
-                na,
-                t2,
-                band_scale,
+                &th,
             );
             let (w, bit) = (j * words + i / 64, i % 64);
             keep[w] |= ((class == CLASS_KEEP) as u64) << bit;
@@ -521,16 +598,16 @@ fn exact_within_run_portable(
 }
 
 /// The scalar banded judgment shared by the run kernel's portable body,
-/// scalar tail and debug assertions. Must mirror the vector path's f64
-/// operation sequence exactly.
+/// scalar tail and debug assertions: candidate norm `nb` against one
+/// query's [`Thresholds`], a norm not at most [`NORM_LIMIT`] landing in
+/// the band. Must mirror the vector path's f32 operation
+/// sequence exactly — one multiply and one add per threshold (Rust never
+/// fuses them), ordered compares that fail on NaN.
 #[inline(always)]
-fn classify_one(dot: f32, nb32: f32, na: f64, t2: f64, band_scale: f64) -> u8 {
-    let nsum = na + nb32 as f64;
-    let est = nsum - 2.0 * dot as f64;
-    let band = band_scale * (nsum + t2);
-    if est <= t2 - band {
+fn classify_one(dot: f32, nb: f32, th: &Thresholds) -> u8 {
+    if nb <= NORM_LIMIT && dot >= nb * th.ch + th.hq {
         CLASS_KEEP
-    } else if est > t2 + band {
+    } else if nb <= NORM_LIMIT && dot < nb * th.cl + th.lq {
         CLASS_REJECT
     } else {
         CLASS_EXACT
@@ -680,7 +757,8 @@ mod x86 {
     /// four 8-lane column loads are each FMA'd into every query's chain
     /// (`4·Q` accumulators), so a pair of queries halves the loads per FMA
     /// and keeps eight FMA chains in flight. The dots stay vertical, so
-    /// the banded judgment is pure f64 vector code ending in mask bits.
+    /// the judgment ([`Judge::classify8`]) is pure f32 vector code ending
+    /// in mask bits.
     ///
     /// # Safety
     /// Caller must ensure the host supports AVX2 and FMA (see
@@ -707,12 +785,8 @@ mod x86 {
         let words = super::run_words(len);
         keep.fill(0);
         band.fill(0);
-        let t2_v = _mm256_set1_pd(t2);
-        let scale_v = _mm256_set1_pd(band_scale);
-        let mut na_v = [_mm256_setzero_pd(); Q];
-        for (v, &(_, na)) in na_v.iter_mut().zip(&qs) {
-            *v = _mm256_set1_pd(na);
-        }
+        let th = qs.map(|(_, na)| super::Thresholds::new(na, t2, band_scale, dim));
+        let judge = Judge::new(&th);
         // Ors block masks into query `j`'s words. Blocks start at multiples
         // of their width (32 or 8 ≤ 64), so no block straddles a word.
         let mut put = |j: usize, i: usize, k: u64, b: u64| {
@@ -738,14 +812,16 @@ mod x86 {
                     }
                 }
             }
-            let np = norms.as_ptr().add(base);
-            for (j, (accs, &na)) in acc.iter().zip(&na_v).enumerate() {
-                let (mut k, mut bm) = (0u64, 0u64);
-                for (b, &dots) in accs.iter().enumerate() {
-                    let (kb, bb) = classify8(dots, np.add(8 * b), na, t2_v, scale_v);
-                    k |= (kb as u64) << (8 * b);
-                    bm |= (bb as u64) << (8 * b);
+            let mut masks = [(0u64, 0u64); Q];
+            for b in 0..4 {
+                let dots = acc.map(|accs| accs[b]);
+                let got = judge.classify8(dots, norms.as_ptr().add(base + 8 * b));
+                for ((k, bm), (kb, bb)) in masks.iter_mut().zip(got) {
+                    *k |= (kb as u64) << (8 * b);
+                    *bm |= (bb as u64) << (8 * b);
                 }
+            }
+            for (j, (k, bm)) in masks.into_iter().enumerate() {
                 put(j, i, k, bm);
             }
             i += 32;
@@ -760,8 +836,8 @@ mod x86 {
                     *a = _mm256_fmadd_ps(col, qd, *a);
                 }
             }
-            for (j, (&dots, &na)) in acc.iter().zip(&na_v).enumerate() {
-                let (k, bm) = classify8(dots, norms.as_ptr().add(base), na, t2_v, scale_v);
+            let got = judge.classify8(acc, norms.as_ptr().add(base));
+            for (j, (k, bm)) in got.into_iter().enumerate() {
                 put(j, i, k as u64, bm as u64);
             }
             i += 8;
@@ -772,8 +848,8 @@ mod x86 {
             // reference in the dispatcher covers every path.
             let c = first + i;
             let r = &rows[c * dim..c * dim + dim];
-            for (j, &(q, na)) in qs.iter().enumerate() {
-                let class = super::classify_one(super::fma_dot(q, r), norms[c], na, t2, band_scale);
+            for (j, (&(q, _), t)) in qs.iter().zip(&th).enumerate() {
+                let class = super::classify_one(super::fma_dot(q, r), norms[c], t);
                 put(
                     j,
                     i,
@@ -785,52 +861,63 @@ mod x86 {
         }
     }
 
-    /// Banded classification of eight vertically-accumulated f32 dots:
-    /// widens each 4-lane half to f64 and runs `super::classify_one`'s
-    /// exact operation sequence in vectors. Returns the eight candidates'
-    /// keep and band masks (bit `l` is candidate `l`); a candidate in
-    /// neither is a certified reject.
-    ///
-    /// # Safety
-    /// Caller must ensure the host supports AVX2 and FMA and that `nb`
-    /// points at eight readable f32 norms.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn classify8(
-        dots: std::arch::x86_64::__m256,
-        nb: *const f32,
-        na_v: std::arch::x86_64::__m256d,
-        t2_v: std::arch::x86_64::__m256d,
-        scale_v: std::arch::x86_64::__m256d,
-    ) -> (u32, u32) {
-        use std::arch::x86_64::*;
-        let two = _mm256_set1_pd(2.0);
-        let nbv = _mm256_loadu_ps(nb);
-        let mut km = 0u32;
-        let mut rm = 0u32;
-        for h in 0..2u32 {
-            let (dp, nbp) = if h == 0 {
-                (
-                    _mm256_cvtps_pd(_mm256_castps256_ps128(dots)),
-                    _mm256_cvtps_pd(_mm256_castps256_ps128(nbv)),
-                )
-            } else {
-                (
-                    _mm256_cvtps_pd(_mm256_extractf128_ps(dots, 1)),
-                    _mm256_cvtps_pd(_mm256_extractf128_ps(nbv, 1)),
-                )
-            };
-            // The ordered non-signaling compares match scalar `<=` / `>`
-            // on NaNs (false → neither mask → a band hit, re-decided
-            // exactly).
-            let nsum = _mm256_add_pd(na_v, nbp);
-            let est = _mm256_sub_pd(nsum, _mm256_mul_pd(two, dp));
-            let band = _mm256_mul_pd(scale_v, _mm256_add_pd(nsum, t2_v));
-            let keep = _mm256_cmp_pd::<_CMP_LE_OQ>(est, _mm256_sub_pd(t2_v, band));
-            let rej = _mm256_cmp_pd::<_CMP_GT_OQ>(est, _mm256_add_pd(t2_v, band));
-            km |= (_mm256_movemask_pd(keep) as u32) << (4 * h);
-            rm |= (_mm256_movemask_pd(rej) as u32) << (4 * h);
+    /// [`super::Thresholds`] of `Q` queries broadcast to f32 vectors.
+    struct Judge<const Q: usize> {
+        ch: std::arch::x86_64::__m256,
+        cl: std::arch::x86_64::__m256,
+        limit: std::arch::x86_64::__m256,
+        hq: [std::arch::x86_64::__m256; Q],
+        lq: [std::arch::x86_64::__m256; Q],
+    }
+
+    impl<const Q: usize> Judge<Q> {
+        /// # Safety
+        /// Caller must ensure the host supports AVX2.
+        #[target_feature(enable = "avx2")]
+        unsafe fn new(th: &[super::Thresholds; Q]) -> Judge<Q> {
+            use std::arch::x86_64::*;
+            Judge {
+                ch: _mm256_set1_ps(th[0].ch),
+                cl: _mm256_set1_ps(th[0].cl),
+                limit: _mm256_set1_ps(super::NORM_LIMIT),
+                hq: th.map(|t| _mm256_set1_ps(t.hq)),
+                lq: th.map(|t| _mm256_set1_ps(t.lq)),
+            }
         }
-        (km, !(km | rm) & 0xFF)
+
+        /// The judgment of eight vertically accumulated f32 dots per query
+        /// against the candidates' norms at `nb`: `super::classify_one`'s
+        /// f32 operation sequence in vectors. The norm side — the limit
+        /// mask and `nb·ch`, `nb·cl` — is shared by the queries. Returns
+        /// each query's keep and band masks (bit `l` is candidate `l`); a
+        /// candidate in neither is a certified reject.
+        ///
+        /// # Safety
+        /// Caller must ensure the host supports AVX2 and that `nb` points
+        /// at eight readable f32 norms.
+        #[target_feature(enable = "avx2")]
+        unsafe fn classify8(
+            &self,
+            dots: [std::arch::x86_64::__m256; Q],
+            nb: *const f32,
+        ) -> [(u32, u32); Q] {
+            use std::arch::x86_64::*;
+            let nbv = _mm256_loadu_ps(nb);
+            // Ordered compares fail on NaN, so a NaN norm, threshold or
+            // dot sets neither keep nor reject: a band hit.
+            let ok = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_LE_OQ>(nbv, self.limit)) as u32;
+            let hc = _mm256_mul_ps(nbv, self.ch);
+            let lc = _mm256_mul_ps(nbv, self.cl);
+            let mut out = [(0, 0); Q];
+            for (j, (o, dot)) in out.iter_mut().zip(dots).enumerate() {
+                let hi = _mm256_add_ps(hc, self.hq[j]);
+                let lo = _mm256_add_ps(lc, self.lq[j]);
+                let k = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_GE_OQ>(dot, hi)) as u32 & ok;
+                let r = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_LT_OQ>(dot, lo)) as u32 & ok;
+                *o = (k, !(k | r) & 0xFF);
+            }
+            out
+        }
     }
 
     /// Squared distances from `q` to the four candidates `c..c + 4` of the
@@ -858,9 +945,39 @@ mod x86 {
         acc
     }
 
-    /// AVX2 body of [`super::exact_relax_run`]: four candidates per step,
-    /// each lane keeping its first maximum, then the lanes and the scalar
-    /// tail combined by (value, lower index).
+    /// [`dist_sq4`] for the sixteen candidates `c..c + 16`, as four
+    /// independent accumulator vectors: one column pass feeds four chains,
+    /// so the adds no longer wait on each other, and each lane still runs
+    /// `super::col_dist_sq`'s sequence, bit for bit.
+    ///
+    /// # Safety
+    /// Caller must ensure the host supports AVX2 and that `cols` holds
+    /// `q.len()` columns of `n ≥ c + 16` values.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn dist_sq16(
+        q: &[f64],
+        cols: *const f64,
+        n: usize,
+        c: usize,
+    ) -> [std::arch::x86_64::__m256d; 4] {
+        use std::arch::x86_64::*;
+        let mut acc = [_mm256_setzero_pd(); 4];
+        for (d, &x) in q.iter().enumerate() {
+            let (xv, col) = (_mm256_set1_pd(x), cols.add(d * n + c));
+            for (l, a) in acc.iter_mut().enumerate() {
+                let t = _mm256_sub_pd(xv, _mm256_loadu_pd(col.add(4 * l)));
+                *a = _mm256_add_pd(*a, _mm256_mul_pd(t, t));
+            }
+        }
+        acc
+    }
+
+    /// AVX2 body of [`super::exact_relax_run`]: sixteen candidates per
+    /// step on four accumulator chains ([`dist_sq16`]), then four per
+    /// step, each lane keeping its first maximum — a step's four
+    /// sub-blocks fold into one `(best_v, best_i)` in index order — then
+    /// the lanes and the scalar tail combined by (value, lower index).
     ///
     /// # Safety
     /// Caller must ensure the host supports AVX2 and that `cols` holds
@@ -880,12 +997,12 @@ mod x86 {
         let mut best_i = _mm256_set1_epi64x(-1);
         let mut idx = _mm256_setr_epi64x(0, 1, 2, 3);
         let four = _mm256_set1_epi64x(4);
-        let mut i = 0;
-        while i + 4 <= len {
-            let d = _mm256_sqrt_pd(dist_sq4(q, cp, n, first + i));
+        // Relaxes slots `i..i + 4` with their distances `d` and folds them
+        // into the running lane maxima.
+        let mut relax4 = |i: usize, d: __m256d| {
             // `minpd` returns its second operand when either is NaN: the
             // slot, as `d.min(slot)` does for a NaN `d`.
-            let m = _mm256_min_pd(d, _mm256_loadu_pd(sp.add(i)));
+            let m = _mm256_min_pd(_mm256_sqrt_pd(d), _mm256_loadu_pd(sp.add(i)));
             _mm256_storeu_pd(sp.add(i), m);
             let gt = _mm256_cmp_pd::<_CMP_GT_OQ>(m, best_v);
             best_v = _mm256_blendv_pd(best_v, m, gt);
@@ -895,6 +1012,16 @@ mod x86 {
                 gt,
             ));
             idx = _mm256_add_epi64(idx, four);
+        };
+        let mut i = 0;
+        while i + 16 <= len {
+            for (l, d) in dist_sq16(q, cp, n, first + i).into_iter().enumerate() {
+                relax4(i + 4 * l, d);
+            }
+            i += 16;
+        }
+        while i + 4 <= len {
+            relax4(i, dist_sq4(q, cp, n, first + i));
             i += 4;
         }
         let (mut vs, mut is) = ([0.0f64; 4], [0i64; 4]);
@@ -922,8 +1049,10 @@ mod x86 {
         best
     }
 
-    /// AVX2 body of [`super::exact_min_sq_run`]: each four-candidate block
-    /// keeps its running minima in a register across every query.
+    /// AVX2 body of [`super::exact_min_sq_run`]: each sixteen-candidate
+    /// block (four accumulator chains, [`dist_sq16`]), then each
+    /// four-candidate block, keeps its running minima in registers across
+    /// every query.
     ///
     /// # Safety
     /// Caller must ensure the host supports AVX2, that `dim > 0` and
@@ -942,6 +1071,19 @@ mod x86 {
         let len = mins.len();
         let (cp, mp) = (cols.as_ptr(), mins.as_mut_ptr());
         let mut i = 0;
+        while i + 16 <= len {
+            let mut m: [__m256d; 4] = std::array::from_fn(|l| _mm256_loadu_pd(mp.add(i + 4 * l)));
+            for q in qs.chunks_exact(dim) {
+                for (m, d) in m.iter_mut().zip(dist_sq16(q, cp, n, first + i)) {
+                    // Second operand on NaN, as below.
+                    *m = _mm256_min_pd(d, *m);
+                }
+            }
+            for (l, m) in m.into_iter().enumerate() {
+                _mm256_storeu_pd(mp.add(i + 4 * l), m);
+            }
+            i += 16;
+        }
         while i + 4 <= len {
             let mut m = _mm256_loadu_pd(mp.add(i));
             for q in qs.chunks_exact(dim) {
@@ -955,7 +1097,8 @@ mod x86 {
         super::exact_min_sq_run_portable(qs, dim, cols, n, first + i, &mut mins[i..]);
     }
 
-    /// AVX2 body of [`super::exact_within_run`]: four candidates per step,
+    /// AVX2 body of [`super::exact_within_run`]: sixteen candidates per
+    /// step on four accumulator chains ([`dist_sq16`]), then four per step,
     /// `sqrt(d²) ≤ τ` as an ordered compare landing as mask bits.
     ///
     /// # Safety
@@ -976,12 +1119,20 @@ mod x86 {
         keep.fill(0);
         let cp = cols.as_ptr();
         let tau_v = _mm256_set1_pd(tau);
+        let within = |d: __m256d| {
+            _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LE_OQ>(_mm256_sqrt_pd(d), tau_v)) as u64
+        };
+        // Blocks start at multiples of their width (16 or 4), so none
+        // straddles a word.
         let mut i = 0;
+        while i + 16 <= len {
+            for (l, d) in dist_sq16(q, cp, n, first + i).into_iter().enumerate() {
+                keep[i / 64] |= within(d) << (i % 64 + 4 * l);
+            }
+            i += 16;
+        }
         while i + 4 <= len {
-            let d = _mm256_sqrt_pd(dist_sq4(q, cp, n, first + i));
-            let within = _mm256_cmp_pd::<_CMP_LE_OQ>(d, tau_v);
-            // Blocks start at multiples of 4, so none straddles a word.
-            keep[i / 64] |= (_mm256_movemask_pd(within) as u64) << (i % 64);
+            keep[i / 64] |= within(dist_sq4(q, cp, n, first + i)) << (i % 64);
             i += 4;
         }
         while i < len {
@@ -1148,6 +1299,84 @@ mod tests {
         assert!(band_hits > 0, "no pair landed in the band");
     }
 
+    /// Runs the AVX2 body for the one or two mirror rows `qs` against rows
+    /// `first..first + len` of `soa` and asserts its keep/band bits equal
+    /// `classify_one` of the single FMA chain dot, bit for bit, bits past
+    /// the run included.
+    #[cfg(target_arch = "x86_64")]
+    fn assert_avx2_run_is_scalar_judgment(
+        soa: &crate::soa::SoaStorage,
+        qs: &[usize],
+        first: usize,
+        len: usize,
+        t2: f64,
+    ) {
+        let dim = soa.row(0).len();
+        let ops: Vec<(&[f32], f64)> = qs
+            .iter()
+            .map(|&q| (soa.row(q), soa.norm(q) as f64))
+            .collect();
+        let words = run_words(len);
+        let (mut keep, mut band) = (vec![!0u64; qs.len() * words], vec![!0u64; qs.len() * words]);
+        let scale = crate::soa::f32_band_scale(dim);
+        let (cols, n, rows, norms) = (soa.cols(), soa.col_stride(), soa.raw(), soa.norms());
+        // SAFETY: callers run this only after `lane()` returned `Avx2Fma`,
+        // so the host has AVX2 + FMA; `first + len ≤ n` and the word
+        // counts match.
+        unsafe {
+            match ops[..] {
+                [q0] => x86::classify_f32_run_bits_avx2_fma(
+                    [q0],
+                    cols,
+                    n,
+                    rows,
+                    norms,
+                    dim,
+                    first,
+                    len,
+                    t2,
+                    scale,
+                    &mut keep,
+                    &mut band,
+                ),
+                [q0, q1] => x86::classify_f32_run_bits_avx2_fma(
+                    [q0, q1],
+                    cols,
+                    n,
+                    rows,
+                    norms,
+                    dim,
+                    first,
+                    len,
+                    t2,
+                    scale,
+                    &mut keep,
+                    &mut band,
+                ),
+                _ => unreachable!(),
+            }
+        }
+        for (j, &(q, na)) in ops.iter().enumerate() {
+            let th = Thresholds::new(na, t2, scale, dim);
+            for i in 0..words * 64 {
+                let want = if i < len {
+                    let c = first + i;
+                    let class = classify_one(fma_dot(q, soa.row(c)), norms[c], &th);
+                    (class == CLASS_KEEP, class == CLASS_EXACT)
+                } else {
+                    (false, false)
+                };
+                assert_eq!(
+                    run_bits(&keep, &band, words, j, i),
+                    want,
+                    "d={dim} |qs|={} query {j} candidate {} t2={t2}",
+                    qs.len(),
+                    first + i
+                );
+            }
+        }
+    }
+
     /// The AVX2 body's keep/band bits equal `classify_one` of the single
     /// FMA chain dot, bit for bit, for one query and for a pair (on hosts
     /// without AVX2 + FMA there is nothing to run).
@@ -1157,71 +1386,147 @@ mod tests {
         if lane() != Lane::Avx2Fma {
             return;
         }
-        for_each_run_case(|points, soa, qs, first, len, t2| {
-            let dim = points.dim();
-            let ops: Vec<(&[f32], f64)> = qs
-                .iter()
-                .map(|&q| (soa.row(q), soa.norm(q) as f64))
-                .collect();
-            let words = run_words(len);
-            let (mut keep, mut band) =
-                (vec![!0u64; qs.len() * words], vec![!0u64; qs.len() * words]);
-            let scale = crate::soa::f32_band_scale(dim);
-            let (cols, n, rows, norms) = (soa.cols(), soa.col_stride(), soa.raw(), soa.norms());
-            // SAFETY: `lane()` returned `Avx2Fma`, so the host has AVX2 +
-            // FMA; `first + len ≤ n` and the word counts match.
-            unsafe {
-                match ops[..] {
-                    [q0] => x86::classify_f32_run_bits_avx2_fma(
-                        [q0],
-                        cols,
-                        n,
-                        rows,
-                        norms,
-                        dim,
-                        first,
-                        len,
-                        t2,
-                        scale,
-                        &mut keep,
-                        &mut band,
-                    ),
-                    [q0, q1] => x86::classify_f32_run_bits_avx2_fma(
-                        [q0, q1],
-                        cols,
-                        n,
-                        rows,
-                        norms,
-                        dim,
-                        first,
-                        len,
-                        t2,
-                        scale,
-                        &mut keep,
-                        &mut band,
-                    ),
-                    _ => unreachable!(),
-                }
-            }
-            for (j, &(q, na)) in ops.iter().enumerate() {
-                for i in 0..words * 64 {
-                    let want = if i < len {
-                        let c = first + i;
-                        let class = classify_one(fma_dot(q, soa.row(c)), norms[c], na, t2, scale);
-                        (class == CLASS_KEEP, class == CLASS_EXACT)
-                    } else {
-                        (false, false)
-                    };
-                    assert_eq!(
-                        run_bits(&keep, &band, words, j, i),
-                        want,
-                        "d={dim} |qs|={} query {j} candidate {} t2={t2}",
-                        qs.len(),
-                        first + i
-                    );
-                }
-            }
+        for_each_run_case(|_, soa, qs, first, len, t2| {
+            assert_avx2_run_is_scalar_judgment(soa, qs, first, len, t2);
         });
+    }
+
+    /// The f64 banded judgment that [`Thresholds`] replaced: the
+    /// Gram estimate `na + nb − 2·dot` against `t2 ± band_scale·(na + nb +
+    /// t2)`, in f64. The soundness test holds the f32 judgment to it.
+    fn classify_one_f64(dot: f32, nb32: f32, na: f64, t2: f64, band_scale: f64) -> u8 {
+        let nsum = na + nb32 as f64;
+        let est = nsum - 2.0 * dot as f64;
+        let band = band_scale * (nsum + t2);
+        if est <= t2 - band {
+            CLASS_KEEP
+        } else if est > t2 + band {
+            CLASS_REJECT
+        } else {
+            CLASS_EXACT
+        }
+    }
+
+    /// Rows that stress the judgment at dimension `dim`, seeded by
+    /// `seed`: random sign-mixed rows at magnitudes from 1e-18 to 1e18 and
+    /// at 1e-22 and 1e-30, whose f32 squares fall in or below the
+    /// subnormal range, near-copies of earlier rows (pairs close to their
+    /// threshold), the
+    /// zero row, rows whose f32 squares overflow or come within a factor
+    /// 4 of it, a row past f32's range, and NaN, +∞ and −∞ rows.
+    fn stress_rows(dim: usize, seed: u64) -> Vec<Vec<f64>> {
+        let mut state = seed;
+        let mut next = move || {
+            // splitmix64
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let mut unit = move || (next() >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0;
+        let mut rows: Vec<Vec<f64>> = Vec::new();
+        for e in (-18..=18).chain([-22, -30]) {
+            let scale = 10f64.powi(e);
+            rows.push((0..dim).map(|_| unit() * scale).collect());
+            let near: Vec<f64> = rows[rows.len() - 1]
+                .iter()
+                .map(|&x| x * (1.0 + unit() * 1e-6))
+                .collect();
+            rows.push(near);
+        }
+        rows.push(vec![0.0; dim]);
+        for big in [4e18, 1e19, 2e19, 1e30, 3e38, 1e39] {
+            rows.push((0..dim).map(|_| unit() * big).collect());
+        }
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut row: Vec<f64> = (0..dim).map(|_| unit()).collect();
+            row[dim / 2] = bad;
+            rows.push(row);
+        }
+        rows
+    }
+
+    /// The f32 judgment is sound against the f64 one it replaced: over
+    /// every ordered pair of [`stress_rows`] at d ∈ {16, 17, 32, 33, 64}
+    /// and thresholds at the pair's exact `row_dist_sq`, at the two τ²
+    /// where the f64 judgment's keep and reject tests flip, and one f64
+    /// ulp either side of each (plus 0, 1 and +∞), a keep is an f64 keep, a
+    /// reject an f64 reject, and both are the exact verdict (which the f64
+    /// judgment misses on the subnormal-range rows: there it keeps pairs
+    /// one ulp beyond τ²); a pair with a non-finite norm, dot or threshold
+    /// lands in the band. On AVX2 hosts
+    /// the kernel's bits over the same rows equal `classify_one`, for one
+    /// query and for a pair, at runs reaching the 32-block, the 8-block
+    /// and the scalar tail.
+    #[test]
+    fn f32_judgment_is_sound_against_the_f64_band() {
+        use crate::EuclideanSpace;
+        let (mut widened, mut f64_band) = (0usize, 0usize);
+        for (dim, seed) in [(16, 1), (17, 2), (32, 3), (33, 4), (64, 5)] {
+            let rows = stress_rows(dim, seed);
+            let soa = crate::soa::SoaStorage::build(&crate::PointSet::from_rows(&rows));
+            let scale = crate::soa::f32_band_scale(dim);
+            for (a, ra) in rows.iter().enumerate() {
+                let na = soa.norm(a) as f64;
+                for (b, rb) in rows.iter().enumerate() {
+                    let (nb, dot) = (soa.norm(b), fma_dot(soa.row(a), soa.row(b)));
+                    let d2 = EuclideanSpace::row_dist_sq(ra, rb);
+                    // The f64 band's own edges for this pair: the τ² at
+                    // which its keep (reject) test flips, where an f32
+                    // rounding not covered by the widening would show.
+                    let nsum = na + nb as f64;
+                    let est = nsum - 2.0 * dot as f64;
+                    let edges = [
+                        (est + scale * nsum) / (1.0 - scale),
+                        (est - scale * nsum) / (1.0 + scale),
+                    ];
+                    let near = |t: f64| [t, t.next_up(), t.next_down()];
+                    let t2s = [
+                        near(d2),
+                        near(edges[0]),
+                        near(edges[1]),
+                        [0.0, 1.0, f64::INFINITY],
+                    ];
+                    for t2 in t2s.into_iter().flatten() {
+                        let within = d2 <= t2;
+                        let new = classify_one(dot, nb, &Thresholds::new(na, t2, scale, dim));
+                        let old = classify_one_f64(dot, nb, na, t2, scale);
+                        let what = format!("d={dim} pair ({a}, {b}) t2={t2:e} dot={dot:e}");
+                        match new {
+                            CLASS_KEEP => assert!(old == CLASS_KEEP && within, "{what}"),
+                            CLASS_REJECT => assert!(old == CLASS_REJECT && !within, "{what}"),
+                            _ => {
+                                widened += (old != CLASS_EXACT) as usize;
+                                f64_band += (old == CLASS_EXACT) as usize;
+                            }
+                        }
+                        let finite = na.is_finite() && nb.is_finite() && dot.is_finite();
+                        if !(finite && t2.is_finite()) {
+                            assert_eq!(new, CLASS_EXACT, "{what}: a non-finite operand");
+                        }
+                    }
+                }
+            }
+            #[cfg(target_arch = "x86_64")]
+            if lane() == Lane::Avx2Fma {
+                let n = rows.len();
+                for qs in [&[3usize][..], &[3, n - 1]] {
+                    for (first, len) in [(0, n), (1, 45), (5, 13), (n - 7, 7)] {
+                        for t2 in [
+                            EuclideanSpace::row_dist_sq(&rows[qs[0]], &rows[first + len / 2]),
+                            1.0,
+                        ] {
+                            assert_avx2_run_is_scalar_judgment(&soa, qs, first, len, t2);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            f64_band > 0 && widened > 0,
+            "{f64_band} f64 band hits, {widened} widened"
+        );
     }
 
     /// Points for the exact run kernels at dimension `dim`, row-major and
@@ -1257,11 +1562,11 @@ mod tests {
         (rows, cols, n)
     }
 
-    /// Calls `f(rows, cols, n, dim, q, first, len)` over d ∈ 1..=9 and 16,
+    /// Calls `f(rows, cols, n, dim, q, first, len)` over d ∈ 1..=9, 16 and 33,
     /// queries including the overflowing pair, run starts 0, 1, 3 and 5,
-    /// and every run length 0..=67 around the 4-lane edge.
+    /// and every run length 0..=67 around the 4- and 16-candidate edges.
     fn for_each_exact_case(mut f: impl FnMut(&[f64], &[f64], usize, usize, usize, usize, usize)) {
-        for dim in (1..=9).chain([16]) {
+        for dim in (1..=9).chain([16, 33]) {
             let (rows, cols, n) = exact_points(dim);
             for q in [5, 7, 20, 33] {
                 for first in [0, 1, 3, 5] {

@@ -17,20 +17,57 @@
 //!
 //! ## f32 error band
 //!
-//! For the f32 Gram estimate `g = na32 + nb32 − 2·dot32(a32, b32)` (widened
-//! to f64 for the final combine) against the exact `‖a − b‖²`, the error
-//! sources are (ε = `f32::EPSILON`, d = dimension):
+//! For the f32 Gram estimate `g = na32 + nb32 − 2·dot32(a32, b32)` against
+//! the exact `‖a − b‖²`, the error sources are (ε = `f32::EPSILON`,
+//! d = dimension):
 //!
 //! * rounding each coordinate to f32: ≤ 2ε·(‖a‖² + ‖b‖²) over the row;
 //! * the f32 norm folds: ≤ (d + 2)·ε·(‖a‖² + ‖b‖²);
 //! * the f32 dot fold (FMA's fused rounding is strictly tighter than
 //!   mul-then-add): ≤ (d + 8)·ε·(‖a‖² + ‖b‖²)/2 via |aᵢbᵢ| ≤ (aᵢ²+bᵢ²)/2.
 //!
-//! Their sum is below `(2d + 16)·ε·(‖a‖² + ‖b‖²)`; the band used is
-//! `(4d + 32)·ε·(na + nb + τ²)`, leaving ≥2× slack. Overshooting the band
-//! only costs speed (more exact fallbacks), never correctness. Overflow to `±inf` or NaN anywhere makes
-//! the band infinite or the comparisons false, so non-finite inputs always
-//! take the exact branch.
+//! Their sum is below `(2d + 16)·ε·(‖a‖² + ‖b‖²)`; the band is
+//! `s·(na + nb + τ²)` with `s = (4d + 32)·ε` ([`f32_band_scale`]), leaving
+//! ≥2× slack. Overshooting the band only costs speed (more exact
+//! fallbacks), never correctness.
+//!
+//! **The judgment is two f32 compares.** With `M = na + nb + τ²`, the
+//! banded test `g ≤ τ² − s·M` (keep) / `g > τ² + s·M` (reject) is linear
+//! in the dot:
+//!
+//! * keep ⟺ `dot ≥ nb·(1 + s)/2 + ((1 + s)·na − (1 − s)·τ²)/2`;
+//! * reject ⟺ `dot < nb·(1 − s)/2 + ((1 − s)·na − (1 + s)·τ²)/2`.
+//!
+//! The run kernel (`simd::classify_f32_run_bits`) evaluates both in f32
+//! with the wider scale `s′ = s + 4ε`: the candidate term is one f32
+//! multiply of the norm by `(1 ± s′)/2` (exact f32 constants), the query
+//! term is formed once per call in f64 and **rounded outward** — the keep
+//! half up, the reject half down — and the two are added in f32.
+//!
+//! * **The widening covers the f32 rounding.** Moving `s` to `s′` raises
+//!   the keep threshold (and lowers the reject one) by `(s′ − s)·M/2 =
+//!   2ε·M`. The f32 roundings can move it back by at most `ε/2` of the
+//!   product and `ε/2` of the sum, each below `(1 + s′)·M/2`; the f64
+//!   arithmetic of the query term by a few `2⁻⁵³·M`, and the outward
+//!   rounding only in the safe direction. That leaves more than `ε·M`
+//!   over the f64 judgment's own rounding (below `2⁻⁵⁰·M`), so every f32
+//!   keep is a keep of the f64 banded judgment as it was evaluated, every
+//!   f32 reject one of its rejects, and the error analysis above carries
+//!   over unchanged. Only the band grows, by the widening.
+//! * **Underflow.** In the subnormal range a rounding is absolute
+//!   (≤ 2⁻¹⁵⁰), not relative, so no band proportional to `M` covers it.
+//!   The query halves therefore carry a slack of `(d + 1)·2⁻¹⁴⁹`: the
+//!   estimate's own underflow is at most `4d·2⁻¹⁵⁰` (d rounded products in
+//!   the dot, d in each norm), half that in dot units, and the threshold
+//!   product adds one more `2⁻¹⁵⁰`. Without it, rows whose f32 squares are
+//!   subnormal (coordinates near 1e-22) were kept one ulp beyond τ².
+//! * **Non-finite routing.** A candidate whose f32 norm is not at most
+//!   2¹²⁶ — NaN, +∞, or within a factor 4 of overflow — is masked into
+//!   the band; a query norm above 2¹²⁶, or τ² outside `[0, ∞)`, makes
+//!   both query halves NaN. Below 2¹²⁶ on both sides, `|dot| ≤ (1 + dε)·
+//!   (na + nb)/2 < 2¹²⁷`, so dots and thresholds are finite, and a NaN
+//!   anywhere fails both ordered compares. Every pair with a non-finite
+//!   operand is therefore re-decided exactly.
 //!
 //! ## Layout
 //!
@@ -107,7 +144,8 @@ impl SpeedTier {
 }
 
 /// Per-pair error band scale for the f32 Gram estimate (see the module
-/// docs): multiply by `na + nb + τ²` (in f64) to get the band width.
+/// docs): the band is this times `na + nb + τ²`. The run kernel judges
+/// with a scale wider by `4ε`.
 #[inline]
 pub fn f32_band_scale(dim: usize) -> f64 {
     (4.0 * dim as f64 + 32.0) * f32::EPSILON as f64

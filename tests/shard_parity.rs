@@ -9,16 +9,18 @@
 //! transcript (FNV-hashed) must agree at 1, 2 and 8 worker threads.
 //!
 //! The inputs carry the rows where a slab kernel could part from the
-//! by-id fold: a NaN row, a row of ±∞, duplicate points, `n ≤ k`, and
-//! more machines than points (empty shards).
+//! by-id fold: NaN rows, rows of ±∞, duplicate points, `n ≤ k`, and
+//! more machines than points (empty shards). With `n > k`, a non-finite
+//! row makes the coarse radius ∞; Algorithms 5 and 6 then return the
+//! coreset's answer at radius ∞, on both k-center engines.
 
-use mpc_clustering::core::common::{covering_radius, gmm_coreset};
 use mpc_clustering::core::diversity::mpc_diversity_on;
+use mpc_clustering::core::grid::mpc_kcenter_grid_on;
 use mpc_clustering::core::kcenter::mpc_kcenter_on;
 use mpc_clustering::core::ksupplier::mpc_ksupplier_on;
 use mpc_clustering::core::Params;
 use mpc_clustering::metric::{datasets, EuclideanSpace, MetricSpace, PointId, PointSet};
-use mpc_clustering::sim::{Cluster, Ledger, Partition};
+use mpc_clustering::sim::{Cluster, Ledger};
 use rayon::with_threads;
 
 const THREADS: [usize; 3] = [1, 2, 8];
@@ -91,14 +93,14 @@ fn ksupplier(metric: &dyn MetricSpace, k: usize, params: &Params) -> Digest {
 }
 
 /// `n` clustered rows of dimension `dim` whose rows from `n / 2` on are
-/// copies of row 0; when `non_finite`, row 1 is all NaN and row 3 is
-/// `(+∞, −∞, …)`.
-fn points(n: usize, dim: usize, non_finite: bool) -> PointSet {
+/// copies of row 0, except the rows `bad`: the first, third, … of them
+/// are all NaN, the others `(+∞, −∞, …)`.
+fn points(n: usize, dim: usize, bad: &[usize]) -> PointSet {
     let base = datasets::gaussian_clusters(n, dim, 4, 0.05, 7);
     let rows: Vec<Vec<f64>> = (0..n)
-        .map(|i| match i {
-            1 if non_finite => vec![f64::NAN; dim],
-            3 if non_finite => (0..dim)
+        .map(|i| match bad.iter().position(|&b| b == i) {
+            Some(j) if j % 2 == 0 => vec![f64::NAN; dim],
+            Some(_) => (0..dim)
                 .map(|a| {
                     if a % 2 == 0 {
                         f64::INFINITY
@@ -107,8 +109,8 @@ fn points(n: usize, dim: usize, non_finite: bool) -> PointSet {
                     }
                 })
                 .collect(),
-            _ if i >= n / 2 && n > 4 => base.coords(PointId(0)).to_vec(),
-            _ => base.coords(PointId(i as u32)).to_vec(),
+            None if i >= n / 2 && n > 4 => base.coords(PointId(0)).to_vec(),
+            None => base.coords(PointId(i as u32)).to_vec(),
         })
         .collect();
     PointSet::from_rows(&rows)
@@ -116,92 +118,117 @@ fn points(n: usize, dim: usize, non_finite: bool) -> PointSet {
 
 type Driver = fn(&dyn MetricSpace, usize, &Params) -> Digest;
 
-/// `(n, dim, m, non_finite)`: clustered inputs at d = 3 and at d = 16
-/// (the f32 rung kernels), then small ones.
-type Case = (usize, usize, usize, bool);
+/// `(n, dim, m, bad rows)`: clustered inputs at d = 3 and at d = 16 (the
+/// f32 rung kernels), then small ones.
+type Case = (usize, usize, usize, &'static [usize]);
 
-fn assert_shard_parity(what: &str, driver: Driver, k: usize, cases: [Case; 4]) {
-    for (n, dim, m, non_finite) in cases {
-        let space = EuclideanSpace::new(points(n, dim, non_finite));
+/// A NaN row (1) and a ±∞ row (3): odd ids, so Algorithm 6's suppliers.
+const BAD: &[usize] = &[1, 3];
+
+fn assert_shard_parity(what: &str, driver: Driver, k: usize, cases: &[Case]) {
+    for &(n, dim, m, bad) in cases {
+        let space = EuclideanSpace::new(points(n, dim, bad));
         let params = Params::practical(m, 0.1, 7);
         let reference = with_threads(1, || driver(&IdOnly(&space), k, &params));
         for threads in THREADS {
             let by_id = with_threads(threads, || driver(&IdOnly(&space), k, &params));
             let slab = with_threads(threads, || driver(&space, k, &params));
-            let ctx = format!("{what} n={n} d={dim} m={m} at {threads} threads");
+            let ctx = format!("{what} n={n} d={dim} m={m} bad={bad:?} at {threads} threads");
             assert_eq!(by_id, reference, "{ctx}: by id");
             assert_eq!(slab, reference, "{ctx}: on slabs");
         }
     }
 }
 
-/// A NaN or ±∞ row is at distance ∞ from every center set, so with
-/// `n > k` the coarse radius is ∞ and Algorithm 5 has no finite ladder;
-/// its non-finite cases are `n ≤ k` (the second one with more machines
-/// than points), and its coarse stage on such rows is compared by
-/// `coarse_stage_on_non_finite_rows_matches_the_by_id_scan`.
+/// The finite inputs climb a ladder; with `n > k` the non-finite ones
+/// stop at the coreset, with radius and `coarse_r` both ∞ (the
+/// non-finite runs of the grid engine are
+/// `kcenter_engines_agree_on_non_finite_rows`).
 #[test]
 fn kcenter_slabs_match_the_by_id_run() {
     let cases = [
-        (90, 3, 4, false),
-        (90, 16, 5, false),
-        (4, 3, 2, true),
-        (5, 16, 8, true),
+        (90, 3, 4, &[][..]),
+        (90, 16, 5, &[]),
+        (90, 3, 4, BAD),
+        (90, 16, 5, &[0, 7, 8]),
+        (4, 3, 2, BAD),
+        (5, 16, 8, BAD),
     ];
-    assert_shard_parity("k-center", kcenter, 6, cases);
+    assert_shard_parity("k-center", kcenter, 6, &cases);
+    let space = EuclideanSpace::new(points(90, 16, BAD));
+    let (centers, r, coarse, boundary, _) = kcenter(&space, 6, &Params::practical(5, 0.1, 7));
+    assert_eq!((centers.len(), boundary), (6, 0));
+    assert_eq!(
+        (f64::from_bits(r), f64::from_bits(coarse)),
+        (f64::INFINITY, f64::INFINITY)
+    );
 }
 
 #[test]
 fn diversity_slabs_match_the_by_id_run() {
     let cases = [
-        (90, 3, 4, true),
-        (90, 16, 5, true),
-        (4, 3, 2, true),
-        (5, 16, 8, true),
+        (90, 3, 4, BAD),
+        (90, 16, 5, BAD),
+        (4, 3, 2, BAD),
+        (5, 16, 8, BAD),
     ];
-    assert_shard_parity("diversity", diversity, 6, cases);
+    assert_shard_parity("diversity", diversity, 6, &cases);
 }
 
-/// The non-finite rows 1 and 3 are suppliers, beside at least one finite
-/// one; the small cases have three customers for `k = 3`, the second
-/// spread over more machines than points.
+/// Rows 1 and 3 are suppliers beside finite ones; rows 0 and 2 are
+/// customers, which makes the coarse radius ∞; in the `n = 9` case every
+/// supplier is non-finite. The small cases have three customers for
+/// `k = 3`, the second spread over more machines than points.
 #[test]
 fn ksupplier_slabs_match_the_by_id_run() {
     let cases = [
-        (90, 3, 4, true),
-        (90, 16, 5, true),
-        (6, 3, 2, true),
-        (7, 16, 8, true),
+        (90, 3, 4, BAD),
+        (90, 16, 5, BAD),
+        (90, 3, 4, &[0, 2]),
+        (90, 16, 5, &[2, 0, 5]),
+        (9, 16, 4, &[1, 3, 5, 7]),
+        (6, 3, 2, BAD),
+        (7, 16, 8, BAD),
     ];
-    assert_shard_parity("k-supplier", ksupplier, 3, cases);
+    assert_shard_parity("k-supplier", ksupplier, 3, &cases);
+    for (n, bad) in [(90, &[0, 2][..]), (9, &[1, 3, 5, 7])] {
+        let space = EuclideanSpace::new(points(n, 16, bad));
+        let (suppliers, r, coarse, boundary, _) =
+            ksupplier(&space, 3, &Params::practical(4, 0.1, 7));
+        assert!(!suppliers.is_empty() && suppliers.len() <= 3, "{bad:?}");
+        let (r, coarse) = (f64::from_bits(r), f64::from_bits(coarse));
+        assert_eq!(
+            (r, coarse, boundary),
+            (f64::INFINITY, f64::INFINITY, 0),
+            "{bad:?}"
+        );
+    }
 }
 
-/// Lines 1–3 of Algorithm 5 through the public `gmm_coreset` and
-/// `covering_radius` on inputs with a NaN and a ±∞ row, whose radius is
-/// ∞: the coreset, the union GMM and the radius bits must agree, as must
-/// the finalize-style radius of a center set holding the non-finite rows.
+/// Algorithm 5 on the grid engine against the all-pairs engine by id, on
+/// `n > k` inputs with NaN and ±∞ rows: both stop at the coreset, so ids,
+/// radius and `coarse_r` bits (∞), the rung and the ledger agree.
 #[test]
-fn coarse_stage_on_non_finite_rows_matches_the_by_id_scan() {
-    for (n, dim, m) in [(90, 3, 4), (90, 16, 5), (5, 16, 8)] {
-        let space = EuclideanSpace::new(points(n, dim, true));
-        let local_sets = Partition::round_robin(n, m).all_items().to_vec();
-        let coarse = |metric: &dyn MetricSpace| {
-            let mut cluster = Cluster::new(m, 7);
-            let (q, coresets) = gmm_coreset(&mut cluster, metric, &local_sets, 6);
-            let r = covering_radius(&mut cluster, metric, &local_sets, &q);
-            let r_bad = covering_radius(&mut cluster, metric, &local_sets, &[1, 3]);
-            let bits = (r.to_bits(), r_bad.to_bits());
-            (q, coresets, bits, ledger_fnv(cluster.ledger()))
-        };
-        let reference = with_threads(1, || coarse(&IdOnly(&space)));
+fn kcenter_engines_agree_on_non_finite_rows() {
+    for (n, dim, m, bad) in [
+        (90, 3, 4, BAD),
+        (90, 16, 5, &[0, 7, 8][..]),
+        (200, 2, 8, BAD),
+    ] {
+        let space = EuclideanSpace::new(points(n, dim, bad));
+        let params = Params::practical(m, 0.1, 7);
+        let reference = with_threads(1, || kcenter(&IdOnly(&space), 6, &params));
+        assert_eq!(f64::from_bits(reference.1), f64::INFINITY);
         for threads in THREADS {
-            let ctx = format!("n={n} d={dim} m={m} at {threads} threads");
-            assert_eq!(
-                with_threads(threads, || coarse(&IdOnly(&space))),
-                reference,
-                "{ctx}"
-            );
-            assert_eq!(with_threads(threads, || coarse(&space)), reference, "{ctx}");
+            let grid = with_threads(threads, || {
+                let mut cluster = Cluster::new(params.m, params.seed);
+                let res = mpc_kcenter_grid_on(&mut cluster, &space, 6, &params);
+                let ledger = ledger_fnv(cluster.ledger());
+                let (r, coarse) = (res.radius.to_bits(), res.coarse_r.to_bits());
+                (res.centers, r, coarse, res.boundary_index, ledger)
+            });
+            let ctx = format!("n={n} d={dim} m={m} bad={bad:?} at {threads} threads");
+            assert_eq!(grid, reference, "{ctx}");
         }
     }
 }
