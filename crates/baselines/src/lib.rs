@@ -9,7 +9,6 @@
 //! | [`ene`] | iterative-sampling MapReduce k-center | O(1) w.h.p. | Ene, Im & Moseley, KDD 2011 (simplified; see module docs) |
 //! | [`outliers`] | greedy-disk k-center with z outliers | 3 | Charikar et al., SODA 2001 |
 //! | [`malkomes_outliers`] | two-round MPC k-center with z outliers | 13 | Malkomes et al., NeurIPS 2015 |
-//! | [`streaming`] | one-pass doubling k-center | 8 | Charikar et al., STOC 1997 |
 //! | [`exact`] | branch-and-bound k-center / k-diversity / k-supplier | 1 (exact) | — (small n only) |
 //! | [`random_pick`] | uniformly random k points | unbounded | sanity floor |
 //!
@@ -26,4 +25,3 @@ pub mod malkomes_outliers;
 pub mod outliers;
 pub mod random_pick;
 pub mod remote_clique;
-pub mod streaming;

@@ -7,7 +7,6 @@ use mpc_baselines::hochbaum_shmoys::hochbaum_shmoys_kcenter;
 use mpc_baselines::outliers::charikar_outliers_kcenter;
 use mpc_baselines::random_pick::{random_diversity, random_kcenter_radius};
 use mpc_baselines::remote_clique::{clique_value, local_search_remote_clique};
-use mpc_baselines::streaming::streaming_kcenter;
 use mpc_core::diversity::sequential_gmm_diversity;
 use mpc_core::kcenter::sequential_gmm_kcenter;
 use mpc_metric::{EuclideanSpace, PointSet};
@@ -38,9 +37,6 @@ proptest! {
 
         let hs = hochbaum_shmoys_kcenter(&metric, k).radius;
         prop_assert!(hs >= opt - tol && hs <= 2.0 * opt + tol, "HS {hs} vs opt {opt}");
-
-        let stream = streaming_kcenter(&metric, k).radius;
-        prop_assert!(stream >= opt - tol && stream <= 8.0 * opt + tol, "stream {stream} vs opt {opt}");
 
         let charikar = charikar_outliers_kcenter(&metric, k, 0).radius;
         prop_assert!(charikar >= opt - tol && charikar <= 3.0 * opt + tol, "charikar {charikar}");
@@ -76,21 +72,5 @@ proptest! {
         let gmm_clique = clique_value(&metric, &gmm_set);
         prop_assert!(ls.value >= gmm_clique - tol,
             "LS clique {} below GMM-set clique {gmm_clique}", ls.value);
-    }
-
-    /// Streaming k-center is insertion-order sensitive but must stay in
-    /// its band for any permutation (tested via seeded shuffles).
-    #[test]
-    fn streaming_robust_to_order(points in arb_points(18), _perm_seed in any::<u64>()) {
-        let metric = EuclideanSpace::new(points);
-        let n = metric.points().len();
-        let k = 2.min(n - 1);
-        if k == 0 { return Ok(()); }
-        let (opt, _) = exact_kcenter(&metric, k);
-        // The streaming algorithm scans ids in order; the generator already
-        // randomizes coordinates, so this is an arbitrary order.
-        let res = streaming_kcenter(&metric, k);
-        prop_assert!(res.centers.len() <= k);
-        prop_assert!(res.radius <= 8.0 * opt + 1e-9);
     }
 }

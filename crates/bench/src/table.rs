@@ -2,16 +2,8 @@
 
 use std::fmt::Write as _;
 
-use serde::{Deserialize, Serialize};
-
-/// `b"KCTB"` — k-center result table, the native codec container.
-pub const TABLE_MAGIC: u32 = u32::from_le_bytes(*b"KCTB");
-
-/// Native table container version.
-pub const TABLE_VERSION: u32 = 1;
-
 /// A titled markdown table.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table {
     /// Experiment id, e.g. "E1 (Table 1)".
     pub id: String,
@@ -51,50 +43,6 @@ impl Table {
     /// The data rows (tests read cells back through this).
     pub fn rows(&self) -> &[Vec<String>] {
         &self.rows
-    }
-
-    /// Serializes the table into the compact codec behind a magic/version
-    /// header, so computed E-tables can be archived and diffed without
-    /// re-running the experiments.
-    pub fn to_codec_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        TABLE_MAGIC.to_bytes(&mut out);
-        TABLE_VERSION.to_bytes(&mut out);
-        self.to_bytes(&mut out);
-        out
-    }
-
-    /// Parses a table back from [`Table::to_codec_bytes`] output. Errors on
-    /// bad magic/version, decode failures, trailing bytes, or ragged rows.
-    pub fn from_codec_bytes(bytes: &[u8]) -> Result<Self, String> {
-        let mut cursor = bytes;
-        let magic = u32::from_bytes(&mut cursor).map_err(|e| e.to_string())?;
-        let version = u32::from_bytes(&mut cursor).map_err(|e| e.to_string())?;
-        if magic != TABLE_MAGIC || version != TABLE_VERSION {
-            return Err("not a KCTB table container (bad magic/version)".into());
-        }
-        let t = Table::from_bytes(&mut cursor).map_err(|e| e.to_string())?;
-        if !cursor.is_empty() {
-            return Err(format!("{} trailing bytes", cursor.len()));
-        }
-        for r in &t.rows {
-            if r.len() != t.headers.len() {
-                return Err("ragged rows in decoded table".into());
-            }
-        }
-        Ok(t)
-    }
-
-    /// Writes the codec container to a file.
-    pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_codec_bytes())
-    }
-
-    /// Reads a codec container from a file.
-    pub fn load(path: &std::path::Path) -> Result<Self, String> {
-        let bytes =
-            std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        Self::from_codec_bytes(&bytes)
     }
 
     /// Renders the table as GitHub-flavored markdown.
@@ -161,26 +109,6 @@ mod tests {
     fn rejects_ragged_rows() {
         let mut t = Table::new("E0", "demo", &["a", "b"]);
         t.row(vec!["1".into()]);
-    }
-
-    #[test]
-    fn codec_container_round_trips() {
-        let mut t = Table::new("E8-W", "wire overhead", &["backend", "bytes"]);
-        t.row(vec!["loopback".into(), "5928".into()]);
-        t.row(vec!["process".into(), "5928".into()]);
-        let back = Table::from_codec_bytes(&t.to_codec_bytes()).unwrap();
-        assert_eq!(back.id, t.id);
-        assert_eq!(back.caption, t.caption);
-        assert_eq!(back.rows(), t.rows());
-        assert_eq!(back.to_markdown(), t.to_markdown());
-    }
-
-    #[test]
-    fn codec_container_rejects_garbage() {
-        assert!(Table::from_codec_bytes(b"nope").is_err());
-        let mut bytes = Table::new("E0", "x", &["a"]).to_codec_bytes();
-        bytes.extend_from_slice(&[0u8; 3]); // trailing junk
-        assert!(Table::from_codec_bytes(&bytes).is_err());
     }
 
     #[test]

@@ -9,7 +9,6 @@
 use mpc_metric::{MetricSpace, PointId};
 use mpc_sim::Cluster;
 
-use crate::common::to_point_ids;
 use crate::params::Params;
 use crate::telemetry::Telemetry;
 
@@ -35,15 +34,6 @@ impl Assignment {
     /// The overall covering radius (max over clusters).
     pub fn radius(&self) -> f64 {
         self.radii.iter().copied().fold(0.0, f64::max)
-    }
-
-    /// Mean point-to-center distance.
-    pub fn mean_distance(&self) -> f64 {
-        if self.distance.is_empty() {
-            0.0
-        } else {
-            self.distance.iter().sum::<f64>() / self.distance.len() as f64
-        }
     }
 }
 
@@ -131,18 +121,10 @@ pub fn kcenter_with_assignment<M: MetricSpace + ?Sized>(
     (res, assignment)
 }
 
-/// Convenience alias used by examples: ids instead of `PointId`s.
-pub fn assign_ids<M: MetricSpace + ?Sized>(
-    metric: &M,
-    centers: &[u32],
-    params: &Params,
-) -> Assignment {
-    assign_to_centers(metric, &to_point_ids(centers), params)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::to_point_ids;
     use mpc_metric::{datasets, EuclideanSpace, PointSet};
 
     fn line(xs: &[f64]) -> EuclideanSpace {
@@ -155,20 +137,19 @@ mod tests {
     fn assigns_to_nearest_center() {
         let m = line(&[0.0, 1.0, 9.0, 10.0]);
         let params = Params::practical(2, 0.1, 1);
-        let a = assign_ids(&m, &[0, 3], &params);
+        let a = assign_to_centers(&m, &to_point_ids(&[0, 3]), &params);
         assert_eq!(a.cluster_of, vec![0, 0, 1, 1]);
         assert_eq!(a.sizes, vec![2, 2]);
         assert_eq!(a.radii, vec![1.0, 1.0]);
         assert_eq!(a.radius(), 1.0);
         assert_eq!(a.distance[1], 1.0);
-        assert!((a.mean_distance() - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn ties_break_to_lower_cluster_index() {
         let m = line(&[0.0, 5.0, 10.0]);
         let params = Params::practical(2, 0.1, 1);
-        let a = assign_ids(&m, &[0, 2], &params);
+        let a = assign_to_centers(&m, &to_point_ids(&[0, 2]), &params);
         assert_eq!(a.cluster_of[1], 0, "midpoint ties to the first center");
     }
 

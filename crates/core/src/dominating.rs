@@ -41,6 +41,7 @@ pub fn mpc_dominating_set<M: MetricSpace + ?Sized>(
     tau: f64,
     params: &Params,
 ) -> DominatingSetResult {
+    params.validate();
     let n = metric.n();
     let mut cluster = new_cluster(params);
     let partition = params.partition.build(n, params.m, params.seed);
@@ -74,53 +75,43 @@ pub fn mpc_dominating_set<M: MetricSpace + ?Sized>(
     }
 }
 
-/// A full (unbounded) maximal independent set of `G_tau` in constant MPC
-/// rounds — Algorithm 4 with `k = n`.
-pub fn mpc_full_mis<M: MetricSpace + ?Sized>(metric: &M, tau: f64, params: &Params) -> Vec<u32> {
-    mpc_dominating_set(metric, tau, params)
-        .set
-        .iter()
-        .map(|p| p.0)
-        .collect()
-}
-
-/// Sequential greedy dominating-set baseline (ln-n–approximate): repeatedly
-/// takes the vertex covering the most uncovered vertices. Used in tests to
-/// sanity-check sizes.
-pub fn greedy_dominating_set<M: MetricSpace + ?Sized>(metric: &M, tau: f64) -> Vec<PointId> {
-    let n = metric.n();
-    let mut covered = vec![false; n];
-    let mut remaining = n;
-    let mut set = Vec::new();
-    while remaining > 0 {
-        let mut best = (0usize, u32::MAX);
-        for v in 0..n as u32 {
-            let gain = (0..n as u32)
-                .filter(|&u| {
-                    !covered[u as usize] && (u == v || metric.within(PointId(u), PointId(v), tau))
-                })
-                .count();
-            if gain > best.0 || (gain == best.0 && v < best.1) {
-                best = (gain, v);
-            }
-        }
-        let v = best.1;
-        set.push(PointId(v));
-        for u in 0..n as u32 {
-            if !covered[u as usize] && (u == v || metric.within(PointId(u), PointId(v), tau)) {
-                covered[u as usize] = true;
-                remaining -= 1;
-            }
-        }
-    }
-    set
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mpc_graph::{verify::is_maximal, ThresholdGraph};
     use mpc_metric::{datasets, EuclideanSpace};
+
+    /// Sequential greedy dominating-set baseline (ln-n–approximate): repeatedly
+    /// takes the vertex covering the most uncovered vertices.
+    fn greedy_dominating_set<M: MetricSpace + ?Sized>(metric: &M, tau: f64) -> Vec<PointId> {
+        let n = metric.n();
+        let mut covered = vec![false; n];
+        let mut remaining = n;
+        let mut set = Vec::new();
+        while remaining > 0 {
+            let mut best = (0usize, u32::MAX);
+            for v in 0..n as u32 {
+                let gain = (0..n as u32)
+                    .filter(|&u| {
+                        !covered[u as usize]
+                            && (u == v || metric.within(PointId(u), PointId(v), tau))
+                    })
+                    .count();
+                if gain > best.0 || (gain == best.0 && v < best.1) {
+                    best = (gain, v);
+                }
+            }
+            let v = best.1;
+            set.push(PointId(v));
+            for u in 0..n as u32 {
+                if !covered[u as usize] && (u == v || metric.within(PointId(u), PointId(v), tau)) {
+                    covered[u as usize] = true;
+                    remaining -= 1;
+                }
+            }
+        }
+        set
+    }
 
     #[test]
     fn output_dominates_everything() {
@@ -170,5 +161,14 @@ mod tests {
             30,
             "edgeless graph: every vertex dominates only itself"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "delta")]
+    fn rejects_invalid_params() {
+        let metric = EuclideanSpace::new(datasets::uniform_cube(10, 2, 1));
+        let mut params = Params::practical(2, 0.1, 1);
+        params.delta = 0.0;
+        mpc_dominating_set(&metric, 0.3, &params);
     }
 }

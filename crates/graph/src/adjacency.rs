@@ -1,5 +1,4 @@
-//! Explicit adjacency-list graphs, used in unit tests of the MIS machinery
-//! and to materialize small threshold graphs for exact baselines.
+//! Explicit adjacency-list graphs, used in unit tests of the MIS machinery.
 
 use crate::GraphView;
 
@@ -28,23 +27,9 @@ impl AdjacencyGraph {
         g
     }
 
-    /// Materializes any [`GraphView`] restricted to `vertices` (ids are
-    /// preserved; vertices outside the slice are isolated).
-    pub fn materialize<G: GraphView>(view: &G, vertices: &[u32]) -> Self {
-        let mut g = Self::empty(view.n_vertices());
-        for (i, &u) in vertices.iter().enumerate() {
-            for &v in &vertices[i + 1..] {
-                if view.is_edge(u, v) {
-                    g.add_edge(u, v);
-                }
-            }
-        }
-        g
-    }
-
     /// Adds the undirected edge `{u, v}`; panics on self-loops, duplicates,
     /// or out-of-range ids.
-    pub fn add_edge(&mut self, u: u32, v: u32) {
+    fn add_edge(&mut self, u: u32, v: u32) {
         assert_ne!(u, v, "self-loop");
         let n = self.adj.len() as u32;
         assert!(u < n && v < n, "vertex out of range");
@@ -56,21 +41,6 @@ impl AdjacencyGraph {
             .binary_search(&u)
             .expect_err("duplicate edge");
         self.adj[v as usize].insert(pos, u);
-    }
-
-    /// Degree of `v`.
-    pub fn degree(&self, v: u32) -> usize {
-        self.adj[v as usize].len()
-    }
-
-    /// Sorted neighbors of `v`.
-    pub fn neighbors(&self, v: u32) -> &[u32] {
-        &self.adj[v as usize]
-    }
-
-    /// Number of undirected edges.
-    pub fn edge_count(&self) -> usize {
-        self.adj.iter().map(Vec::len).sum::<usize>() / 2
     }
 }
 
@@ -91,10 +61,8 @@ mod tests {
     #[test]
     fn triangle() {
         let g = AdjacencyGraph::from_edges(3, &[(0, 1), (1, 2), (0, 2)]);
-        assert_eq!(g.edge_count(), 3);
-        assert!(g.is_edge(0, 2));
-        assert_eq!(g.degree(1), 2);
-        assert_eq!(g.neighbors(0), &[1, 2]);
+        assert!(g.is_edge(0, 1) && g.is_edge(1, 2) && g.is_edge(2, 0));
+        assert!(!g.is_edge(1, 1));
     }
 
     #[test]
@@ -107,16 +75,5 @@ mod tests {
     #[should_panic(expected = "self-loop")]
     fn rejects_self_loops() {
         AdjacencyGraph::from_edges(2, &[(1, 1)]);
-    }
-
-    #[test]
-    fn materialize_restricts_to_subset() {
-        // Path 0-1-2-3 as an explicit view; materialize on {0, 1, 3}.
-        let full = AdjacencyGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
-        let sub = AdjacencyGraph::materialize(&full, &[0, 1, 3]);
-        assert!(sub.is_edge(0, 1));
-        assert!(!sub.is_edge(1, 2), "vertex 2 excluded");
-        assert!(!sub.is_edge(2, 3));
-        assert_eq!(sub.edge_count(), 1);
     }
 }

@@ -12,8 +12,8 @@
 //! * [`GraphView`] — the adjacency oracle both implicit
 //!   ([`ThresholdGraph`]) and explicit ([`AdjacencyGraph`]) graphs expose;
 //! * sequential MIS algorithms ([`mis::greedy_mis`],
-//!   [`mis::greedy_k_bounded_mis`], [`mis::luby_mis`]) used as reference
-//!   implementations and baselines;
+//!   [`mis::greedy_k_bounded_mis`]) used as reference implementations and
+//!   baselines;
 //! * the paper's [`mis::trim`] primitive (the "local variant of Luby's
 //!   algorithm" of §5) with configurable tie-breaking;
 //! * verification predicates ([`verify`]) used across the test suites.

@@ -1,10 +1,7 @@
 //! Sequential maximal-independent-set algorithms and the paper's `trim`
 //! primitive.
 
-use rand::{RngExt, SeedableRng};
-use rand_chacha::ChaCha8Rng;
-
-use crate::{AdjacencyGraph, GraphView};
+use crate::GraphView;
 
 /// Greedy MIS over `vertices` in the given order: a vertex joins the set
 /// iff it has no neighbor already in the set. The result is a maximal
@@ -57,46 +54,6 @@ pub fn greedy_k_bounded_mis<G: GraphView>(
     (set, true)
 }
 
-/// Classic Luby (1986) randomized MIS on an explicit graph, used as a
-/// reference point for the paper's compressed variant. Each round, every
-/// live vertex draws a random priority; local maxima join the MIS and are
-/// removed with their neighborhoods.
-pub fn luby_mis(graph: &AdjacencyGraph, seed: u64) -> Vec<u32> {
-    let n = graph.n_vertices();
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut alive: Vec<bool> = vec![true; n];
-    let mut mis = Vec::new();
-    let mut live_count = n;
-    while live_count > 0 {
-        let priority: Vec<u64> = (0..n).map(|_| rng.random()).collect();
-        let mut selected = Vec::new();
-        for v in 0..n as u32 {
-            if !alive[v as usize] {
-                continue;
-            }
-            let is_local_max = graph.neighbors(v).iter().all(|&u| {
-                !alive[u as usize] || (priority[v as usize], v) > (priority[u as usize], u)
-            });
-            if is_local_max {
-                selected.push(v);
-            }
-        }
-        for &v in &selected {
-            mis.push(v);
-            if std::mem::replace(&mut alive[v as usize], false) {
-                live_count -= 1;
-            }
-            for &u in graph.neighbors(v) {
-                if std::mem::replace(&mut alive[u as usize], false) {
-                    live_count -= 1;
-                }
-            }
-        }
-    }
-    mis.sort_unstable();
-    mis
-}
-
 /// Tie-breaking policy for [`trim`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TieBreak {
@@ -145,6 +102,7 @@ pub fn trim<G: GraphView>(view: &G, sample: &[u32], weights: &[f64], tie: TieBre
 mod tests {
     use super::*;
     use crate::verify::{is_independent, is_k_bounded_mis, is_maximal};
+    use crate::AdjacencyGraph;
 
     fn path(n: usize) -> AdjacencyGraph {
         AdjacencyGraph::from_edges(
@@ -187,29 +145,6 @@ mod tests {
         assert!(maximal);
         assert_eq!(set, vec![0, 2, 4]);
         assert!(is_k_bounded_mis(&g, &set, &vertices, 100));
-    }
-
-    #[test]
-    fn luby_produces_maximal_independent_set() {
-        for seed in 0..10 {
-            let g = path(20);
-            let mis = luby_mis(&g, seed);
-            let vertices: Vec<u32> = (0..20).collect();
-            assert!(is_independent(&g, &mis), "seed {seed}");
-            assert!(is_maximal(&g, &mis, &vertices), "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn luby_on_complete_graph_picks_one() {
-        let mut edges = Vec::new();
-        for i in 0..6u32 {
-            for j in (i + 1)..6 {
-                edges.push((i, j));
-            }
-        }
-        let g = AdjacencyGraph::from_edges(6, &edges);
-        assert_eq!(luby_mis(&g, 3).len(), 1);
     }
 
     #[test]

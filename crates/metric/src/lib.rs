@@ -25,7 +25,6 @@ pub mod euclidean;
 pub mod graph_metric;
 pub mod grid;
 pub mod hamming;
-pub mod io;
 pub mod jaccard;
 pub mod matrix;
 pub mod minkowski;
@@ -41,7 +40,6 @@ pub use euclidean::EuclideanSpace;
 pub use graph_metric::GraphMetricSpace;
 pub use grid::{GridIndex, GridScan};
 pub use hamming::HammingSpace;
-pub use io::{load_dataset, parse_bvecs, parse_fvecs, parse_kcps, save_dataset, to_fvecs, to_kcps};
 pub use jaccard::JaccardSpace;
 pub use matrix::MatrixSpace;
 pub use minkowski::{ChebyshevSpace, ManhattanSpace};

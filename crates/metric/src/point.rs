@@ -43,7 +43,7 @@ impl std::fmt::Display for PointId {
 ///
 /// Coordinates are stored contiguously (`data[i*dim..(i+1)*dim]` is point
 /// `i`) so distance kernels stream through memory without pointer chasing.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PointSet {
     data: Vec<f64>,
     dim: usize,

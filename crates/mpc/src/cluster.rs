@@ -115,21 +115,13 @@ impl Cluster {
         self.seed
     }
 
-    /// Which transport this cluster runs on.
-    pub fn transport_kind(&self) -> TransportKind {
-        match self.wire {
-            None => TransportKind::Sim,
-            Some(_) => TransportKind::Loopback,
-        }
-    }
-
     /// The wire transport's measurements (`None` on `sim`, which moves no
     /// bytes).
     pub fn wire_stats(&self) -> Option<&WireStats> {
         self.wire.as_ref().map(|wire| &wire.stats)
     }
 
-    /// Serializable snapshot of [`Cluster::wire_stats`].
+    /// A snapshot of [`Cluster::wire_stats`].
     pub fn wire_summary(&self) -> Option<WireSummary> {
         self.wire_stats().map(WireStats::summary)
     }

@@ -8,8 +8,6 @@
 //! into "what would this cost on a Spark-like cluster" estimates — used by
 //! experiment E12 and the `cluster_projection` example.
 
-use serde::Serialize;
-
 use crate::ledger::Ledger;
 
 /// An alpha–beta cluster communication model.
@@ -23,7 +21,7 @@ use crate::ledger::Ledger;
 /// let secs = CostModel::mapreduce().estimate_seconds(&ledger);
 /// assert!(secs >= 5.0); // one round costs at least the 5 s barrier
 /// ```
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CostModel {
     /// Per-round synchronization overhead in seconds (scheduling + barrier).
     pub round_latency_s: f64,

@@ -5,10 +5,8 @@
 //! collective in [`crate::Cluster`] appends one [`RoundRecord`] with the
 //! exact number of words each machine sent and received.
 
-use serde::Serialize;
-
 /// Words sent and received by one machine in one round.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MachineIo {
     /// Words this machine sent during the round.
     pub sent: u64,
@@ -25,7 +23,7 @@ impl MachineIo {
 }
 
 /// Accounting for one MPC round.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RoundRecord {
     /// 1-based round index.
     pub round: u64,
@@ -57,7 +55,7 @@ impl RoundRecord {
 /// The simulator never aborts on a breach — the paper's bounds are
 /// with-high-probability, so rare breaches under aggressive "practical"
 /// constants are data, not errors.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Violation {
     /// Round in which the breach happened.
     pub round: u64,
@@ -73,7 +71,7 @@ pub struct Violation {
 
 /// The complete round-by-round communication ledger of one simulated
 /// MPC execution.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Ledger {
     m: usize,
     rounds: Vec<RoundRecord>,
@@ -238,22 +236,6 @@ impl Ledger {
         out
     }
 
-    /// Serializes the per-round records as CSV
-    /// (`round,label,machine,sent,received`) — the raw material for
-    /// plotting round/communication profiles outside Rust.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("round,label,machine,sent,received\n");
-        for r in &self.rounds {
-            for (machine, io) in r.per_machine.iter().enumerate() {
-                out.push_str(&format!(
-                    "{},{},{},{},{}\n",
-                    r.round, r.label, machine, io.sent, io.received
-                ));
-            }
-        }
-        out
-    }
-
     /// Absorbs the rounds of another ledger (used when a sub-algorithm ran
     /// on its own cluster handle), renumbering them to follow this one.
     pub fn absorb(&mut self, other: Ledger) {
@@ -328,17 +310,6 @@ mod tests {
         l.record_round("x", vec![io(2, 0), io(0, 2)]);
         let s = l.summary_by_label();
         assert_eq!(s, vec![("x".to_string(), 2, 7), ("y".to_string(), 1, 1)]);
-    }
-
-    #[test]
-    fn csv_export_lists_every_machine_round() {
-        let mut l = Ledger::new(2);
-        l.record_round("alpha", vec![io(3, 0), io(0, 3)]);
-        let csv = l.to_csv();
-        assert!(csv.starts_with("round,label,machine,sent,received\n"));
-        assert!(csv.contains("1,alpha,0,3,0"));
-        assert!(csv.contains("1,alpha,1,0,3"));
-        assert_eq!(csv.lines().count(), 3);
     }
 
     #[test]

@@ -7,7 +7,6 @@
 
 use rand::{RngExt, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::Serialize;
 
 /// An assignment of items `0..n` to machines `0..m`.
 ///
@@ -17,9 +16,8 @@ use serde::Serialize;
 /// let p = Partition::round_robin(10, 3);
 /// assert_eq!(p.items(0), &[0, 3, 6, 9]);
 /// assert_eq!(p.owner(4), 1);
-/// assert_eq!(p.max_load(), 4);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partition {
     per_machine: Vec<Vec<u32>>,
     owner: Vec<u32>,
@@ -107,11 +105,6 @@ impl Partition {
     pub fn owner(&self, item: u32) -> usize {
         self.owner[item as usize] as usize
     }
-
-    /// Size of the largest machine (the `n/m` term of the memory bound).
-    pub fn max_load(&self) -> usize {
-        self.per_machine.iter().map(Vec::len).max().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -135,7 +128,6 @@ mod tests {
         let p = Partition::round_robin(10, 3);
         covers_all(&p, 10);
         assert_eq!(p.items(0), &[0, 3, 6, 9]);
-        assert_eq!(p.max_load(), 4);
     }
 
     #[test]
@@ -178,6 +170,5 @@ mod tests {
     fn empty_input_is_fine() {
         let p = Partition::round_robin(0, 4);
         assert_eq!(p.n(), 0);
-        assert_eq!(p.max_load(), 0);
     }
 }

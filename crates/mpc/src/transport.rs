@@ -39,8 +39,6 @@
 use std::ops::Range;
 use std::time::Instant;
 
-use serde::{Deserialize, Serialize};
-
 use crate::wire::{decode_frame, encode_frame, Wire, FRAME_HEADER_BYTES};
 
 /// Which transport a cluster runs on.
@@ -131,7 +129,7 @@ pub struct WireStats {
 }
 
 impl WireStats {
-    /// Flattens into the serializable summary Telemetry carries.
+    /// Flattens into the summary Telemetry carries.
     pub fn summary(&self) -> WireSummary {
         WireSummary {
             backend: self.kind.name().to_string(),
@@ -149,8 +147,8 @@ impl WireStats {
     }
 }
 
-/// Serializable snapshot of [`WireStats`] (no per-round rows).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A snapshot of [`WireStats`] (no per-round rows).
+#[derive(Debug, Clone, PartialEq)]
 pub struct WireSummary {
     /// Transport name (`sim` clusters produce no summary at all).
     pub backend: String,

@@ -14,8 +14,7 @@
 //!    Algorithm 5 / Algorithm 2 on the identical point set.
 //!
 //! Streams are adversarial on purpose: coordinates come from a small
-//! integer grid (forcing exact duplicates — the same failure family as
-//! the CCFM streaming bug fixed in this PR) and the insertion order is a
+//! integer grid (forcing exact duplicates) and the insertion order is a
 //! seeded permutation, so clusters can arrive contiguously or scattered.
 
 use mpc_core::diversity::mpc_diversity;
