@@ -9,6 +9,7 @@
 use mpc_metric::{MetricSpace, PointId};
 use mpc_sim::Cluster;
 
+use crate::common::{Input, Run};
 use crate::params::Params;
 use crate::telemetry::Telemetry;
 
@@ -45,15 +46,24 @@ pub fn assign_to_centers<M: MetricSpace + ?Sized>(
     centers: &[PointId],
     params: &Params,
 ) -> Assignment {
-    assert!(!centers.is_empty(), "need at least one center");
-    let n = metric.n();
     let mut cluster = Cluster::new(params.m, params.seed);
-    let partition = params.partition.build(n, params.m, params.seed);
-    let local_sets = partition.all_items().to_vec();
+    assign_to_centers_on(&mut cluster, metric, centers, params)
+}
+
+/// Like [`assign_to_centers`] but on a caller-provided cluster.
+pub fn assign_to_centers_on<M: MetricSpace + ?Sized>(
+    cluster: &mut Cluster,
+    metric: &M,
+    centers: &[PointId],
+    params: &Params,
+) -> Assignment {
+    assert!(!centers.is_empty(), "need at least one center");
+    let (run, [shards]) = Run::start(cluster, metric, params, [Input::Points]);
+    let n = metric.n();
 
     let centers = cluster.broadcast("assign/centers", centers.to_vec(), metric.point_weight());
     // Local assignment: (cluster index, distance) per owned point.
-    let local: Vec<Vec<(u32, u32, f64)>> = cluster.map(&local_sets, |_, vi| {
+    let local: Vec<Vec<(u32, u32, f64)>> = cluster.map(shards.sets(), |_, vi| {
         vi.iter()
             .map(|&v| {
                 let (ci, d) = centers
@@ -106,7 +116,7 @@ pub fn assign_to_centers<M: MetricSpace + ?Sized>(
         distance,
         sizes,
         radii,
-        telemetry: Telemetry::from_ledger(cluster.ledger()),
+        telemetry: run.finish(cluster, None),
     }
 }
 
@@ -176,5 +186,14 @@ mod tests {
             );
             assert_eq!(a.distance[c.idx()], 0.0);
         }
+    }
+
+    #[test]
+    fn budget_breaches_are_recorded() {
+        let metric = EuclideanSpace::new(datasets::uniform_cube(40, 2, 3));
+        let mut params = Params::practical(2, 0.1, 3);
+        params.budget_words = Some(1);
+        let a = assign_to_centers(&metric, &to_point_ids(&[0, 9]), &params);
+        assert!(a.telemetry.violations >= 1);
     }
 }

@@ -1,13 +1,14 @@
-//! Distributed helpers shared by the top-level algorithms (Algorithms 2,
-//! 5, 6): the run prologue and epilogue, coreset construction and
-//! covering-radius evaluation.
+//! What every distributed entry point shares — Algorithms 2, 5 and 6,
+//! the §3 4-approximation, the §7 dominating set and the cluster
+//! assignment: the run prologue and epilogue (`Run`), and the machines'
+//! shares of the input (`Shards`) with their coreset, covering-radius
+//! and nearest-point steps.
 
 use std::borrow::Cow;
+use std::sync::OnceLock;
 use std::time::Instant;
 
-use mpc_metric::{
-    dist_point_to_set, simd, EuclideanSpace, KernelStats, MetricSpace, PointId, PointSet,
-};
+use mpc_metric::{dist_point_to_set, simd, KernelStats, MetricSpace, PointId, PointSet};
 use mpc_sim::Cluster;
 
 use crate::gmm::{gmm, gmm_by};
@@ -19,23 +20,10 @@ pub fn to_point_ids(ids: &[u32]) -> Vec<PointId> {
     ids.iter().map(|&v| PointId(v)).collect()
 }
 
-/// The cluster a top-level algorithm runs on: `params.m` machines seeded
-/// with `params.seed`, on the `sim` transport, with `params.budget_words`
-/// as the per-round budget when set. Callers that want another transport
-/// build a [`Cluster::with_transport`] and call the algorithm's `_on`
-/// form, whose [`Run::start`] applies the budget.
-pub(crate) fn new_cluster(params: &Params) -> Cluster {
-    let mut cluster = Cluster::new(params.m, params.seed);
-    if let Some(budget) = params.budget_words {
-        cluster.set_budget(budget);
-    }
-    cluster
-}
-
 /// One input family a run distributes over the machines.
 pub(crate) enum Input<'a> {
     /// Every point of the metric, split under `params.seed` and shipped
-    /// as `setup/shards` (Algorithms 2 and 5).
+    /// as `setup/shards` (every entry point but Algorithm 6).
     Points,
     /// `Ids(label, ids, salt)`: a subset of the points, split under
     /// `params.seed ^ salt` and shipped as `label` (Algorithm 6's
@@ -63,9 +51,10 @@ impl Input<'_> {
     }
 }
 
-/// What Algorithms 2, 5 and 6 do around their own steps: [`Run::start`]
-/// is the shared prologue, [`Run::finish`] the shared epilogue, and the
-/// marks in between time the coarse, ladder and finalize phases.
+/// What every distributed entry point does around its own steps:
+/// [`Run::start`] is the one prologue, [`Run::finish`] the one epilogue,
+/// and the marks in between time the coarse, ladder and finalize phases.
+/// No entry point builds a partition or applies `params` by itself.
 pub(crate) struct Run<'m, M: MetricSpace + ?Sized> {
     metric: &'m M,
     kernels_at_entry: Option<KernelStats>,
@@ -118,7 +107,7 @@ impl<'m, M: MetricSpace + ?Sized> Run<'m, M> {
             mark: Instant::now(),
             ladder: None,
         };
-        let shards = families.map(|(_, sets)| Shards::new(cluster, metric, Cow::Owned(sets)));
+        let shards = families.map(|(_, sets)| Shards::new(metric, Cow::Owned(sets)));
         (run, shards)
     }
 
@@ -169,34 +158,34 @@ impl<'m, M: MetricSpace + ?Sized> Run<'m, M> {
 
 /// Every machine's share of one input family, as the MPC model has it:
 /// machine `i` holds the ids `sets()[i]` and, when the metric is
-/// Euclidean, their rows in storage of its own ([`Slab`]). The machine-
-/// local steps of Algorithms 2, 5 and 6 — the coreset GMM and the
-/// covering-radius scan — run on those rows with the exact f64 run
-/// kernels of [`mpc_metric::simd`], which are bit-identical to the by-id
-/// [`MetricSpace::dists_into`] and [`MetricSpace::dist_to_set`] folds;
-/// any other metric answers the same steps by id. The rows are the
-/// machine's input, which `setup/shards` already charged, so gathering
-/// them adds nothing to the ledger.
+/// Euclidean, their rows in storage of its own ([`Slab`]), gathered on
+/// the first slab read. The machine-local steps of Algorithms 2, 5 and 6
+/// — the coreset GMM and the covering-radius scan — run on those rows
+/// with the exact f64 run kernels of [`mpc_metric::simd`], which are
+/// bit-identical to the by-id [`MetricSpace::dists_into`] and
+/// [`MetricSpace::dist_to_set`] folds; any other metric, and every other
+/// step, reads by id. The rows are the machine's input, which
+/// `setup/shards` already charged, so gathering them adds nothing to the
+/// ledger.
 pub(crate) struct Shards<'a, M: ?Sized> {
     metric: &'a M,
     sets: Cow<'a, [Vec<u32>]>,
-    /// The Euclidean space and every machine's rows, dimension-major.
-    rows: Option<(&'a EuclideanSpace, Vec<Vec<f64>>)>,
+    /// Every machine's rows, dimension-major, once a step read them.
+    cols: OnceLock<Vec<Vec<f64>>>,
 }
 
 impl<'a, M: MetricSpace + ?Sized> Shards<'a, M> {
-    /// The machines' shares `sets`, one id list per machine, with each
-    /// machine's rows gathered across the worker pool when
-    /// [`MetricSpace::euclidean`] answers.
-    pub(crate) fn new(cluster: &Cluster, metric: &'a M, sets: Cow<'a, [Vec<u32>]>) -> Self {
-        let rows = metric.euclidean().map(|space| {
-            let cols = cluster.map(&sets, |_, ids| space.points().gather_cols(ids));
-            (space, cols)
-        });
-        Self { metric, sets, rows }
+    /// The machines' shares `sets`, one id list per machine. Gathers no
+    /// rows.
+    pub(crate) fn new(metric: &'a M, sets: Cow<'a, [Vec<u32>]>) -> Self {
+        Self {
+            metric,
+            sets,
+            cols: OnceLock::new(),
+        }
     }
 
-    /// The metric the shards were gathered from.
+    /// The metric the shards were drawn from.
     pub(crate) fn metric(&self) -> &'a M {
         self.metric
     }
@@ -206,13 +195,23 @@ impl<'a, M: MetricSpace + ?Sized> Shards<'a, M> {
         &self.sets
     }
 
-    /// Machine `i`'s rows, when the metric is Euclidean.
-    pub(crate) fn slab(&self, i: usize) -> Option<Slab<'_>> {
-        self.rows.as_ref().map(|(space, cols)| Slab {
-            members: &self.sets[i],
-            dim: space.points().dim(),
-            cols: &cols[i],
-        })
+    /// Every machine's slab when [`MetricSpace::euclidean`] answers,
+    /// gathering the rows across the worker pool on the first call. Steps
+    /// call this on the calling thread **before** their own `cluster.map`
+    /// fan-out, so the gather runs once and never inside a worker.
+    pub(crate) fn slabs(&self, cluster: &Cluster) -> Option<Vec<Slab<'_>>> {
+        let space = self.metric.euclidean()?;
+        let cols = self
+            .cols
+            .get_or_init(|| cluster.map(&self.sets, |_, ids| space.points().gather_cols(ids)));
+        let dim = space.points().dim();
+        Some(
+            self.sets
+                .iter()
+                .zip(cols)
+                .map(|(members, cols)| Slab { members, dim, cols })
+                .collect(),
+        )
     }
 
     /// Lines 1–2 of Algorithms 2/5/6: every machine runs GMM on its local
@@ -220,8 +219,9 @@ impl<'a, M: MetricSpace + ?Sized> Shards<'a, M> {
     /// which runs GMM on the union. Returns `(q, coresets)` with `q =
     /// GMM(∪ T_i, k)`. One MPC round (the gather).
     pub(crate) fn coreset(&self, cluster: &mut Cluster, k: usize) -> (Vec<u32>, Vec<Vec<u32>>) {
-        let coresets: Vec<Vec<u32>> = cluster.map(self.sets(), |i, ids| match self.slab(i) {
-            Some(slab) => slab.gmm(k),
+        let slabs = self.slabs(cluster);
+        let coresets: Vec<Vec<u32>> = cluster.map(self.sets(), |i, ids| match &slabs {
+            Some(slabs) => slabs[i].gmm(k),
             None => gmm(self.metric, ids, k).selected,
         });
         let union = cluster.gather(
@@ -240,22 +240,61 @@ impl<'a, M: MetricSpace + ?Sized> Shards<'a, M> {
     /// contract).
     pub(crate) fn covering_radius(&self, cluster: &mut Cluster, q: &[u32]) -> f64 {
         let q = cluster.broadcast("radius/bcast", q.to_vec(), self.metric.point_weight());
+        let slabs = self.slabs(cluster);
         // The broadcast centers' rows, one `|q| × d` block every machine
         // scans its slab against.
-        let centers = self
-            .rows
+        let centers = slabs
             .as_ref()
-            .map(|(space, _)| space.points().gather(&q));
+            .and(self.metric.euclidean())
+            .map(|space| space.points().gather(&q));
         let q_ids = to_point_ids(&q);
-        let local_max: Vec<f64> =
-            cluster.map(self.sets(), |i, ids| match (self.slab(i), &centers) {
-                (Some(slab), Some(centers)) => slab.covering_radius(centers),
-                _ => ids
-                    .iter()
-                    .map(|&v| dist_point_to_set(self.metric, PointId(v), &q_ids))
-                    .fold(0.0f64, f64::max),
-            });
+        let local_max: Vec<f64> = cluster.map(self.sets(), |i, ids| match (&slabs, &centers) {
+            (Some(slabs), Some(centers)) => slabs[i].covering_radius(centers),
+            _ => ids
+                .iter()
+                .map(|&v| dist_point_to_set(self.metric, PointId(v), &q_ids))
+                .fold(0.0f64, f64::max),
+        });
         cluster.reduce("radius/reduce", local_max, 1, f64::max)
+    }
+
+    /// For each point of `q`, its nearest point among the machines' points
+    /// (id and distance), by id in the `(distance.total_cmp, id)` order,
+    /// so a NaN distance is a candidate too. Two rounds: broadcast `q`,
+    /// gather the per-machine candidates. Panics if every machine is empty
+    /// while `q` is not.
+    pub(crate) fn nearest(&self, cluster: &mut Cluster, q: &[u32]) -> Vec<(u32, f64)> {
+        let metric = self.metric;
+        let q = cluster.broadcast("nearest/bcast", q.to_vec(), metric.point_weight());
+        // candidates[machine][idx in q] = (best id, best dist) on that machine
+        let candidates: Vec<Vec<(u32, f64)>> = cluster.map(self.sets(), |_, si| {
+            q.iter()
+                .map(|&target| {
+                    si.iter()
+                        .map(|&s| (s, metric.dist(PointId(target), PointId(s))))
+                        .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
+                        .unwrap_or((u32::MAX, f64::INFINITY))
+                })
+                .collect()
+        });
+        let all = cluster.gather("nearest/gather", candidates, 2);
+        // Fold the m candidate rows (gathered in machine order) per q
+        // index, in the machines' own order; `u32::MAX` marks a machine
+        // with no points.
+        let mut best = vec![(u32::MAX, f64::INFINITY); q.len()];
+        for (flat_idx, cand) in all.into_iter().enumerate() {
+            let b = &mut best[flat_idx % q.len().max(1)];
+            if cand.0 != u32::MAX
+                && (b.0 == u32::MAX || cand.1.total_cmp(&b.1).then(cand.0.cmp(&b.0)).is_lt())
+            {
+                *b = cand;
+            }
+        }
+        assert!(
+            q.is_empty() || best.iter().all(|&(id, _)| id != u32::MAX),
+            "no candidate found: the distributed set is empty"
+        );
+        best
     }
 }
 
@@ -268,8 +307,8 @@ impl<'a, M: MetricSpace + ?Sized> Shards<'a, M> {
 /// coordinate on axis `a`), the layout of the exact run kernels in
 /// [`mpc_metric::simd`]: four rows per vector step, one column load per
 /// coordinate. Those kernels are bit-identical to
-/// [`EuclideanSpace::row_dist`], so every step returns what a by-id scan
-/// of the same points would.
+/// [`mpc_metric::EuclideanSpace::row_dist`], so every step returns what a
+/// by-id scan of the same points would.
 #[derive(Clone, Copy)]
 pub(crate) struct Slab<'s> {
     /// The machine's global ids.
@@ -310,9 +349,9 @@ impl Slab<'_> {
     /// `max_{x ∈ slab} d(x, Q)` for `Q` given as gathered center rows.
     /// [`simd::exact_min_sq_run`] folds each point's minimum squared
     /// distance to `Q`, bit for bit the squares behind
-    /// [`EuclideanSpace::row_dist_to_rows`]. `sqrt` is monotone, so the
-    /// largest `sqrt(min)` of the by-id fold is the `sqrt` of the largest
-    /// minimum: one root per slab.
+    /// [`mpc_metric::EuclideanSpace::row_dist_to_rows`]. `sqrt` is
+    /// monotone, so the largest `sqrt(min)` of the by-id fold is the `sqrt`
+    /// of the largest minimum: one root per slab.
     fn covering_radius(&self, centers: &PointSet) -> f64 {
         let mut mins = vec![f64::INFINITY; self.len()];
         simd::exact_min_sq_run(centers.raw(), self.dim, self.cols, self.len(), 0, &mut mins);
@@ -330,7 +369,7 @@ pub fn gmm_coreset<M: MetricSpace + ?Sized>(
     local_sets: &[Vec<u32>],
     k: usize,
 ) -> (Vec<u32>, Vec<Vec<u32>>) {
-    Shards::new(cluster, metric, Cow::Borrowed(local_sets)).coreset(cluster, k)
+    Shards::new(metric, Cow::Borrowed(local_sets)).coreset(cluster, k)
 }
 
 /// `r(X, Q) = max_{x ∈ X} d(x, Q)` where `X` is distributed as
@@ -347,50 +386,7 @@ pub fn covering_radius<M: MetricSpace + ?Sized>(
     local_sets: &[Vec<u32>],
     q: &[u32],
 ) -> f64 {
-    Shards::new(cluster, metric, Cow::Borrowed(local_sets)).covering_radius(cluster, q)
-}
-
-/// For each point of `q`, its nearest point among the distributed
-/// `local_sets` (id and distance). Two rounds: broadcast `q`, gather the
-/// per-machine candidates. Panics if `local_sets` is entirely empty while
-/// `q` is not.
-pub fn nearest_in_distributed_set<M: MetricSpace + ?Sized>(
-    cluster: &mut Cluster,
-    metric: &M,
-    local_sets: &[Vec<u32>],
-    q: &[u32],
-) -> Vec<(u32, f64)> {
-    let w = metric.point_weight();
-    let q = cluster.broadcast("nearest/bcast", q.to_vec(), w);
-    // candidates[machine][idx in q] = (best id, best dist) on that machine
-    let candidates: Vec<Vec<(u32, f64)>> = cluster.map(local_sets, |_, si| {
-        q.iter()
-            .map(|&target| {
-                si.iter()
-                    .map(|&s| (s, metric.dist(PointId(target), PointId(s))))
-                    .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
-                    .unwrap_or((u32::MAX, f64::INFINITY))
-            })
-            .collect()
-    });
-    let all = cluster.gather("nearest/gather", candidates, 2);
-    // Fold the m candidate rows (gathered in machine order) per q index,
-    // in the machines' own (distance, id) total order, so a NaN distance
-    // is a candidate too; `u32::MAX` marks a machine with no points.
-    let mut best = vec![(u32::MAX, f64::INFINITY); q.len()];
-    for (flat_idx, cand) in all.into_iter().enumerate() {
-        let b = &mut best[flat_idx % q.len().max(1)];
-        if cand.0 != u32::MAX
-            && (b.0 == u32::MAX || cand.1.total_cmp(&b.1).then(cand.0.cmp(&b.0)).is_lt())
-        {
-            *b = cand;
-        }
-    }
-    assert!(
-        q.is_empty() || best.iter().all(|&(id, _)| id != u32::MAX),
-        "no candidate found: the distributed set is empty"
-    );
-    best
+    Shards::new(metric, Cow::Borrowed(local_sets)).covering_radius(cluster, q)
 }
 
 #[cfg(test)]
@@ -471,10 +467,38 @@ mod tests {
         // Suppliers 2 (x=4.9) on machine 0, suppliers 3, 4 on machine 1.
         let local = vec![vec![2], vec![3, 4]];
         // Query points 0 (x=0) and 1 (x=10).
-        let best = nearest_in_distributed_set(&mut cluster, &metric, &local, &[0, 1]);
+        let shards = Shards::new(&metric, Cow::Borrowed(&local));
+        let best = shards.nearest(&mut cluster, &[0, 1]);
         assert_eq!(best[0].0, 2); // x=4.9 closest to 0
         assert!((best[0].1 - 4.9).abs() < 1e-12);
         assert_eq!(best[1].0, 3); // x=5.1 closest to 10
         assert!((best[1].1 - 4.9).abs() < 1e-12);
+    }
+
+    /// A fresh `Shards` holds no rows, and `sets` and `nearest` read none:
+    /// only the first coreset, covering radius or grid rung gathers them.
+    #[test]
+    fn rows_are_gathered_on_the_first_slab_read() {
+        let metric = EuclideanSpace::new(datasets::uniform_cube(60, 3, 2));
+        let local = Partition::round_robin(60, 3).all_items().to_vec();
+        let fresh = || Shards::new(&metric, Cow::Borrowed(&local));
+        let gathered = |shards: &Shards<'_, EuclideanSpace>| shards.cols.get().is_some();
+        let mut cluster = Cluster::new(3, 1);
+
+        let shards = fresh();
+        assert_eq!(shards.sets().len(), 3);
+        shards.nearest(&mut cluster, &[0, 7]);
+        assert!(!gathered(&shards), "by-id steps read no rows");
+        shards.coreset(&mut cluster, 4);
+        assert!(gathered(&shards), "the coreset reads the rows");
+
+        let shards = fresh();
+        shards.covering_radius(&mut cluster, &[0]);
+        assert!(gathered(&shards), "the covering radius reads the rows");
+
+        let shards = fresh();
+        let mut stats = KernelStats::default();
+        crate::grid::grid_rung(&mut cluster, &shards, 0.3, 5, &mut stats);
+        assert!(gathered(&shards), "a grid rung reads the rows");
     }
 }

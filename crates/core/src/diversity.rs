@@ -9,12 +9,10 @@
 //! because the *maximal* independent set one rung higher covers all of `V`
 //! with balls that must pin two optimal points together (pigeonhole).
 
-use std::borrow::Cow;
-
 use mpc_metric::{min_pairwise_distance, MetricSpace, PointId};
 use mpc_sim::Cluster;
 
-use crate::common::{new_cluster, to_point_ids, Input, Run, Shards};
+use crate::common::{to_point_ids, Input, Run, Shards};
 use crate::gmm::gmm;
 use crate::kbmis::k_bounded_mis;
 use crate::ladder::{mis_ladder, Objective};
@@ -74,12 +72,21 @@ pub fn four_approx_diversity<M: MetricSpace + ?Sized>(
     k: usize,
     params: &Params,
 ) -> DiversityResult {
+    let mut cluster = Cluster::new(params.m, params.seed);
+    four_approx_diversity_on(&mut cluster, metric, k, params)
+}
+
+/// Like [`four_approx_diversity`] but on a caller-provided cluster.
+pub fn four_approx_diversity_on<M: MetricSpace + ?Sized>(
+    cluster: &mut Cluster,
+    metric: &M,
+    k: usize,
+    params: &Params,
+) -> DiversityResult {
     assert!(k >= 2, "diversity needs k >= 2");
-    let n = metric.n();
-    let mut cluster = new_cluster(params);
-    let partition = params.partition.build(n, params.m, params.seed);
-    let shards = Shards::new(&cluster, metric, Cow::Borrowed(partition.all_items()));
-    let (r, q) = coarse_estimate(&mut cluster, &shards, k);
+    let (mut run, [shards]) = Run::start(cluster, metric, params, [Input::Points]);
+    let (r, q) = coarse_estimate(cluster, &shards, k);
+    run.coarse_done();
     let subset = to_point_ids(&q);
     let diversity = min_pairwise_distance(metric, &subset);
     DiversityResult {
@@ -87,7 +94,7 @@ pub fn four_approx_diversity<M: MetricSpace + ?Sized>(
         diversity,
         coarse_r: r,
         boundary_index: 0,
-        telemetry: Telemetry::from_ledger(cluster.ledger()),
+        telemetry: run.finish(cluster, None),
     }
 }
 
@@ -109,7 +116,7 @@ pub fn mpc_diversity<M: MetricSpace + ?Sized>(
     k: usize,
     params: &Params,
 ) -> DiversityResult {
-    let mut cluster = new_cluster(params);
+    let mut cluster = Cluster::new(params.m, params.seed);
     mpc_diversity_on(&mut cluster, metric, k, params)
 }
 
@@ -303,5 +310,14 @@ mod tests {
         let b = mpc_diversity(&metric, 7, &params);
         assert_eq!(a.subset, b.subset);
         assert_eq!(a.telemetry.rounds, b.telemetry.rounds);
+    }
+
+    #[test]
+    #[should_panic(expected = "delta")]
+    fn four_approx_rejects_invalid_params() {
+        let metric = EuclideanSpace::new(datasets::uniform_cube(10, 2, 1));
+        let mut params = Params::practical(2, 0.1, 1);
+        params.delta = -1.0;
+        four_approx_diversity(&metric, 3, &params);
     }
 }

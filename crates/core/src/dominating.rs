@@ -15,8 +15,9 @@
 //! constant number of rounds Theorem 13 gives.
 
 use mpc_metric::{MetricSpace, PointId};
+use mpc_sim::Cluster;
 
-use crate::common::new_cluster;
+use crate::common::{Input, Run};
 use crate::kbmis::k_bounded_mis;
 use crate::params::Params;
 use crate::telemetry::Telemetry;
@@ -41,19 +42,27 @@ pub fn mpc_dominating_set<M: MetricSpace + ?Sized>(
     tau: f64,
     params: &Params,
 ) -> DominatingSetResult {
-    params.validate();
+    let mut cluster = Cluster::new(params.m, params.seed);
+    mpc_dominating_set_on(&mut cluster, metric, tau, params)
+}
+
+/// Like [`mpc_dominating_set`] but on a caller-provided cluster.
+pub fn mpc_dominating_set_on<M: MetricSpace + ?Sized>(
+    cluster: &mut Cluster,
+    metric: &M,
+    tau: f64,
+    params: &Params,
+) -> DominatingSetResult {
+    let (run, [shards]) = Run::start(cluster, metric, params, [Input::Points]);
     let n = metric.n();
-    let mut cluster = new_cluster(params);
-    let partition = params.partition.build(n, params.m, params.seed);
-    let local_sets = partition.all_items().to_vec();
 
     // k = n never binds, so Algorithm 4 runs to graph exhaustion and the
     // result is a true maximal independent set — one constant-round
     // invocation, as the paper's §7 remark intends.
     let res = k_bounded_mis(
-        &mut cluster,
+        cluster,
         metric,
-        &local_sets,
+        shards.sets(),
         tau,
         n.max(1),
         n,
@@ -71,7 +80,7 @@ pub fn mpc_dominating_set<M: MetricSpace + ?Sized>(
     DominatingSetResult {
         set: res.set.iter().map(|&v| PointId(v)).collect(),
         outer_rounds: res.outer_rounds,
-        telemetry: Telemetry::from_ledger(cluster.ledger()),
+        telemetry: run.finish(cluster, None),
     }
 }
 

@@ -56,7 +56,7 @@ use std::ops::Range;
 use mpc_metric::{simd, EuclideanSpace, GridIndex, KernelStats, MetricSpace, PointId, PointSet};
 use mpc_sim::Cluster;
 
-use crate::common::{new_cluster, Input, Run, Shards, Slab};
+use crate::common::{Input, Run, Shards, Slab};
 use crate::kcenter::{kcenter_with, KCenterResult, KCenterSteps};
 use crate::params::Params;
 
@@ -237,7 +237,7 @@ fn within(
 /// certificate fired (the set may then not be maximal, exactly like
 /// Algorithm 4's truncated returns).
 ///
-/// Gathers each machine's rows into a shard of its own first; a caller
+/// Gathers each machine's rows into a slab of its own first; a caller
 /// evaluating many rungs over one partition ([`mpc_kcenter_grid_on`])
 /// gathers once and reuses the shards.
 pub fn grid_k_bounded_mis(
@@ -248,12 +248,12 @@ pub fn grid_k_bounded_mis(
     bound: usize,
     stats: &mut KernelStats,
 ) -> Vec<u32> {
-    let shards = Shards::new(cluster, space, Cow::Borrowed(local_sets));
+    let shards = Shards::new(space, Cow::Borrowed(local_sets));
     grid_rung(cluster, &shards, tau, bound, stats)
 }
 
-/// [`grid_k_bounded_mis`] on already gathered shards.
-fn grid_rung(
+/// [`grid_k_bounded_mis`] on the machines' shards.
+pub(crate) fn grid_rung(
     cluster: &mut Cluster,
     shards: &Shards<'_, EuclideanSpace>,
     tau: f64,
@@ -265,9 +265,9 @@ fn grid_rung(
     let point_words = space.point_weight() + 1; // coords + id
 
     // Machine-local grid builds (no communication; memory is noted).
-    let mut machines: Vec<MachineGrid> = cluster.map(shards.sets(), |i, _| {
-        MachineGrid::build(shards.slab(i).expect("a Euclidean shard has rows"), tau)
-    });
+    let slabs = shards.slabs(cluster).expect("a Euclidean shard has rows");
+    let mut machines: Vec<MachineGrid> =
+        cluster.map(&slabs, |_, &slab| MachineGrid::build(slab, tau));
     let grid_words: Vec<u64> = machines.iter().map(|m| m.memory_words()).collect();
     cluster.note_memory_all(&grid_words);
     for m in &machines {
@@ -358,7 +358,7 @@ impl KCenterSteps for GridRungs<'_> {
 /// deterministic) tie-breaking, per-machine traffic `O(mk)` instead of
 /// `Θ(n/m)`.
 pub fn mpc_kcenter_grid(space: &EuclideanSpace, k: usize, params: &Params) -> KCenterResult {
-    let mut cluster = new_cluster(params);
+    let mut cluster = Cluster::new(params.m, params.seed);
     mpc_kcenter_grid_on(&mut cluster, space, k, params)
 }
 

@@ -13,7 +13,7 @@
 use mpc_metric::{KernelStats, MetricSpace, PointId};
 use mpc_sim::Cluster;
 
-use crate::common::{new_cluster, to_point_ids, Input, Run, Shards};
+use crate::common::{to_point_ids, Input, Run, Shards};
 use crate::kbmis::k_bounded_mis;
 use crate::ladder::{mis_ladder, Objective};
 use crate::params::Params;
@@ -74,7 +74,7 @@ pub fn mpc_kcenter<M: MetricSpace + ?Sized>(
     k: usize,
     params: &Params,
 ) -> KCenterResult {
-    let mut cluster = new_cluster(params);
+    let mut cluster = Cluster::new(params.m, params.seed);
     mpc_kcenter_on(&mut cluster, metric, k, params)
 }
 

@@ -16,7 +16,7 @@
 use mpc_metric::{MetricSpace, PointId};
 use mpc_sim::Cluster;
 
-use crate::common::{nearest_in_distributed_set, new_cluster, to_point_ids, Input, Run};
+use crate::common::{to_point_ids, Input, Run, Shards};
 use crate::kbmis::k_bounded_mis;
 use crate::ladder::{BoundaryMode, LadderSearch, RungEval};
 use crate::params::Params;
@@ -48,12 +48,10 @@ pub struct KSupplierResult {
 /// its assignment — the `FirstAccept` schedules never probe it, and the
 /// caller backfills the assignment if the search settles there.
 struct KSupplierRungs<'a, M: MetricSpace + ?Sized> {
-    metric: &'a M,
-    local_c: &'a [Vec<u32>],
-    local_s: &'a [Vec<u32>],
+    customers: &'a Shards<'a, M>,
+    suppliers: &'a Shards<'a, M>,
     r: f64,
     k: usize,
-    n: usize,
     params: &'a Params,
 }
 
@@ -69,19 +67,19 @@ impl<M: MetricSpace + ?Sized> RungEval for KSupplierRungs<'_, M> {
     type Rung = SupplierRung;
 
     fn eval(&mut self, cluster: &mut Cluster, i: usize) -> SupplierRung {
+        let metric = self.customers.metric();
         let set = k_bounded_mis(
             cluster,
-            self.metric,
-            self.local_c,
+            metric,
+            self.customers.sets(),
             2.0 * self.tau(i),
             self.k + 1,
-            self.n,
+            metric.n(),
             self.params,
             false,
         )
         .set;
-        let assign = (set.len() <= self.k)
-            .then(|| nearest_in_distributed_set(cluster, self.metric, self.local_s, &set));
+        let assign = (set.len() <= self.k).then(|| self.suppliers.nearest(cluster, &set));
         (set, assign)
     }
 
@@ -110,7 +108,7 @@ pub fn mpc_ksupplier<M: MetricSpace + ?Sized>(
     k: usize,
     params: &Params,
 ) -> KSupplierResult {
-    let mut cluster = new_cluster(params);
+    let mut cluster = Cluster::new(params.m, params.seed);
     mpc_ksupplier_on(&mut cluster, metric, customers, suppliers, k, params)
 }
 
@@ -132,14 +130,13 @@ pub fn mpc_ksupplier_on<M: MetricSpace + ?Sized>(
         Input::Ids("setup/suppliers", suppliers, 0x5),
     ];
     let (mut run, [shards_c, shards_s]) = Run::start(cluster, metric, params, inputs);
-    let local_s = shards_s.sets();
 
     // Lines 1–2: customer coreset Q.
     let (q, _) = shards_c.coreset(cluster, k);
 
     // Line 3: r = r(C, Q) + r(Q, S).
     let r_cq = shards_c.covering_radius(cluster, &q);
-    let q_nearest = nearest_in_distributed_set(cluster, metric, local_s, &q);
+    let q_nearest = shards_s.nearest(cluster, &q);
     let r_qs = q_nearest.iter().map(|&(_, d)| d).fold(0.0f64, f64::max);
     let r = r_cq + r_qs;
     run.coarse_done();
@@ -158,12 +155,10 @@ pub fn mpc_ksupplier_on<M: MetricSpace + ?Sized>(
         // never probed by the FirstAccept schedules.
         let t = params.ladder_len(9.0, 0);
         let mut rungs = KSupplierRungs {
-            metric,
-            local_c: shards_c.sets(),
-            local_s,
+            customers: &shards_c,
+            suppliers: &shards_s,
             r,
             k,
-            n: metric.n(),
             params,
         };
         let mut search = LadderSearch::new(t);
@@ -177,7 +172,7 @@ pub fn mpc_ksupplier_on<M: MetricSpace + ?Sized>(
         let assign = assign.unwrap_or_else(|| {
             // Possible when the search settled on the seeded rung t
             // without evaluating it: its backstop carries no assignment.
-            nearest_in_distributed_set(cluster, metric, local_s, &m_b)
+            shards_s.nearest(cluster, &m_b)
         });
         (assign, r, Some(boundary))
     };

@@ -94,24 +94,3 @@ pub trait GraphView: Sync {
         }
     }
 }
-
-impl<G: GraphView + ?Sized> GraphView for &G {
-    fn n_vertices(&self) -> usize {
-        (**self).n_vertices()
-    }
-    fn is_edge(&self, u: u32, v: u32) -> bool {
-        (**self).is_edge(u, v)
-    }
-    fn degree_among(&self, v: u32, candidates: &[u32]) -> usize {
-        (**self).degree_among(v, candidates)
-    }
-    fn neighbors_among(&self, v: u32, candidates: &[u32]) -> Vec<u32> {
-        (**self).neighbors_among(v, candidates)
-    }
-    fn degrees_among(&self, vs: &[u32], candidates: &[u32]) -> Vec<usize> {
-        (**self).degrees_among(vs, candidates)
-    }
-    fn neighbors_among_many(&self, vs: &[u32], candidates: &[u32]) -> Vec<Vec<u32>> {
-        (**self).neighbors_among_many(vs, candidates)
-    }
-}

@@ -240,18 +240,14 @@ impl BallIndex {
             reach,
             pivot_dist,
         };
+        // Every ball's radius and population.
         for i in 0..n {
-            index.count(i);
+            if let Some(b) = index.ball(i as u32) {
+                let ball = &mut index.balls[b];
+                (ball.0, ball.1) = (ball.0.max(index.reach[i]), ball.1 + 1);
+            }
         }
         index
-    }
-
-    /// Adds point `i` to its ball's radius and population.
-    fn count(&mut self, i: usize) {
-        if let Some(b) = self.ball(i as u32) {
-            let ball = &mut self.balls[b];
-            (ball.0, ball.1) = (ball.0.max(self.reach[i]), ball.1 + 1);
-        }
     }
 
     /// Whether the bounds at threshold `tau` decide at least a quarter of
@@ -273,26 +269,6 @@ impl BallIndex {
             }
         }
         4.0 * decided >= n * n
-    }
-
-    /// Assigns the last point of `points` — just appended — to its nearest
-    /// pivot by exact distance (the first one at the minimum), in O(P·d),
-    /// so a built index stays valid across inserts. Pivots never change.
-    pub fn push(&mut self, points: &PointSet) {
-        let row = points.coords((points.len() - 1).into());
-        let (mut owner, mut reach) = (0u32, f64::NEG_INFINITY);
-        if row.iter().all(|x| x.is_finite()) {
-            reach = f64::INFINITY;
-            for (b, &p) in self.pivots.iter().enumerate() {
-                let d = crate::EuclideanSpace::row_dist(row, points.coords(p.into()));
-                if d < reach {
-                    (owner, reach) = (b as u32, d);
-                }
-            }
-        }
-        self.owner.push(owner);
-        self.reach.push(reach);
-        self.count(self.reach.len() - 1);
     }
 
     /// The ball point `id` belongs to, or `None` for a point outside every
@@ -550,34 +526,6 @@ mod tests {
             .filter(|w| w[0] % 32 != w[1] % 32)
             .count();
         assert_eq!(runs, 32, "pivots {:?}", index.pivots);
-    }
-
-    /// A pushed point gets its nearest pivot and the exact reach to it.
-    #[test]
-    fn push_keeps_the_index_valid() {
-        let mut points = datasets::uniform_cube(300, 16, 5);
-        let mut index = BallIndex::build(&points, &SoaStorage::build(&points));
-        let extra = datasets::uniform_cube(20, 16, 6);
-        for i in 0..extra.len() {
-            points.push(extra.coords(i.into()));
-            index.push(&points);
-            let row = points.coords((points.len() - 1).into());
-            let dists: Vec<f64> = index
-                .pivots
-                .iter()
-                .map(|&p| EuclideanSpace::row_dist(row, points.coords(p.into())))
-                .collect();
-            let owner = *index.owner.last().unwrap() as usize;
-            assert_eq!(
-                index.reach.last().unwrap().to_bits(),
-                dists[owner].to_bits()
-            );
-            assert!(dists.iter().all(|&d| d >= dists[owner]));
-        }
-        points.push(&[f64::NAN; 16]);
-        index.push(&points);
-        assert!(!index.reach.last().unwrap().is_finite());
-        assert_eq!(index.owner.len(), points.len());
     }
 
     /// Non-finite rows join no ball and are never chosen as pivots, even

@@ -53,7 +53,7 @@ pub struct EuclideanSpace {
     soa: OnceLock<SoaStorage>,
     /// Lazily built ball index behind the pruned multi-query scans
     /// ([`SpeedTier::Soa`], see [`crate::ball`]). Derived purely from
-    /// `points` and kept valid by [`EuclideanSpace::push_point`].
+    /// `points`; [`EuclideanSpace::push_point`] drops it.
     balls: OnceLock<BallIndex>,
     /// Cumulative fast-path kernel hit counters ([`KernelStats`]).
     counters: KernelCounters,
@@ -371,16 +371,14 @@ impl EuclideanSpace {
     /// geometric lane re-striding), yielding values bit-identical to a
     /// from-scratch build over the extended set, so verdicts after an
     /// insert remain bit-identical across speed tiers, exactly as for
-    /// batch-constructed spaces. A built ball index assigns the new point
-    /// to its nearest pivot in O(P·dim).
+    /// batch-constructed spaces. A built ball index is dropped; the next
+    /// scan large enough to pay for one builds it anew over the grown set.
     pub fn push_point(&mut self, coords: &[f64]) -> PointId {
         let id = self.points.push(coords);
         if let Some(soa) = self.soa.get_mut() {
             soa.push(coords);
         }
-        if let Some(balls) = self.balls.get_mut() {
-            balls.push(&self.points);
-        }
+        self.balls.take();
         id
     }
 
@@ -1048,5 +1046,50 @@ mod tests {
             .min(m.dist(PointId(0), PointId(2)));
         assert_eq!(m.dist_to_set(PointId(0), &set).to_bits(), want.to_bits());
         assert_eq!(m.dist_to_set(PointId(0), &[]), f64::INFINITY);
+    }
+
+    /// `push_point` drops a built ball index; the next scan that pays for
+    /// one builds it over the grown set, prunes, and answers as the
+    /// `exact` tier does.
+    #[test]
+    fn pruned_scan_after_push_point_matches_the_exact_tier() {
+        let (n, dim) = (2000, 16);
+        let all = crate::datasets::user_embeddings(n + 200, dim, 8, 0.03, 1e-3, 4);
+        let base = PointSet::new(all.raw()[..n * dim].to_vec(), dim);
+        let mut soa = EuclideanSpace::new(base.clone());
+        let mut exact = EuclideanSpace::new(base).with_speed_tier(SpeedTier::Exact);
+        let qs: Vec<u32> = (0..n as u32).step_by(3).collect();
+        let cands: Vec<u32> = (1..n as u32).step_by(2).collect();
+        soa.count_within_many(&qs, &cands, 0.1);
+        assert!(soa.balls.get().is_some(), "the scan built the index");
+        for i in n..all.len() {
+            let row = all.coords(PointId(i as u32));
+            assert_eq!(soa.push_point(row), exact.push_point(row));
+        }
+        assert!(soa.balls.get().is_none(), "push_point dropped the index");
+
+        let qs: Vec<u32> = (0..all.len() as u32).step_by(3).collect();
+        let cands: Vec<u32> = (1..all.len() as u32).step_by(2).collect();
+        let mut ds: Vec<f64> = cands
+            .iter()
+            .map(|&c| exact.dist(PointId(qs[1]), PointId(c)))
+            .collect();
+        ds.sort_by(f64::total_cmp);
+        let tau = ds[ds.len() / 100];
+        let run_pairs = || soa.kernel_stats().map_or(0, |k| k.run_pairs);
+        let before = run_pairs();
+        let counts = soa.count_within_many(&qs, &cands, tau);
+        let classified = run_pairs() - before;
+        assert_eq!(counts, exact.count_within_many(&qs, &cands, tau));
+        assert_eq!(
+            soa.neighbors_within_many(&qs, &cands, tau),
+            exact.neighbors_within_many(&qs, &cands, tau)
+        );
+        assert!(soa.balls.get().is_some(), "the scan rebuilt the index");
+        let pairs = (qs.len() * cands.len()) as u64;
+        assert!(
+            2 * classified < pairs,
+            "{classified} of {pairs} pairs classified"
+        );
     }
 }

@@ -9,7 +9,10 @@
 //!
 //! `KCENTER_SPEED` sets the speed tier of every space, and
 //! `KCENTER_TRANSPORT` the transport of the first two sections' clusters;
-//! stdout must be byte-identical under every combination.
+//! stdout must be byte-identical under every combination. The stderr
+//! `kernels(` and `grid-kernels(` lines are deterministic work counters;
+//! at the default tier they must equal `examples/ladder_digest.counters`
+//! (leading blanks stripped) under either transport.
 //!
 //! ```text
 //! cargo run --release --example ladder_digest

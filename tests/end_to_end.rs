@@ -210,3 +210,94 @@ fn full_pipeline_is_deterministic() {
     assert_eq!(a.telemetry.rounds, b.telemetry.rounds);
     assert_eq!(a.telemetry.total_words, b.telemetry.total_words);
 }
+
+/// One digest per distributed entry point on a small Euclidean instance,
+/// recorded before those entry points shared one run prologue: the
+/// answer's ids, its objective bits, `coarse_r` and the boundary where the
+/// result has them, then the run's rounds and [`ledger_fnv`]. Peak memory
+/// is left out on purpose: a driver that notes its input may grow it.
+const ENTRY_PINS: [(&str, u64); 5] = [
+    ("mpc_diversity", 0x0138_a3f6_fc52_db44),
+    ("mpc_ksupplier", 0x6183_c624_a960_abf2),
+    ("four_approx_diversity", 0xf9f5_360d_07bc_330c),
+    ("mpc_dominating_set", 0x9221_d7e0_2b7c_3084),
+    ("assign_to_centers", 0x150d_812a_bb8e_06ce),
+];
+
+/// Every entry point's digest, in [`ENTRY_PINS`] order.
+fn entry_digests() -> [u64; 5] {
+    use mpc_clustering::core::{assignment, dominating};
+    let space = EuclideanSpace::new(datasets::gaussian_clusters(240, 3, 6, 0.05, 31));
+    let params = Params::practical(4, 0.1, 31);
+    let ids = |ps: &[PointId]| {
+        std::iter::once(ps.len() as u64)
+            .chain(ps.iter().map(|p| p.0 as u64))
+            .collect::<Vec<_>>()
+    };
+    let run = |f: &dyn Fn(&mut Cluster) -> Vec<u64>| {
+        let mut cluster = Cluster::new(params.m, params.seed);
+        let mut words = f(&mut cluster);
+        words.extend([cluster.ledger().rounds(), ledger_fnv(cluster.ledger())]);
+        fnv(words)
+    };
+    let diversity = run(&|c| {
+        let dv = diversity::mpc_diversity_on(c, &space, 6, &params);
+        let mut w = ids(&dv.subset);
+        w.extend([
+            dv.diversity.to_bits(),
+            dv.coarse_r.to_bits(),
+            dv.boundary_index as u64,
+        ]);
+        w
+    });
+    let customers: Vec<u32> = (0..180).collect();
+    let suppliers: Vec<u32> = (180..240).collect();
+    let ksupplier = run(&|c| {
+        let ks = ksupplier::mpc_ksupplier_on(c, &space, &customers, &suppliers, 5, &params);
+        let mut w = ids(&ks.suppliers);
+        w.extend([
+            ks.radius.to_bits(),
+            ks.coarse_r.to_bits(),
+            ks.boundary_index as u64,
+        ]);
+        w
+    });
+    let four = run(&|c| {
+        let dv = diversity::four_approx_diversity_on(c, &space, 6, &params);
+        let mut w = ids(&dv.subset);
+        w.extend([
+            dv.diversity.to_bits(),
+            dv.coarse_r.to_bits(),
+            dv.boundary_index as u64,
+        ]);
+        w
+    });
+    let dominating = run(&|c| {
+        let ds = dominating::mpc_dominating_set_on(c, &space, 0.3, &params);
+        let mut w = ids(&ds.set);
+        w.push(ds.outer_rounds);
+        w
+    });
+    let centers = [3, 50, 97, 140, 201].map(PointId);
+    let assign = run(&|c| {
+        let a = assignment::assign_to_centers_on(c, &space, &centers, &params);
+        a.cluster_of
+            .iter()
+            .map(|&ci| ci as u64)
+            .chain(a.distance.iter().map(|d| d.to_bits()))
+            .chain(a.sizes.iter().map(|&s| s as u64))
+            .chain(a.radii.iter().map(|r| r.to_bits()))
+            .collect()
+    });
+    [diversity, ksupplier, four, dominating, assign]
+}
+
+#[test]
+fn entry_points_match_recorded_pins_at_every_thread_count() {
+    for threads in [1, 2, 8] {
+        let got = rayon::with_threads(threads, entry_digests);
+        for ((name, want), got) in ENTRY_PINS.iter().zip(got) {
+            assert_eq!(got, *want, "{name} at t={threads}: {got:#018x}");
+        }
+    }
+}
